@@ -74,10 +74,14 @@ bench-net-check:
 # jitter, and the replica center-kill matrix — TestChaosReplica* kills
 # the leader in every settlement phase including between ledger append
 # and commit) plus a short fuzz pass over the wire codec, which is the
-# surface every injected fault ultimately exercises.
+# surface every injected fault ultimately exercises. The race pass runs
+# the cluster suite repeatedly because every worker borrows the shard
+# links' pooled message slots, so a slot shared between two running
+# shard days would show up there.
 chaos:
 	$(GO) test ./internal/netproto -count=1 \
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
+	$(GO) test ./internal/netproto -race -count=10 -run 'TestCluster|TestChaosFederatedSnapshotDegradedShard'
 	$(GO) test ./cmd/enkitrace -count=1 -run 'Degraded|SurvivingReplica'
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s

@@ -1,0 +1,75 @@
+package netproto
+
+import (
+	"context"
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"enki/internal/obs"
+)
+
+// TestClusterDaySteadyStateAllocs is the shard link's zero-allocation
+// contract: on a warm binary cluster every household's five messages
+// are built, framed, decoded and delivered in pooled slots, so a day
+// allocates only per-shard settlement state — well under one allocation
+// per household.
+func TestClusterDaySteadyStateAllocs(t *testing.T) {
+	const households, shards = 2000, 16
+	cluster := buildCluster(t, households,
+		WithShards(shards),
+		WithCodec(CodecBinary),
+		WithShardRecords(false),
+	)
+	ctx := context.Background()
+	day := 0
+	settle := func() {
+		day++
+		if _, err := cluster.ClusterDay(ctx, day); err != nil {
+			t.Fatalf("day %d: %v", day, err)
+		}
+	}
+	settle() // warm the pools, the shard partition and the metric handles
+	allocs := testing.AllocsPerRun(10, settle)
+	t.Logf("%.0f allocations per %d-household day", allocs, households)
+	if perHousehold := allocs / households; perHousehold >= 1 {
+		t.Errorf("ClusterDay made %.0f allocations, %.2f per household; want under 1", allocs, perHousehold)
+	}
+}
+
+// TestObserveBatchAllocs: wire telemetry resolves its handles once per
+// (direction, codec), so counting a frame allocates nothing.
+func TestObserveBatchAllocs(t *testing.T) {
+	c, _ := LookupCodec(CodecBinary)
+	for _, direction := range []string{obs.DirectionSent, obs.DirectionReceived} {
+		observeBatch(direction, c, DefaultBatchSize, 1200) // warm the handle cache
+		if allocs := testing.AllocsPerRun(100, func() {
+			observeBatch(direction, c, DefaultBatchSize, 1200)
+		}); allocs != 0 {
+			t.Errorf("observeBatch(%s) made %.1f allocations, want 0", direction, allocs)
+		}
+	}
+}
+
+// TestDecodeBatchAllocatesByDecodedMessages: a frame's claimed message
+// count is untrusted. A 1 MiB frame claiming a million messages whose
+// first message fails to decode must be rejected without sizing any
+// storage by the claim.
+func TestDecodeBatchAllocatesByDecodedMessages(t *testing.T) {
+	c, _ := LookupCodec(CodecBinary)
+	payload := []byte{c.ID()}
+	payload = binary.AppendUvarint(payload, 1_000_000)
+	payload = append(payload, 1, 0xff) // message 0: one byte, an unknown kind code
+	payload = append(payload, make([]byte, MaxFrameSize-len(payload))...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	msgs, err := DecodeBatch(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil || msgs != nil {
+		t.Fatalf("DecodeBatch accepted the frame: %d messages, err %v", len(msgs), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejecting the frame allocated %d bytes, want under 1 MiB", alloc)
+	}
+}

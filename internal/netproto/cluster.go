@@ -1,7 +1,6 @@
 package netproto
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -542,22 +541,26 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 		return out, nil
 	}
 
+	// Every leg is built in, and delivered into, slots the shard day
+	// borrows from the pool: one message per member at most, plus the
+	// payment leg's trailing metricsReport.
+	ls := linkScratchPool.Get().(*linkScratch)
+	defer linkScratchPool.Put(ls)
+	ls.reset(len(st.members) + 1)
+
 	// Phase 1: requests out, preferences back. Loss on either leg makes
 	// the household absent for the day.
-	requests := make([]*Message, len(st.members))
-	for i, m := range st.members {
-		requests[i] = &Message{Kind: KindRequest, ID: m.id, Day: day}
+	for _, m := range st.members {
+		ls.add(Message{Kind: KindRequest, ID: m.id, Day: day})
 	}
-	delivered, err := st.link.transfer(requests)
+	delivered, err := st.link.transfer(ls)
 	if err != nil {
 		return fail(err)
 	}
-	prefMsgs := make([]*Message, 0, len(delivered))
 	forEachDelivered(st.members, delivered, func(m clusterMember, _ *Message) {
-		pref := m.policy.Report(day)
-		prefMsgs = append(prefMsgs, &Message{Kind: KindPreference, ID: m.id, Day: day, Pref: &pref})
+		ls.add(Message{Kind: KindPreference, ID: m.id, Day: day}).setPref(m.policy.Report(day))
 	})
-	delivered, err = st.link.transfer(prefMsgs)
+	delivered, err = st.link.transfer(ls)
 	if err != nil {
 		return fail(err)
 	}
@@ -584,23 +587,19 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	// puts the household on the imputed-defector path.
 	reporting := make([]clusterMember, len(reports))
 	memberAt := memberIndexer(st.members)
-	allocMsgs := make([]*Message, len(reports))
 	for i := range reports {
 		reporting[i] = st.members[memberAt(reports[i].ID)]
-		iv := assignments[i].Interval
-		allocMsgs[i] = &Message{Kind: KindAllocation, ID: reports[i].ID, Day: day, Interval: &iv}
+		ls.add(Message{Kind: KindAllocation, ID: reports[i].ID, Day: day}).setInterval(assignments[i].Interval)
 	}
-	delivered, err = st.link.transfer(allocMsgs)
+	delivered, err = st.link.transfer(ls)
 	if err != nil {
 		return fail(err)
 	}
-	consMsgs := make([]*Message, 0, len(delivered))
 	reportAt := reportIndexer(reports)
 	forEachDelivered(reporting, delivered, func(m clusterMember, msg *Message) {
-		iv := m.policy.Consume(day, *msg.Interval)
-		consMsgs = append(consMsgs, &Message{Kind: KindConsumption, ID: m.id, Day: day, Interval: &iv})
+		ls.add(Message{Kind: KindConsumption, ID: m.id, Day: day}).setInterval(m.policy.Consume(day, *msg.Interval))
 	})
-	delivered, err = st.link.transfer(consMsgs)
+	delivered, err = st.link.transfer(ls)
 	if err != nil {
 		return fail(err)
 	}
@@ -649,16 +648,15 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	for _, p := range record.Payments {
 		revenue += p
 	}
-	payMsgs := make([]*Message, len(reports), len(reports)+1)
 	for i := range reports {
-		payMsgs[i] = &Message{Kind: KindPayment, ID: reports[i].ID, Day: day, Payment: &PaymentDetail{
+		ls.add(Message{Kind: KindPayment, ID: reports[i].ID, Day: day}).setPayment(PaymentDetail{
 			Amount:      record.Payments[i],
 			Flexibility: record.Flexibility[i],
 			Defection:   record.Defection[i],
 			SocialCost:  record.SocialCost[i],
 			TotalCost:   record.Cost,
 			PeakLoad:    record.Peak,
-		}}
+		})
 	}
 	if st.reg != nil {
 		st.reg.Counter(obs.MetricClusterShardsSettled).Inc()
@@ -672,10 +670,10 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 		st.reg.Gauge(obs.MetricMechTheorem1Deviation).Set(revenue - c.center.Mechanism.Xi*record.Cost)
 		st.reg.Histogram(obs.MetricClusterShardSettleMS, obs.LatencyBucketsMS).
 			ObserveExemplar(float64(time.Since(start).Nanoseconds())/1e6, tid)
-		payMsgs = append(payMsgs, &Message{Kind: KindMetricsReport, Day: day,
+		ls.add(Message{Kind: KindMetricsReport, Day: day,
 			Metrics: &obs.MetricsReport{Source: st.src, Snapshot: st.reg.Snapshot()}})
 	}
-	delivered, err = st.link.transfer(payMsgs)
+	delivered, err = st.link.transfer(ls)
 	if err != nil {
 		return fail(err)
 	}
@@ -815,38 +813,90 @@ func reportIndexer(reports []core.Report) func(core.HouseholdID) int {
 
 // shardLink is the in-process stand-in for a shard's wire: every
 // message batch is encoded into a real batch frame (AppendBatch) and
-// decoded back out (ReadBatch), so frame counts, messages-per-frame,
-// and per-codec byte volumes in the wire metrics are honest — the
-// cluster measures the same framing a TCP connection would carry, minus
-// the socket.
+// decoded back out by the same frame parser DecodeBatch uses, so frame
+// counts, messages-per-frame, and per-codec byte volumes in the wire
+// metrics are honest — the cluster measures the same framing a TCP
+// connection would carry, minus the socket. The link keeps only its
+// fault-plan position between days; message storage is the running
+// shard day's linkScratch.
 type shardLink struct {
-	shard    int
-	codec    Codec
-	batch    int
-	plan     *FaultPlan
-	next     int // fault-plan message index, cumulative across days
-	buf      bytes.Buffer
-	batchBuf []*Message
+	shard int
+	codec Codec
+	batch int
+	plan  *FaultPlan
+	next  int // fault-plan message index, cumulative across days
 }
 
-// transfer carries msgs across the link in batches of up to batch
-// messages and returns what arrived, in order. Faults from the link's
-// plan apply per message index: drop loses the message, dup delivers it
-// twice, delay delivers normally (latency is meaningless in-process,
-// but the fault is still counted), and garble corrupts the whole frame
-// carrying the message — the receiver's decode fails and every message
-// in that frame is lost, the batched analogue of a garbled TCP frame
-// killing a connection. Only encode bugs return an error.
-func (l *shardLink) transfer(msgs []*Message) ([]*Message, error) {
-	out := make([]*Message, 0, len(msgs))
-	for start := 0; start < len(msgs); start += l.batch {
-		end := start + l.batch
-		if end > len(msgs) {
-			end = len(msgs)
-		}
-		batch := l.batchBuf[:0]
+// linkScratch is the message storage of one running shard day: the leg
+// being built and sent, the leg just delivered, and the frame between
+// them. A shard day takes one from linkScratchPool and returns it when
+// it ends, so storage scales with the shards settling at once, never
+// with the shard count.
+//
+// Ownership contract: the delivered messages transfer returns point
+// into recv and are valid only until the next transfer. Callers copy
+// values out — policies, reports, DayRecords and ledger entries never
+// hold a pointer into a slot.
+type linkScratch struct {
+	send      []slot     // the leg being built; capacity fixed by reset
+	recv      []slot     // decode slots of the delivered leg
+	delivered []*Message // into recv, in delivery order
+	batch     []*Message // one frame's messages, duplicates included
+	frame     []byte     // one encoded frame
+}
+
+var linkScratchPool = sync.Pool{New: func() any { return new(linkScratch) }}
+
+// reset readies ls for a shard day whose legs carry at most n messages.
+// Reserving send's capacity up front keeps add from ever moving a slot
+// that a message payload already points into.
+func (ls *linkScratch) reset(n int) {
+	if cap(ls.send) < n {
+		ls.send = make([]slot, 0, n)
+	}
+	ls.send = ls.send[:0]
+}
+
+// add appends msg to the leg being built and returns its slot, whose
+// setters store the message's payload inline.
+func (ls *linkScratch) add(msg Message) *slot {
+	ls.send = ls.send[:len(ls.send)+1]
+	s := &ls.send[len(ls.send)-1]
+	s.msg = msg
+	return s
+}
+
+// transfer carries the leg built in ls across the link in batches of up
+// to batch messages and returns what arrived, in order; the leg is
+// consumed, so ls is ready to build the next one. Faults from the
+// link's plan apply per message index: drop loses the message, dup
+// delivers it twice, delay delivers normally (latency is meaningless
+// in-process, but the fault is still counted), and garble corrupts the
+// whole frame carrying the message — the receiver's decode fails and
+// every message in that frame is lost, the batched analogue of a
+// garbled TCP frame killing a connection. Only encode bugs return an
+// error.
+func (l *shardLink) transfer(ls *linkScratch) ([]*Message, error) {
+	leg := ls.send
+	ls.send = ls.send[:0]
+	ls.delivered = ls.delivered[:0]
+	// Every message arrives at most twice (FaultDup), so recv never
+	// grows mid-leg and the pointers in delivered stay put.
+	need := len(leg)
+	if l.plan != nil {
+		need *= 2
+	}
+	if cap(ls.recv) < need {
+		ls.recv = make([]slot, need)
+	}
+	ls.recv = ls.recv[:need]
+	used := 0
+	for start := 0; start < len(leg); start += l.batch {
+		end := min(start+l.batch, len(leg))
+		batch := ls.batch[:0]
 		garbled := false
-		for _, m := range msgs[start:end] {
+		for i := start; i < end; i++ {
+			m := &leg[i].msg
 			action := l.plan.ActionAt(l.next)
 			l.next++
 			if action != FaultNone {
@@ -872,28 +922,34 @@ func (l *shardLink) transfer(msgs []*Message) ([]*Message, error) {
 				batch = append(batch, m)
 			}
 		}
-		l.batchBuf = batch
+		ls.batch = batch
 		if len(batch) == 0 {
 			continue
 		}
-		l.buf.Reset()
-		if err := WriteBatch(&l.buf, l.codec, batch); err != nil {
+		frame, err := AppendBatch(ls.frame[:0], l.codec, batch)
+		if err != nil {
 			return nil, err
 		}
+		ls.frame = frame
+		observeBatch(obs.DirectionSent, l.codec, len(batch), len(frame))
 		if garbled {
-			payload := l.buf.Bytes()[4:]
+			payload := frame[4:]
 			for i := range payload {
 				payload[i] ^= 0x5a
 			}
 		}
-		got, err := ReadBatch(&l.buf)
+		c, n, err := decodeFrame(frame[4:], func(i int) *slot { return &ls.recv[used+i] })
 		if err != nil {
 			if garbled {
 				continue // the corrupted frame is lost in its entirety
 			}
 			return nil, err
 		}
-		out = append(out, got...)
+		observeBatch(obs.DirectionReceived, c, n, len(frame))
+		for i := used; i < used+n; i++ {
+			ls.delivered = append(ls.delivered, &ls.recv[i].msg)
+		}
+		used += n
 	}
-	return out, nil
+	return ls.delivered, nil
 }

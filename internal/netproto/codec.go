@@ -27,9 +27,33 @@ type Codec interface {
 	ID() byte
 	// Append appends m's encoding to dst and returns the extended slice.
 	Append(dst []byte, m *Message) ([]byte, error)
-	// Decode parses one message. It must not retain data.
-	Decode(data []byte) (*Message, error)
+	// Decode parses one message into s, which it fully resets first,
+	// and returns s's message. The message's payloads may point into
+	// s, so it is valid until s is decoded into again. Decode must not
+	// retain data.
+	Decode(data []byte, s *slot) (*Message, error)
 }
+
+// slot is caller-owned decode storage: one Message plus inline storage
+// for the payloads of the day-cycle kinds, so decoding a request,
+// preference, allocation, consumption or payment into a reused slot
+// allocates nothing. The cluster's shard links build and decode every
+// leg in pooled slots; DecodeBatch gives each message a fresh one.
+type slot struct {
+	msg      Message
+	pref     core.Preference
+	interval core.Interval
+	payment  PaymentDetail
+}
+
+// setPref stores p inline and points the message's Pref at it.
+func (s *slot) setPref(p core.Preference) { s.pref = p; s.msg.Pref = &s.pref }
+
+// setInterval stores iv inline and points the message's Interval at it.
+func (s *slot) setInterval(iv core.Interval) { s.interval = iv; s.msg.Interval = &s.interval }
+
+// setPayment stores p inline and points the message's Payment at it.
+func (s *slot) setPayment(p PaymentDetail) { s.payment = p; s.msg.Payment = &s.payment }
 
 // Codec names understood by this build. Negotiation tokens, WithCodec
 // arguments, and -wire.codec flag values.
@@ -109,12 +133,12 @@ func (jsonCodec) Append(dst []byte, m *Message) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
-func (jsonCodec) Decode(data []byte) (*Message, error) {
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
+func (jsonCodec) Decode(data []byte, s *slot) (*Message, error) {
+	*s = slot{}
+	if err := json.Unmarshal(data, &s.msg); err != nil {
 		return nil, fmt.Errorf("netproto: decode frame: %w", err)
 	}
-	return &m, nil
+	return &s.msg, nil
 }
 
 // binaryCodec is the compact codec: a fixed field order with a presence
@@ -352,9 +376,10 @@ func (r *binReader) float64() float64 {
 	return f
 }
 
-func (binaryCodec) Decode(data []byte) (*Message, error) {
+func (binaryCodec) Decode(data []byte, s *slot) (*Message, error) {
+	*s = slot{}
+	m := &s.msg
 	r := &binReader{data: data}
-	var m Message
 	code := r.byte()
 	switch {
 	case code == 0:
@@ -374,23 +399,23 @@ func (binaryCodec) Decode(data []byte) (*Message, error) {
 		m.Token = r.string()
 	}
 	if mask&binPref != 0 {
-		m.Pref = &core.Preference{
+		s.setPref(core.Preference{
 			Window:   core.Interval{Begin: int(r.varint()), End: int(r.varint())},
 			Duration: int(r.varint()),
-		}
+		})
 	}
 	if mask&binInterval != 0 {
-		m.Interval = &core.Interval{Begin: int(r.varint()), End: int(r.varint())}
+		s.setInterval(core.Interval{Begin: int(r.varint()), End: int(r.varint())})
 	}
 	if mask&binPayment != 0 {
-		m.Payment = &PaymentDetail{
+		s.setPayment(PaymentDetail{
 			Amount:      r.float64(),
 			Flexibility: r.float64(),
 			Defection:   r.float64(),
 			SocialCost:  r.float64(),
 			TotalCost:   r.float64(),
 			PeakLoad:    r.float64(),
-		}
+		})
 	}
 	if mask&binErr != 0 {
 		m.Err = r.string()
@@ -425,7 +450,7 @@ func (binaryCodec) Decode(data []byte) (*Message, error) {
 	if len(r.data) != 0 {
 		return nil, fmt.Errorf("netproto: decode frame: %d trailing bytes", len(r.data))
 	}
-	return &m, nil
+	return m, nil
 }
 
 // selectCodec is the center's half of codec negotiation: the first

@@ -62,7 +62,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s encode %s: %v", name, in.Kind, err)
 			}
-			out, err := c.Decode(enc)
+			out, err := c.Decode(enc, new(slot))
 			if err != nil {
 				t.Fatalf("%s decode %s: %v", name, in.Kind, err)
 			}

@@ -36,21 +36,38 @@ func AppendBatch(dst []byte, c Codec, msgs []*Message) ([]byte, error) {
 	dst = append(dst, 0, 0, 0, 0) // length backpatched below
 	dst = append(dst, c.ID())
 	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
-	var scratch []byte
 	for _, m := range msgs {
-		enc, err := c.Append(scratch[:0], m)
-		if err != nil {
+		var err error
+		if dst, err = appendSized(dst, c, m); err != nil {
 			return nil, err
 		}
-		scratch = enc
-		dst = binary.AppendUvarint(dst, uint64(len(enc)))
-		dst = append(dst, enc...)
 	}
 	payload := len(dst) - start - 4
 	if payload > MaxFrameSize {
 		return nil, fmt.Errorf("netproto: batch frame of %d bytes exceeds limit", payload)
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
+	return dst, nil
+}
+
+// appendSized appends m's encoding to dst behind its uvarint length. The
+// message is encoded in place after a one-byte length — enough for any
+// message under 128 bytes, which covers every binary day-cycle message
+// — and shifted right only when its length needs a wider varint.
+func appendSized(dst []byte, c Codec, m *Message) ([]byte, error) {
+	at := len(dst)
+	dst, err := c.Append(append(dst, 0), m)
+	if err != nil {
+		return nil, err
+	}
+	size := len(dst) - at - 1
+	var length [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(length[:], uint64(size))
+	if w > 1 {
+		dst = append(dst, length[1:w]...) // room for the wider length
+		copy(dst[at+w:], dst[at+1:at+1+size])
+	}
+	copy(dst[at:], length[:w])
 	return dst, nil
 }
 
@@ -73,12 +90,12 @@ func WriteBatch(w io.Writer, c Codec, msgs []*Message) error {
 // series (so dashboards sum both framings), plus the frame count, the
 // messages-per-frame histogram, and per-codec byte volume.
 func observeBatch(direction string, c Codec, msgs, wireBytes int) {
-	reg := obs.Default()
-	reg.Counter(obs.MetricNetMessagesTotal, obs.LabelDirection, direction).Add(uint64(msgs))
-	reg.Counter(obs.MetricNetBytesTotal, obs.LabelDirection, direction).Add(uint64(wireBytes))
-	reg.Counter(obs.MetricNetFramesTotal, obs.LabelDirection, direction).Inc()
-	reg.Histogram(obs.MetricNetFrameMessages, obs.BatchBuckets).Observe(float64(msgs))
-	reg.Counter(obs.MetricNetCodecBytesTotal, obs.LabelCodec, c.Name(), obs.LabelDirection, direction).Add(uint64(wireBytes))
+	m := wireMetricsFor(direction, c.Name())
+	m.messages.Add(uint64(msgs))
+	m.bytes.Add(uint64(wireBytes))
+	m.frames.Inc()
+	m.frameMessages.Observe(float64(msgs))
+	m.codecBytes.Add(uint64(wireBytes))
 	if rec := obs.DefaultRecorder(); rec.Enabled() {
 		rec.Record(obs.Event{
 			Kind:   obs.EventWireFrame,
@@ -91,41 +108,59 @@ func observeBatch(direction string, c Codec, msgs, wireBytes int) {
 	}
 }
 
-// DecodeBatch parses one batch frame payload (everything after the u32
-// length header) into messages.
-func DecodeBatch(payload []byte) ([]*Message, error) {
+// decodeFrame is the one batch-frame parser: it decodes the messages of
+// a frame payload (everything after the u32 length header) in order,
+// the i-th into the slot slotAt(i) returns, and reports the frame's
+// codec and message count. slotAt is asked for a slot only when a
+// message is about to be decoded into it, so storage follows the
+// messages actually decoded, never the count the frame claims. On
+// error the caller discards every slot handed out for the frame.
+func decodeFrame(payload []byte, slotAt func(i int) *slot) (Codec, int, error) {
 	if len(payload) < 1 {
-		return nil, fmt.Errorf("netproto: empty batch frame")
+		return nil, 0, fmt.Errorf("netproto: empty batch frame")
 	}
 	c, ok := lookupCodecID(payload[0])
 	if !ok {
-		return nil, fmt.Errorf("netproto: unknown codec id %d", payload[0])
+		return nil, 0, fmt.Errorf("netproto: unknown codec id %d", payload[0])
 	}
 	rest := payload[1:]
 	count, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return nil, fmt.Errorf("netproto: batch frame missing message count")
+		return nil, 0, fmt.Errorf("netproto: batch frame missing message count")
 	}
 	rest = rest[n:]
 	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("netproto: batch frame claims %d messages in %d bytes", count, len(rest))
+		return nil, 0, fmt.Errorf("netproto: batch frame claims %d messages in %d bytes", count, len(rest))
 	}
-	msgs := make([]*Message, 0, count)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		size, n := binary.Uvarint(rest)
 		if n <= 0 || size > uint64(len(rest)-n) {
-			return nil, fmt.Errorf("netproto: batch frame message %d truncated", i)
+			return nil, 0, fmt.Errorf("netproto: batch frame message %d truncated", i)
 		}
 		rest = rest[n:]
-		m, err := c.Decode(rest[:size])
-		if err != nil {
-			return nil, err
+		if _, err := c.Decode(rest[:size], slotAt(i)); err != nil {
+			return nil, 0, err
 		}
 		rest = rest[size:]
-		msgs = append(msgs, m)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("netproto: batch frame has %d trailing bytes", len(rest))
+		return nil, 0, fmt.Errorf("netproto: batch frame has %d trailing bytes", len(rest))
+	}
+	return c, int(count), nil
+}
+
+// DecodeBatch parses one batch frame payload (everything after the u32
+// length header) into messages. Each message gets its own freshly
+// allocated slot, so the result may be retained indefinitely.
+func DecodeBatch(payload []byte) ([]*Message, error) {
+	var msgs []*Message
+	_, _, err := decodeFrame(payload, func(int) *slot {
+		s := new(slot)
+		msgs = append(msgs, &s.msg)
+		return s
+	})
+	if err != nil {
+		return nil, err
 	}
 	return msgs, nil
 }

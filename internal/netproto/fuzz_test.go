@@ -57,15 +57,41 @@ func FuzzRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s encode: %v", name, err)
 			}
-			dec, err := c.Decode(enc)
+			dec, err := c.Decode(enc, new(slot))
 			if err != nil {
 				t.Fatalf("%s wrote but could not decode back: %v", name, err)
 			}
 			if !reflect.DeepEqual(in, dec) {
 				t.Fatalf("%s round trip mismatch: %+v vs %+v", name, dec, in)
 			}
+			requireDirtySlotDecode(t, c, enc, dec)
 		}
 	})
+}
+
+// requireDirtySlotDecode decodes enc again, into a slot that last held a
+// message with every optional field set, and requires the result to
+// equal the fresh-slot decode: nothing the slot held before may leak
+// into the new message.
+func requireDirtySlotDecode(t *testing.T, c Codec, enc []byte, fresh *Message) {
+	t.Helper()
+	full := fullMessage()
+	full.Metrics = &obs.MetricsReport{Source: "shard/0001", Snapshot: obs.NewRegistry().Snapshot()}
+	fullEnc, err := c.Append(nil, full)
+	if err != nil {
+		t.Fatalf("%s encode full message: %v", c.Name(), err)
+	}
+	s := new(slot)
+	if _, err := c.Decode(fullEnc, s); err != nil {
+		t.Fatalf("%s decode full message: %v", c.Name(), err)
+	}
+	got, err := c.Decode(enc, s)
+	if err != nil {
+		t.Fatalf("%s decode into a dirty slot: %v", c.Name(), err)
+	}
+	if !reflect.DeepEqual(fresh, got) {
+		t.Fatalf("%s dirty-slot decode differs from fresh decode:\n fresh %+v\n dirty %+v", c.Name(), fresh, got)
+	}
 }
 
 // FuzzDecodeBatch feeds arbitrary bytes to the batch-frame decoder
@@ -143,16 +169,18 @@ func FuzzCodecDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("json accepted but binary rejected: %v", err)
 		}
-		jd, err := jsonC.Decode(je)
+		jd, err := jsonC.Decode(je, new(slot))
 		if err != nil {
 			t.Fatalf("json decode: %v", err)
 		}
-		bd, err := binC.Decode(be)
+		bd, err := binC.Decode(be, new(slot))
 		if err != nil {
 			t.Fatalf("binary decode: %v", err)
 		}
 		if !reflect.DeepEqual(jd, bd) {
 			t.Fatalf("codecs disagree:\n json   %+v\n binary %+v", jd, bd)
 		}
+		requireDirtySlotDecode(t, jsonC, je, jd)
+		requireDirtySlotDecode(t, binC, be, bd)
 	})
 }

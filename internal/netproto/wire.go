@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"enki/internal/core"
 	"enki/internal/obs"
@@ -133,9 +134,58 @@ func WriteMessage(w io.Writer, m *Message) error {
 // observeFrame counts one framed message and its on-wire size (header
 // included) in the given direction, from this process's perspective.
 func observeFrame(direction string, payloadLen int) {
+	m := wireMetricsFor(direction, "")
+	m.messages.Inc()
+	m.bytes.Add(uint64(payloadLen) + 4)
+}
+
+// wireMetrics caches the handles one (direction, codec) pair of wire
+// telemetry records into. Resolving them through the registry renders a
+// label-qualified key per series — five per batch frame — so the wire
+// resolves them once and again only when the registry generation moved
+// (a test-time Reset), the internal/sched metricsFor pattern.
+type wireMetrics struct {
+	gen      uint64
+	messages *obs.Counter
+	bytes    *obs.Counter
+
+	// The batch-frame series; nil for the legacy per-message framing,
+	// which has no codec.
+	frames        *obs.Counter
+	frameMessages *obs.Histogram
+	codecBytes    *obs.Counter
+}
+
+type wireMetricsKey struct{ direction, codec string }
+
+var (
+	wireMetricsMu    sync.Mutex
+	wireMetricsCache = make(map[wireMetricsKey]*wireMetrics)
+)
+
+// wireMetricsFor returns the cached handles for a direction and a codec
+// name ("" for legacy per-message frames).
+func wireMetricsFor(direction, codec string) *wireMetrics {
 	reg := obs.Default()
-	reg.Counter(obs.MetricNetMessagesTotal, obs.LabelDirection, direction).Inc()
-	reg.Counter(obs.MetricNetBytesTotal, obs.LabelDirection, direction).Add(uint64(payloadLen) + 4)
+	gen := reg.Generation()
+	key := wireMetricsKey{direction, codec}
+	wireMetricsMu.Lock()
+	defer wireMetricsMu.Unlock()
+	m := wireMetricsCache[key]
+	if m == nil || m.gen != gen {
+		m = &wireMetrics{
+			gen:      gen,
+			messages: reg.Counter(obs.MetricNetMessagesTotal, obs.LabelDirection, direction),
+			bytes:    reg.Counter(obs.MetricNetBytesTotal, obs.LabelDirection, direction),
+		}
+		if codec != "" {
+			m.frames = reg.Counter(obs.MetricNetFramesTotal, obs.LabelDirection, direction)
+			m.frameMessages = reg.Histogram(obs.MetricNetFrameMessages, obs.BatchBuckets)
+			m.codecBytes = reg.Counter(obs.MetricNetCodecBytesTotal, obs.LabelCodec, codec, obs.LabelDirection, direction)
+		}
+		wireMetricsCache[key] = m
+	}
+	return m
 }
 
 // ReadMessage reads one framed message.
