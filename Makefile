@@ -74,7 +74,8 @@ bench-net-check:
 # jitter, and the replica center-kill matrix — TestChaosReplica* kills
 # the leader in every settlement phase including between ledger append
 # and commit) plus a short fuzz pass over the wire codec, which is the
-# surface every injected fault ultimately exercises. The race pass runs
+# surface every injected fault ultimately exercises, and over the day
+# machine's phase inputs (FuzzDayMachine). The race pass runs
 # the cluster suite repeatedly because every worker borrows the shard
 # links' pooled message slots, so a slot shared between two running
 # shard days would show up there.
@@ -87,13 +88,18 @@ chaos:
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 10s
+	$(GO) test ./internal/settle -run '^$$' -fuzz FuzzDayMachine -fuzztime 10s
 
-# The allocation-engine acceptance suite: the rewritten greedy and
+# The differential suites: the day machine settling bit-identically in
+# every topology that drives it (sim, cluster shard, TCP center, replica
+# set across leader kills), under the race detector; then the
+# allocation-engine acceptance suite: the rewritten greedy and
 # branch-and-bound engines against the retained seed implementations
 # over the seeded instance corpus, the solver property tests (bound
 # validity, incumbent monotonicity, worker bit-identity) under the race
 # detector, and short fuzz passes over the fuzz-derived greedy corpus.
 differential:
+	$(GO) test ./internal/netproto -count=1 -race -run 'TestDifferential'
 	$(GO) test ./internal/sched -count=1 -run 'Differential'
 	$(GO) test ./internal/solver -count=1 -race \
 		-run 'Differential|WorkersBitIdentical|NeverWorseThanIncumbent|LowerBoundBelowOptimum|SymCorrect'

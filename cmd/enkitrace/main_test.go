@@ -13,8 +13,6 @@ import (
 	"enki/internal/mechanism"
 	"enki/internal/netproto"
 	"enki/internal/obs"
-	"enki/internal/pricing"
-	"enki/internal/sched"
 )
 
 // runSettlementDay runs a seeded day cycle over loopback with tracing
@@ -37,16 +35,8 @@ func runSettlementDay(t *testing.T, seed uint64, days int) (tracePath, ledgerPat
 	}
 	defer ledgerFile.Close()
 
-	pricer := pricing.Quadratic{Sigma: pricing.DefaultSigma}
-	center, err := netproto.NewCenter("127.0.0.1:0", netproto.CenterConfig{
-		Scheduler:    &sched.Greedy{Pricer: pricer, Rating: 2},
-		Pricer:       pricer,
-		Mechanism:    mechanism.DefaultConfig(),
-		Rating:       2,
-		ReplyTimeout: 5 * time.Second,
-		TraceSeed:    seed,
-		Ledger:       netproto.NewJournal(ledgerFile),
-	})
+	center, err := netproto.StartCenter("127.0.0.1:0", netproto.WithPhaseDeadline(5*time.Second),
+		netproto.WithTraceSeed(seed), netproto.WithLedger(netproto.NewJournal(ledgerFile)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +49,18 @@ func runSettlementDay(t *testing.T, seed uint64, days int) (tracePath, ledgerPat
 	}
 	agents := make([]*netproto.Agent, len(types))
 	for i, typ := range types {
-		a, err := netproto.Dial(center.Addr(), core.HouseholdID(i), &netproto.Truthful{Type: typ})
+		a, err := netproto.Connect(context.Background(), center.Addr(), core.HouseholdID(i), &netproto.Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
 		agents[i] = a
 		defer a.Close()
 	}
-	if err := center.WaitForAgents(len(types), 5*time.Second); err != nil {
+	if err := waitForAgents(center, len(types), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for day := 1; day <= days; day++ {
-		if _, err := center.RunDay(day); err != nil {
+		if _, err := center.RunDayContext(context.Background(), day); err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
 	}
@@ -223,7 +213,7 @@ func TestAuditAcceptsDegradedDayLedger(t *testing.T) {
 		{True: core.MustPreference(17, 23, 2), ValuationFactor: 4},
 	}
 	for i, typ := range types {
-		a, err := netproto.Dial(center.Addr(), core.HouseholdID(i), &netproto.Truthful{Type: typ})
+		a, err := netproto.Connect(context.Background(), center.Addr(), core.HouseholdID(i), &netproto.Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,10 +243,10 @@ func TestAuditAcceptsDegradedDayLedger(t *testing.T) {
 			}
 		}
 	}()
-	if err := center.WaitForAgents(3, 5*time.Second); err != nil {
+	if err := waitForAgents(center, 3, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := center.RunDay(1); err != nil {
+	if _, err := center.RunDayContext(context.Background(), 1); err != nil {
 		t.Fatalf("degraded day should complete: %v", err)
 	}
 
@@ -348,4 +338,11 @@ func TestAuditSurvivingReplicaLedger(t *testing.T) {
 	if !strings.Contains(out.String(), "audit: 0 mismatches in 2 entries") {
 		t.Errorf("unexpected audit summary:\n%s", out.String())
 	}
+}
+
+// waitForAgents waits up to timeout for n agents to connect to c.
+func waitForAgents(c *netproto.Center, n int, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return c.WaitForAgentsContext(ctx, n)
 }

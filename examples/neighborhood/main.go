@@ -12,15 +12,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	"enki/internal/core"
-	"enki/internal/mechanism"
 	"enki/internal/netproto"
 	"enki/internal/obs"
-	"enki/internal/pricing"
-	"enki/internal/sched"
 )
 
 func main() {
@@ -31,13 +29,10 @@ func main() {
 }
 
 func run() error {
-	pricer := pricing.Quadratic{Sigma: pricing.DefaultSigma}
-	center, err := netproto.NewCenter("127.0.0.1:0", netproto.CenterConfig{
-		Scheduler: &sched.Greedy{Pricer: pricer, Rating: 2},
-		Pricer:    pricer,
-		Mechanism: mechanism.DefaultConfig(),
-		Rating:    2,
-	})
+	ctx := context.Background()
+	// The defaults are the paper's: quadratic pricing, the greedy
+	// scheduler, k = 1, ξ = 1.2 and a 2 kW rating.
+	center, err := netproto.StartCenter("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
@@ -57,19 +52,21 @@ func run() error {
 	}
 	agents := make([]*netproto.Agent, len(policies))
 	for i, p := range policies {
-		a, err := netproto.Dial(center.Addr(), core.HouseholdID(i), p)
+		a, err := netproto.Connect(ctx, center.Addr(), core.HouseholdID(i), p)
 		if err != nil {
 			return err
 		}
 		agents[i] = a
 		defer a.Close()
 	}
-	if err := center.WaitForAgents(len(agents), netproto.DefaultReplyTimeout); err != nil {
+	wait, cancel := context.WithTimeout(ctx, netproto.DefaultPhaseDeadline)
+	defer cancel()
+	if err := center.WaitForAgentsContext(wait, len(agents)); err != nil {
 		return err
 	}
 
 	for day := 1; day <= 3; day++ {
-		record, err := center.RunDay(day)
+		record, err := center.RunDayContext(ctx, day)
 		if err != nil {
 			return err
 		}

@@ -14,17 +14,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
 
 	"enki/internal/core"
 	"enki/internal/ecc"
-	"enki/internal/mechanism"
 	"enki/internal/netproto"
 	"enki/internal/obs"
-	"enki/internal/pricing"
-	"enki/internal/sched"
 )
 
 // learnedPolicy is an ECC-driven household agent: it reports what its
@@ -88,13 +86,10 @@ func main() {
 }
 
 func run() error {
-	pricer := pricing.Quadratic{Sigma: pricing.DefaultSigma}
-	center, err := netproto.NewCenter("127.0.0.1:0", netproto.CenterConfig{
-		Scheduler: &sched.Greedy{Pricer: pricer, Rating: 2},
-		Pricer:    pricer,
-		Mechanism: mechanism.DefaultConfig(),
-		Rating:    2,
-	})
+	ctx := context.Background()
+	// The defaults are the paper's: quadratic pricing, the greedy
+	// scheduler, k = 1, ξ = 1.2 and a 2 kW rating.
+	center, err := netproto.StartCenter("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
@@ -116,14 +111,16 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		a, err := netproto.Dial(center.Addr(), core.HouseholdID(i), policy)
+		a, err := netproto.Connect(ctx, center.Addr(), core.HouseholdID(i), policy)
 		if err != nil {
 			return err
 		}
 		agents[i] = a
 		defer a.Close()
 	}
-	if err := center.WaitForAgents(len(agents), netproto.DefaultReplyTimeout); err != nil {
+	wait, cancel := context.WithTimeout(ctx, netproto.DefaultPhaseDeadline)
+	defer cancel()
+	if err := center.WaitForAgentsContext(wait, len(agents)); err != nil {
 		return err
 	}
 
@@ -132,7 +129,7 @@ func run() error {
 	const days = 21
 	var earlyDefects, lateDefects int
 	for day := 1; day <= days; day++ {
-		record, err := center.RunDay(day)
+		record, err := center.RunDayContext(ctx, day)
 		if err != nil {
 			return err
 		}

@@ -162,21 +162,13 @@ func fig7Utility(cfg Config, fcfg Fig7Config, pricer pricing.Pricer, others []pr
 	// allocation; everyone else complies.
 	consumed[0] = core.ClosestConsumption(fcfg.Truth, assigned[0])
 
-	predicted := mechanism.FlexibilityScores(prefs)
-	flex := mechanism.ActualFlexibilities(predicted, assigned, consumed)
-	defect := mechanism.DefectionScores(pricer, cfg.Rating, assigned, consumed)
-	psi, err := mechanism.SocialCostScores(flex, defect, cfg.Mechanism.K)
-	if err != nil {
-		return 0, err
-	}
-	cost := pricing.CostOfIntervals(pricer, consumed, cfg.Rating)
-	payments, err := mechanism.Payments(psi, cfg.Mechanism.Xi, cost)
+	chain, err := mechanism.SettleChain(pricer, cfg.Mechanism, cfg.Rating, prefs, assigned, consumed, nil)
 	if err != nil {
 		return 0, err
 	}
 
 	valuation := core.Valuation(core.Satisfaction(assigned[0], fcfg.Truth), fcfg.Truth.Duration, fcfg.Rho)
-	return core.Utility(valuation, payments[0]), nil
+	return core.Utility(valuation, chain.Payments[0]), nil
 }
 
 // Render prints the best-response table (Figure 7): the top reports and

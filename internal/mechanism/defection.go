@@ -19,10 +19,15 @@ import (
 // is clamped to 0 rather than rewarded: the mechanism punishes harm, it
 // does not pay for accidental help.
 func DefectionScores(p pricing.Pricer, rating float64, assignments, consumptions []core.Interval) []float64 {
+	return defectionScoresInto(make([]float64, len(assignments)), p, rating, assignments, consumptions)
+}
+
+// defectionScoresInto is Eq. 5 into dst, which has len(assignments)
+// zeroed entries.
+func defectionScoresInto(out []float64, p pricing.Pricer, rating float64, assignments, consumptions []core.Interval) []float64 {
 	base := core.LoadOf(assignments, rating)
 	baseCost := pricing.Cost(p, base)
 
-	out := make([]float64, len(assignments))
 	for i := range assignments {
 		if assignments[i] == consumptions[i] {
 			continue // exact compliance: δ_i = 0 without recomputation

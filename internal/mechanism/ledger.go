@@ -161,6 +161,8 @@ func auditClose(a, b float64) bool {
 // inputs and returns every mismatch found (empty = the entry is
 // internally consistent):
 //
+//   - every assigned and consumed interval lies inside the day (an
+//     off-day interval drops out of κ(ω) and so skews every payment);
 //   - Eq. 4: predicted flexibility from the reported preferences, and
 //     its zeroing for households whose consumption defected;
 //   - defection flags from assigned vs consumed intervals, with
@@ -196,6 +198,14 @@ func (e LedgerEntry) Audit() []string {
 
 	predicted := FlexibilityScores(prefs)
 	for i, h := range e.Households {
+		for _, iv := range []struct {
+			name string
+			iv   core.Interval
+		}{{"assigned", h.Assigned}, {"consumed", h.Consumed}} {
+			if err := iv.iv.Validate(); err != nil {
+				bad = append(bad, fmt.Sprintf("household %d: %s interval %v: %v", h.ID, iv.name, iv.iv, err))
+			}
+		}
 		if !auditClose(predicted[i], h.PredictedFlexibility) {
 			bad = append(bad, fmt.Sprintf("household %d: Eq. 4 predicted flexibility %g, recorded %g",
 				h.ID, predicted[i], h.PredictedFlexibility))

@@ -7,19 +7,29 @@ import "fmt"
 // defined as 0 (so each normalized value is exactly 1/2), matching the
 // "f_i > 0 and δ_i = 0 when truthful" boundary analysis of the paper.
 func NormalizedShares(xs []float64) []float64 {
+	sum := total(xs)
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = share(x, sum)
+	}
+	return out
+}
+
+// share is one normalized Eq. 6 term x/Σx + 1/2, given Σx.
+func share(x, sum float64) float64 {
+	s := 0.0
+	if sum > 0 {
+		s = x / sum
+	}
+	return s + 0.5
+}
+
+func total(xs []float64) float64 {
 	var sum float64
 	for _, x := range xs {
 		sum += x
 	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		share := 0.0
-		if sum > 0 {
-			share = x / sum
-		}
-		out[i] = share + 0.5
-	}
-	return out
+	return sum
 }
 
 // SocialCostScores computes Ψ_i of Eq. 6:
@@ -36,13 +46,17 @@ func SocialCostScores(flex, defect []float64, k float64) ([]float64, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("mechanism: scaling factor k = %g must be positive", k)
 	}
-	nf := NormalizedShares(flex)
-	nd := NormalizedShares(defect)
-	out := make([]float64, len(flex))
-	for i := range out {
-		out[i] = k * nd[i] / nf[i]
+	return socialCostInto(make([]float64, len(flex)), flex, defect, k), nil
+}
+
+// socialCostInto is Eq. 6 into dst without allocating the share
+// slices.
+func socialCostInto(dst, flex, defect []float64, k float64) []float64 {
+	sumF, sumD := total(flex), total(defect)
+	for i := range dst {
+		dst[i] = k * share(defect[i], sumD) / share(flex[i], sumF)
 	}
-	return out, nil
+	return dst
 }
 
 // Payments computes p_i of Eq. 7:
@@ -53,27 +67,28 @@ func SocialCostScores(flex, defect []float64, k float64) ([]float64, error) {
 // ξ·κ(ω) ≥ κ(ω) in total. It returns an error when ξ < 1 or when all
 // social-cost scores vanish.
 func Payments(socialCost []float64, xi, totalCost float64) ([]float64, error) {
+	return paymentsInto(make([]float64, len(socialCost)), socialCost, xi, totalCost)
+}
+
+// paymentsInto is Eq. 7 into dst, which has len(socialCost) entries.
+func paymentsInto(dst, socialCost []float64, xi, totalCost float64) ([]float64, error) {
 	if xi < 1 {
 		return nil, fmt.Errorf("mechanism: xi = %g violates budget balance (need ξ ≥ 1)", xi)
 	}
 	if totalCost < 0 {
 		return nil, fmt.Errorf("mechanism: negative neighborhood cost %g", totalCost)
 	}
-	var sum float64
-	for _, s := range socialCost {
-		sum += s
-	}
-	out := make([]float64, len(socialCost))
+	sum := total(socialCost)
 	if len(socialCost) == 0 {
-		return out, nil
+		return dst, nil
 	}
 	if sum <= 0 {
 		return nil, fmt.Errorf("mechanism: social-cost scores sum to %g; cannot apportion payments", sum)
 	}
 	for i, s := range socialCost {
-		out[i] = s / sum * xi * totalCost
+		dst[i] = s / sum * xi * totalCost
 	}
-	return out, nil
+	return dst, nil
 }
 
 // PaymentsStrictIC is the alternative rule Section V-B mentions: "Enki

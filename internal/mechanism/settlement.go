@@ -151,22 +151,12 @@ func Settle(p pricing.Pricer, cfg Config, day Day) (Settlement, error) {
 	for i, h := range day.Households {
 		prefs[i] = h.Reported
 	}
-	predicted := FlexibilityScores(prefs)
-	flex := ActualFlexibilities(predicted, day.Assignments, day.Consumptions)
-	defect := DefectionScores(p, day.Rating, day.Assignments, day.Consumptions)
-
-	psi, err := SocialCostScores(flex, defect, cfg.K)
+	chain, err := SettleChain(p, cfg, day.Rating, prefs, day.Assignments, day.Consumptions, nil)
 	if err != nil {
 		return Settlement{}, err
 	}
-
-	cost := pricing.CostOfIntervals(p, day.Consumptions, day.Rating)
 	allocCost := pricing.CostOfIntervals(p, day.Assignments, day.Rating)
-
-	payments, err := Payments(psi, cfg.Xi, cost)
-	if err != nil {
-		return Settlement{}, err
-	}
+	payments := chain.Payments
 
 	valuations := make([]float64, len(day.Households))
 	utilities := make([]float64, len(day.Households))
@@ -175,15 +165,14 @@ func Settle(p pricing.Pricer, cfg Config, day Day) (Settlement, error) {
 		utilities[i] = core.Utility(valuations[i], payments[i])
 	}
 
-	load := core.LoadOf(day.Consumptions, day.Rating)
-	RecordSettlementMetrics(flex, defect, psi, payments, cost, cfg.Xi, load.PAR())
+	RecordSettlementMetrics(chain.Flexibility, chain.Defection, chain.SocialCost, payments, chain.Cost, cfg.Xi, chain.Load.PAR())
 
 	return Settlement{
-		Cost:        cost,
+		Cost:        chain.Cost,
 		AllocCost:   allocCost,
-		Flexibility: flex,
-		Defection:   defect,
-		SocialCost:  psi,
+		Flexibility: chain.Flexibility,
+		Defection:   chain.Defection,
+		SocialCost:  chain.SocialCost,
 		Payments:    payments,
 		Valuations:  valuations,
 		Utilities:   utilities,

@@ -136,13 +136,6 @@ func Connect(ctx context.Context, addr string, id core.HouseholdID, policy Polic
 	return a, nil
 }
 
-// Dial connects to a center over plain TCP without reconnection.
-//
-// Deprecated: use Connect, which takes a context and options.
-func Dial(addr string, id core.HouseholdID, policy Policy) (*Agent, error) {
-	return Connect(context.Background(), addr, id, policy)
-}
-
 // NewAgent registers the household over a caller-provided connection —
 // typically a tls.Conn — and starts the agent's message loop. The agent
 // takes ownership of the connection and closes it on Close. Without a

@@ -14,33 +14,21 @@ import (
 	"enki/internal/core"
 	"enki/internal/mechanism"
 	"enki/internal/obs"
-	"enki/internal/pricing"
-	"enki/internal/sched"
+	"enki/internal/replica"
+	"enki/internal/settle"
 )
 
-// CenterConfig configures a neighborhood center. Prefer the functional
-// options of StartCenter; the struct remains public for the deprecated
-// NewCenter constructors.
-type CenterConfig struct {
-	// Scheduler produces allocations from reports; it must be non-nil.
-	Scheduler sched.Scheduler
-	// Pricer prices hourly load; it must be non-nil.
-	Pricer pricing.Pricer
-	// Mechanism carries the payment scaling factors.
-	Mechanism mechanism.Config
-	// Rating is the per-household power rating r in kW.
-	Rating float64
+// centerConfig carries what the functional options set for a center,
+// every cluster shard and a replica set's leader: the day machine's
+// settlement parameters plus the protocol's.
+type centerConfig struct {
+	settle.Config
 	// PhaseDeadline bounds each protocol phase (preference collection,
 	// consumption collection). A household that has not answered when
 	// the deadline expires is settled dark for the day: excluded if it
 	// never reported, imputed via the Eq. 5 defector path if it
-	// reported and then vanished. Zero means ReplyTimeout, then
-	// DefaultPhaseDeadline.
+	// reported and then vanished. Zero means DefaultPhaseDeadline.
 	PhaseDeadline time.Duration
-	// ReplyTimeout is honored when PhaseDeadline is zero.
-	//
-	// Deprecated: set PhaseDeadline (or use WithPhaseDeadline).
-	ReplyTimeout time.Duration
 	// TraceSeed parameterizes the deterministic per-day trace IDs:
 	// day d's trace is obs.DeriveTraceID(TraceSeed, d), so two centers
 	// replaying the same days under the same seed name the same traces.
@@ -72,76 +60,82 @@ type CenterConfig struct {
 	// to the center's operator plane (see Operator). Objectives are
 	// validated at start-up.
 	SLO []obs.Objective
-
-	// Replication hooks, set only by a ReplicaSet (same package) on the
-	// centers it leads with; all nil on a standalone center. Each hook
-	// blocks until its entry is quorum-committed, so a day can only
-	// settle once a majority of replicas can reproduce it.
-	onMember      func(id core.HouseholdID, token string, epoch uint64) error
-	onPhase       func(day int, phase string, data json.RawMessage) error
-	onSettle      func(tid string, day int, record *DayRecord, entry json.RawMessage) error
-	beforeDeliver func(day int) error
-	// seedSessions pre-registers the committed membership on a failover
-	// center, so agents resume with the tokens the old leader issued.
-	seedSessions []seedSession
-	// epochFloor continues the registration-epoch sequence past the old
-	// leader's committed registrations.
-	epochFloor uint64
-	// resume carries quorum-committed mid-day state: a new leader skips
-	// the phases whose boundary entries committed and recomputes the
-	// rest deterministically.
-	resume map[int]*dayResume
 }
 
-// seedSession is one committed household membership a failover center
-// starts with: the session exists (dark) before its agent reconnects.
-type seedSession struct {
-	id    core.HouseholdID
-	token string
+// DayRecord is the full outcome of one protocol day (see
+// settle.DayRecord). It is the unit of persistence (see Journal).
+type DayRecord = settle.DayRecord
+
+// committer is the center's one commit path for its durable decisions:
+// household memberships, each day's phase inputs once the day machine
+// accepted them, and settled days. A standalone center keeps
+// memberships and phase inputs in memory and appends settled days to
+// its audit ledger (ledgerCommitter); a replica set's leader commits
+// all three to the quorum log, each call blocking until a majority
+// holds the entry.
+type committer interface {
+	commitMember(m memberPayload) error
+	commitPhase(day int, phase string, payload any) error
+	commitDay(out *settle.Outcome) error
 }
 
-// dayResume is the committed mid-day state for one settlement day,
-// rebuilt from the quorum log's phase-boundary entries on failover.
-type dayResume struct {
-	reports      []core.Report
-	absent       []core.HouseholdID
-	consumptions []core.Consumption
-	substituted  []bool
-	haveCons     bool
+// ledgerCommitter is a standalone center's commit path: settled days go
+// to the audit ledger, when one is configured.
+type ledgerCommitter struct{ ledger *Journal }
+
+func (ledgerCommitter) commitMember(memberPayload) error   { return nil }
+func (ledgerCommitter) commitPhase(int, string, any) error { return nil }
+
+func (l ledgerCommitter) commitDay(out *settle.Outcome) error {
+	if l.ledger == nil {
+		return nil
+	}
+	if err := l.ledger.AppendValue(out.LedgerEntry()); err != nil {
+		return fmt.Errorf("netproto: audit ledger: %w", err)
+	}
+	return nil
 }
 
-// prefPhasePayload is the replicated preference phase boundary.
+// memberPayload is the committed record of one household registration.
+type memberPayload struct {
+	ID    core.HouseholdID `json:"id"`
+	Token string           `json:"token"`
+	Epoch uint64           `json:"epoch"`
+}
+
+// prefPhasePayload is the committed preference phase input.
 type prefPhasePayload struct {
 	Reports []core.Report      `json:"reports"`
 	Absent  []core.HouseholdID `json:"absent,omitempty"`
 }
 
-// consPhasePayload is the replicated consumption phase boundary.
+// consPhasePayload is the committed consumption phase input.
 type consPhasePayload struct {
 	Consumptions []core.Consumption `json:"consumptions"`
 	Substituted  []bool             `json:"substituted,omitempty"`
 }
 
-// DefaultPhaseDeadline is the per-phase wait applied when neither
-// PhaseDeadline nor ReplyTimeout is set.
+// Committed phase names, the Phase of their log entries.
+const (
+	phasePreference  = "preference"
+	phaseConsumption = "consumption"
+)
+
+// phaseKey names one committed phase input in a takeover log.
+type phaseKey struct {
+	day   int
+	phase string
+}
+
+// DefaultPhaseDeadline is the per-phase wait applied when no phase
+// deadline is set.
 const DefaultPhaseDeadline = 10 * time.Second
 
-// DefaultReplyTimeout is the historical name of the per-phase wait.
-//
-// Deprecated: use DefaultPhaseDeadline.
-const DefaultReplyTimeout = DefaultPhaseDeadline
-
-func (c CenterConfig) validate() error {
-	if c.Scheduler == nil {
-		return errors.New("netproto: nil scheduler")
+func (c centerConfig) validate() error {
+	if err := c.Config.Validate(); err != nil {
+		return fmt.Errorf("netproto: %w", err)
 	}
-	if c.Pricer == nil {
-		return errors.New("netproto: nil pricer")
-	}
-	if c.Rating <= 0 {
-		return fmt.Errorf("netproto: rating %g must be positive", c.Rating)
-	}
-	return c.Mechanism.Validate()
+	return nil
 }
 
 // inbound is a message received from a registered agent. The conn
@@ -201,53 +195,34 @@ func sessionToken(seed uint64, id core.HouseholdID, epoch uint64) string {
 }
 
 // Center is the neighborhood controller: it accepts household agent
-// connections and orchestrates the Figure 1 day cycle. Create with
-// StartCenter; stop with Close, which shuts the listener, drops every
-// connection, and waits for all goroutines to exit.
+// connections and drives the Figure 1 day cycle of a settle.Machine
+// over them. Create with StartCenter; stop with Close, which shuts the
+// listener, drops every connection, and waits for all goroutines to
+// exit.
 type Center struct {
-	cfg CenterConfig
-	ln  net.Listener
+	cfg    centerConfig
+	ln     net.Listener
+	commit committer
 
 	mu       sync.Mutex
 	sessions map[core.HouseholdID]*session
 	epoch    uint64        // bumped per fresh registration; invalidates old tokens
 	joined   chan struct{} // signaled (best effort) on each registration
 
+	// committed holds the phase inputs of a takeover log: a failover
+	// leader replays them into a fresh machine instead of collecting
+	// those phases again.
+	committed map[phaseKey]json.RawMessage
+
 	inbox chan inbound
 
 	fed  *obs.Federation // non-nil when cfg.Reporting
 	slo  *obs.SLOEngine  // non-nil when cfg.SLO is set
-	stat centerStatus
+	stat statusTable
 
 	wg      sync.WaitGroup
 	closing chan struct{}
 	once    sync.Once
-}
-
-// centerStatus is the live operator-plane state behind /api/v1/day and
-// /api/v1/shards: phase progress updated as the day cycle runs, last
-// settled aggregates updated at settle. Its own mutex keeps the status
-// readers off the session lock.
-type centerStatus struct {
-	mu          sync.Mutex
-	day         int
-	phase       string // "idle" between days
-	deadlineAt  time.Time
-	members     int
-	reported    int
-	dark        int
-	daysSettled uint64
-
-	lastDay         int
-	lastSettled     int
-	lastAbsent      int
-	lastSubstituted int
-	lastCost        float64
-	lastRevenue     float64
-	lastResidual    float64
-	lastPeak        float64
-	lastSettleMS    float64
-	lastTrace       string
 }
 
 // StartCenter starts a center listening on a plain TCP addr (e.g.
@@ -279,40 +254,18 @@ func StartCenterListener(ln net.Listener, opts ...Option) (*Center, error) {
 	if err := o.validate("StartCenter", targetCenter); err != nil {
 		return nil, err
 	}
-	return newCenter(ln, o.resolveCenter())
+	cfg := o.resolveCenter()
+	return newCenter(ln, cfg, ledgerCommitter{cfg.Ledger}, nil)
 }
 
-// NewCenter starts a center listening on a plain TCP addr from an
-// explicit config struct.
-//
-// Deprecated: use StartCenter with functional options.
-func NewCenter(addr string, cfg CenterConfig) (*Center, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netproto: listen: %w", err)
-	}
-	c, err := newCenter(ln, cfg)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewCenterWithListener starts a center on a caller-provided listener
-// from an explicit config struct.
-//
-// Deprecated: use StartCenterListener with functional options.
-func NewCenterWithListener(ln net.Listener, cfg CenterConfig) (*Center, error) {
-	return newCenter(ln, cfg)
-}
-
-func newCenter(ln net.Listener, cfg CenterConfig) (*Center, error) {
+// newCenter starts a center committing through commit. log is the
+// committed log a failover leader takes over (nil for a fresh center):
+// its member entries rebuild the session table — each committed
+// household starts dark and resumes with the token the old leader
+// issued — and its phase entries are the inputs RunDayContext replays.
+func newCenter(ln net.Listener, cfg centerConfig, commit committer, log []replica.Entry) (*Center, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.PhaseDeadline == 0 {
-		cfg.PhaseDeadline = cfg.ReplyTimeout
 	}
 	if cfg.PhaseDeadline == 0 {
 		cfg.PhaseDeadline = DefaultPhaseDeadline
@@ -320,16 +273,28 @@ func newCenter(ln net.Listener, cfg CenterConfig) (*Center, error) {
 	c := &Center{
 		cfg:      cfg,
 		ln:       ln,
+		commit:   commit,
 		sessions: make(map[core.HouseholdID]*session),
 		joined:   make(chan struct{}, 1),
 		inbox:    make(chan inbound),
 		closing:  make(chan struct{}),
+		stat:     newStatusTable(),
 	}
-	c.stat.phase = "idle"
-	c.epoch = cfg.epochFloor
-	for _, ss := range cfg.seedSessions {
-		// Seeded members start dark; their agents resume by token.
-		c.sessions[ss.id] = &session{id: ss.id, token: ss.token}
+	for _, e := range log {
+		switch e.Kind {
+		case replica.KindMember:
+			var p memberPayload
+			if err := json.Unmarshal(e.Data, &p); err != nil {
+				continue
+			}
+			c.sessions[p.ID] = &session{id: p.ID, token: p.Token}
+			c.epoch = max(c.epoch, p.Epoch)
+		case replica.KindPhase:
+			if c.committed == nil {
+				c.committed = make(map[phaseKey]json.RawMessage)
+			}
+			c.committed[phaseKey{e.Day, e.Phase}] = e.Data
+		}
 	}
 	if cfg.Reporting {
 		c.fed = obs.NewFederation(obs.Default())
@@ -417,22 +382,6 @@ func (c *Center) WaitForAgentsContext(ctx context.Context, n int) error {
 	}
 }
 
-// WaitForAgents blocks until n agents have registered or the timeout
-// elapses.
-//
-// Deprecated: use WaitForAgentsContext.
-func (c *Center) WaitForAgents(n int, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := c.WaitForAgentsContext(ctx, n); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("netproto: %d of %d agents after %v", c.AgentCount(), n, timeout)
-		}
-		return err
-	}
-	return nil
-}
-
 func (c *Center) acceptLoop() {
 	defer c.wg.Done()
 	for {
@@ -503,11 +452,11 @@ func (c *Center) handleConn(conn net.Conn) {
 	epoch := c.epoch
 	c.mu.Unlock()
 
-	// A replicated center commits the membership before welcoming: the
+	// The membership commits before the welcome: on a replica set the
 	// welcome is the promise that a failover leader will recognize this
 	// token, so it must not be issued until a majority holds the entry.
-	if fresh && c.cfg.onMember != nil {
-		if err := c.cfg.onMember(hello.ID, token, epoch); err != nil {
+	if fresh {
+		if err := c.commit.commitMember(memberPayload{ID: hello.ID, Token: token, Epoch: epoch}); err != nil {
 			_ = WriteMessage(conn, &Message{Kind: KindError, ID: hello.ID,
 				Err: "registration not replicated: " + err.Error()})
 			c.mu.Lock()
@@ -600,46 +549,22 @@ func (c *Center) clearLastOut(id core.HouseholdID) {
 	c.mu.Unlock()
 }
 
-// DayRecord is the full outcome of one protocol day. It is the unit of
-// persistence (see Journal), hence the JSON tags.
-type DayRecord struct {
-	Day     int    `json:"day"`
-	TraceID string `json:"traceId,omitempty"` // joins the record to its trace and ledger entry
-
-	Reports      []core.Report      `json:"reports"`
-	Assignments  []core.Assignment  `json:"assignments"`
-	Consumptions []core.Consumption `json:"consumptions"`
-	Payments     []float64          `json:"payments"` // aligned with Reports
-	Flexibility  []float64          `json:"flexibility"`
-	Defection    []float64          `json:"defection"`
-	SocialCost   []float64          `json:"socialCost"`
-	Cost         float64            `json:"cost"` // κ(ω)
-	Peak         float64            `json:"peak"` // peak hourly load
-
-	// Substituted marks the reports whose consumption the center
-	// imputed (household dark past the consumption deadline); nil on
-	// fault-free days so their journal bytes are unchanged.
-	Substituted []bool `json:"substituted,omitempty"`
-	// Absent lists households that were members at dawn but never
-	// reported a preference: they sat the day out entirely (no
-	// allocation, no bill). Nil on fault-free days.
-	Absent []core.HouseholdID `json:"absent,omitempty"`
-}
-
-// RunDayContext orchestrates one full day cycle over the current
-// neighborhood members: request → preferences → allocation →
-// consumptions → payments. It is not safe for concurrent use with
-// itself.
+// RunDayContext drives one full day cycle of a fresh settle.Machine
+// over the current neighborhood members: request → preferences →
+// allocation → consumptions → payments. It is not safe for concurrent
+// use with itself.
 //
-// The day degrades rather than fails when households go dark: a member
-// that never reports is recorded Absent and excluded; one that reports
-// and then vanishes past the consumption deadline is settled as a
-// defector from its journaled report (consumption imputed by
-// mechanism.DarkConsumption, flexibility forfeited), keeping the
-// Theorem 1 budget identity exact. Protocol violations from live
-// agents (malformed frames, out-of-phase messages, wrong-duration
-// consumptions) still fail the day — degradation is for darkness, not
-// for misbehaviour.
+// The center only moves messages into and out of the machine and
+// commits what it decides. The day degrades rather than fails when
+// households go dark: a member that never reports is absent; one that
+// reports and then vanishes past the consumption deadline is on the
+// machine's dark set, settled as a defector from its committed report.
+// Protocol violations from live agents (malformed frames, out-of-phase
+// messages, inputs the machine rejects) still fail the day.
+//
+// A failover leader replays the day's committed phase inputs into the
+// machine instead of collecting those phases again, so the day settles
+// from exactly the inputs a majority can reproduce.
 //
 // The whole day is one trace: a root day span (trace ID derived from
 // TraceSeed and the day number) with one child span per protocol phase,
@@ -655,197 +580,154 @@ func (c *Center) RunDayContext(ctx context.Context, day int) (*DayRecord, error)
 	if len(members) == 0 {
 		return nil, errors.New("netproto: no registered agents")
 	}
+	m := settle.New(c.cfg.Config, day, tid)
 
-	res := c.cfg.resume[day]
-
-	var reports []core.Report
-	var absent []core.HouseholdID
-	if res != nil && res.reports != nil {
-		// The preference boundary is quorum-committed: a failover leader
-		// resumes from it instead of re-running the round, so the day's
-		// inputs are exactly the ones a majority can reproduce.
-		reports, absent = res.reports, res.absent
-	} else {
-		prefMsgs, prefDark, err := c.phase(ctx, daySpan, tid, members, KindPreference, day,
-			func(id core.HouseholdID, tc *obs.TraceContext) *Message {
-				return &Message{Kind: KindRequest, ID: id, Day: day, Trace: tc}
-			})
-		if err != nil {
-			return nil, err
-		}
-		absent = prefDark
-		reports = make([]core.Report, 0, len(prefMsgs))
-		for _, id := range members {
-			m, ok := prefMsgs[id]
-			if !ok {
-				continue // dark past the deadline: absent for the day
-			}
-			if m.Pref == nil {
-				return nil, fmt.Errorf("netproto: household %d sent preference frame without pref", id)
-			}
-			reports = append(reports, core.Report{ID: id, Pref: *m.Pref})
-		}
-		if len(reports) == 0 {
-			return nil, fmt.Errorf("netproto: day %d: no household reported a preference (all %d dark)", day, len(members))
-		}
-		if err := c.commitPhase(day, "preference", prefPhasePayload{Reports: reports, Absent: absent}); err != nil {
-			return nil, err
-		}
-	}
-
-	assignments, err := c.cfg.Scheduler.Allocate(reports)
+	var pref prefPhasePayload
+	replayed, err := c.replay(day, phasePreference, &pref)
 	if err != nil {
-		return nil, fmt.Errorf("netproto: allocate: %w", err)
+		return nil, err
 	}
-	byID := make(map[core.HouseholdID]core.Interval, len(assignments))
-	for _, a := range assignments {
-		byID[a.ID] = a.Interval
-	}
-	active := make([]core.HouseholdID, len(reports))
-	for i, r := range reports {
-		active[i] = r.ID
-	}
-	var consumptions []core.Consumption
-	var substituted []bool
-	if res != nil && res.haveCons {
-		consumptions, substituted = res.consumptions, res.substituted
-	} else {
-		consMsgs, consDark, err := c.phase(ctx, daySpan, tid, active, KindConsumption, day,
-			func(id core.HouseholdID, tc *obs.TraceContext) *Message {
-				iv := byID[id]
-				return &Message{Kind: KindAllocation, ID: id, Day: day, Interval: &iv, Trace: tc}
+	if !replayed {
+		got, err := c.phase(ctx, daySpan, tid, members, KindPreference, day,
+			func(i int, tc *obs.TraceContext) *Message {
+				return &Message{Kind: KindRequest, ID: members[i], Day: day, Trace: tc}
 			})
 		if err != nil {
 			return nil, err
 		}
-		darkSet := make(map[core.HouseholdID]bool, len(consDark))
-		for _, id := range consDark {
-			darkSet[id] = true
+		pref.Reports = make([]core.Report, 0, len(members))
+		for i, msg := range got {
+			switch {
+			case msg == nil: // dark past the deadline: absent for the day
+				pref.Absent = append(pref.Absent, members[i])
+			case msg.Pref == nil:
+				return nil, fmt.Errorf("netproto: household %d sent preference frame without pref", members[i])
+			default:
+				pref.Reports = append(pref.Reports, core.Report{ID: members[i], Pref: *msg.Pref})
+			}
 		}
-		consumptions = make([]core.Consumption, len(reports))
-		for i, r := range reports {
-			if darkSet[r.ID] {
-				if substituted == nil {
-					substituted = make([]bool, len(reports))
-				}
-				substituted[i] = true
-				consumptions[i] = core.Consumption{ID: r.ID, Interval: mechanism.DarkConsumption(r.Pref)}
-				continue
-			}
-			m := consMsgs[r.ID]
-			if m.Interval == nil {
-				return nil, fmt.Errorf("netproto: household %d sent consumption frame without interval", r.ID)
-			}
-			if m.Interval.Len() != r.Pref.Duration {
-				return nil, fmt.Errorf("netproto: household %d consumed %d slots, declared %d",
-					r.ID, m.Interval.Len(), r.Pref.Duration)
-			}
-			consumptions[i] = core.Consumption{ID: r.ID, Interval: *m.Interval}
-		}
-		if err := c.commitPhase(day, "consumption", consPhasePayload{Consumptions: consumptions, Substituted: substituted}); err != nil {
+	}
+	assignments, err := m.Allocate(pref.Reports, pref.Absent)
+	if err != nil {
+		return nil, fmt.Errorf("netproto: day %d: %w", day, err)
+	}
+	if !replayed {
+		if err := c.commit.commitPhase(day, phasePreference, pref); err != nil {
 			return nil, err
 		}
 	}
-	nSub := 0
-	for _, sub := range substituted {
-		if sub {
-			nSub++
+
+	var cons consPhasePayload
+	replayed, err = c.replay(day, phaseConsumption, &cons)
+	if err != nil {
+		return nil, err
+	}
+	if !replayed {
+		active := make([]core.HouseholdID, len(pref.Reports))
+		for i, r := range pref.Reports {
+			active[i] = r.ID
+		}
+		got, err := c.phase(ctx, daySpan, tid, active, KindConsumption, day,
+			func(i int, tc *obs.TraceContext) *Message {
+				iv := assignments[i].Interval
+				return &Message{Kind: KindAllocation, ID: active[i], Day: day, Interval: &iv, Trace: tc}
+			})
+		if err != nil {
+			return nil, err
+		}
+		cons.Consumptions = make([]core.Consumption, len(active))
+		for i, msg := range got {
+			switch {
+			case msg == nil: // reported, then dark past the deadline
+				if cons.Substituted == nil {
+					cons.Substituted = make([]bool, len(active))
+				}
+				cons.Substituted[i] = true
+			case msg.Interval == nil:
+				return nil, fmt.Errorf("netproto: household %d sent consumption frame without interval", active[i])
+			default:
+				cons.Consumptions[i] = core.Consumption{ID: active[i], Interval: *msg.Interval}
+			}
 		}
 	}
 
 	c.stat.setPhase("settling")
 	settleSpan := daySpan.StartChild(obs.SpanNetSettle, "day", strconv.Itoa(day))
-	record, entry, err := c.settle(tid, day, reports, assignments, consumptions, substituted)
+	out, err := m.Settle(cons.Consumptions, cons.Substituted)
 	settleSpan.End()
 	if err != nil {
+		return nil, fmt.Errorf("netproto: day %d: %w", day, err)
+	}
+	record := out.Record
+	if !replayed {
+		// The committed input carries the machine's imputations, so a
+		// replay settles the identical day.
+		cons = consPhasePayload{Consumptions: record.Consumptions, Substituted: record.Substituted}
+		if err := c.commit.commitPhase(day, phaseConsumption, cons); err != nil {
+			return nil, err
+		}
+	}
+	recordSettlement(c.cfg, &out)
+	// A replicated center blocks here until a majority holds the day —
+	// every replica appends the ledger entry at commit — while a
+	// standalone center appends directly to its ledger.
+	if err := c.commit.commitDay(&out); err != nil {
 		return nil, err
-	}
-	if len(absent) > 0 {
-		record.Absent = absent
-	}
-
-	// Commit the settled day. A replicated center blocks here until a
-	// majority holds the day entry — the ledger append happens in the
-	// apply path on every replica — while a standalone center appends
-	// directly to its ledger.
-	if c.cfg.onSettle != nil {
-		raw, err := json.Marshal(entry)
-		if err != nil {
-			return nil, fmt.Errorf("netproto: encode ledger entry: %w", err)
-		}
-		if err := c.cfg.onSettle(tid, day, record, raw); err != nil {
-			return nil, err
-		}
-	} else if c.cfg.Ledger != nil {
-		if err := c.cfg.Ledger.AppendValue(entry); err != nil {
-			return nil, fmt.Errorf("netproto: audit ledger: %w", err)
-		}
-	}
-	if c.cfg.beforeDeliver != nil {
-		if err := c.cfg.beforeDeliver(day); err != nil {
-			return nil, err
-		}
 	}
 
 	paySpan := daySpan.StartChild(obs.SpanNetPhase, obs.LabelPhase, string(KindPayment), "day", strconv.Itoa(day))
-	payCtx := wireTrace(tid, paySpan)
-	for i, r := range reports {
-		detail := &PaymentDetail{
-			Amount:      record.Payments[i],
-			Flexibility: record.Flexibility[i],
-			Defection:   record.Defection[i],
-			SocialCost:  record.SocialCost[i],
-			TotalCost:   record.Cost,
-			PeakLoad:    record.Peak,
-		}
-		c.deliverPayment(&Message{Kind: KindPayment, ID: r.ID, Day: day, Payment: detail, Trace: payCtx})
-	}
+	c.deliverPayments(record, wireTrace(tid, paySpan))
 	paySpan.End()
 
+	row := out.Status
+	degraded := row.Absent+row.Substituted > 0
 	obs.Default().Counter(obs.MetricNetDaysTotal).Inc()
-	if nSub > 0 || len(absent) > 0 {
+	if degraded {
 		obs.Default().Counter(obs.MetricNetDegradedDaysTotal).Inc()
-		if nSub > 0 {
-			obs.Default().Counter(obs.MetricNetSubstitutionsTotal).Add(uint64(nSub))
+		if row.Substituted > 0 {
+			obs.Default().Counter(obs.MetricNetSubstitutionsTotal).Add(uint64(row.Substituted))
 		}
 	}
 	if rec := obs.DefaultRecorder(); rec.Enabled() {
 		action := "ok"
-		if nSub > 0 || len(absent) > 0 {
+		if degraded {
 			action = "degraded"
 		}
-		rec.Record(obs.Event{Kind: obs.EventDay, Day: day, Shard: -1, Action: action, N: len(reports), TraceID: tid})
+		rec.Record(obs.Event{Kind: obs.EventDay, Day: day, Shard: -1, Action: action, N: row.Settled, TraceID: tid})
 	}
 
 	settleMS := float64(time.Since(start).Nanoseconds()) / 1e6
 	obs.Default().Histogram(obs.MetricNetDaySettleMS, obs.LatencyBucketsMS).ObserveExemplar(settleMS, tid)
-	var revenue float64
-	for _, p := range record.Payments {
-		revenue += p
-	}
-	s := &c.stat
-	s.mu.Lock()
-	s.phase = "settled"
-	s.daysSettled++
-	s.lastDay = day
-	s.lastTrace = tid
-	s.lastSettled = len(reports)
-	s.lastAbsent = len(absent)
-	s.lastSubstituted = nSub
-	s.lastCost = record.Cost
-	s.lastRevenue = revenue
-	s.lastResidual = revenue - c.cfg.Mechanism.Xi*record.Cost
-	s.lastPeak = record.Peak
-	s.lastSettleMS = settleMS
-	s.mu.Unlock()
+	row.LastSettleMS = settleMS
+	c.stat.settled(row, record.Peak, []obs.ShardStatus{row})
 	return record, nil
 }
 
-// RunDay runs one day cycle without cancellation.
-//
-// Deprecated: use RunDayContext.
-func (c *Center) RunDay(day int) (*DayRecord, error) {
-	return c.RunDayContext(context.Background(), day)
+// replay decodes day's committed phase input into v, reporting whether
+// the takeover log held one.
+func (c *Center) replay(day int, phase string, v any) (bool, error) {
+	data, ok := c.committed[phaseKey{day, phase}]
+	if !ok {
+		return false, nil
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return false, fmt.Errorf("netproto: committed %s phase of day %d: %w", phase, day, err)
+	}
+	return true, nil
+}
+
+// recordSettlement publishes a settled day to the mechanism metrics.
+func recordSettlement(cfg centerConfig, out *settle.Outcome) {
+	r := out.Record
+	mechanism.RecordSettlementMetrics(r.Flexibility, r.Defection, r.SocialCost, r.Payments, r.Cost, cfg.Mechanism.Xi, out.PAR)
+}
+
+// deliverPayments sends every household its payment notice.
+func (c *Center) deliverPayments(record *DayRecord, tc *obs.TraceContext) {
+	for i, r := range record.Reports {
+		notice := record.Notice(i)
+		c.deliverPayment(&Message{Kind: KindPayment, ID: r.ID, Day: record.Day, Payment: &notice, Trace: tc})
+	}
 }
 
 // deliverPayment sends a settlement best-effort: a dark household's
@@ -884,178 +766,25 @@ func wireTrace(tid string, span *obs.ActiveSpan) *obs.TraceContext {
 	return &obs.TraceContext{TraceID: tid, SpanID: span.ID()}
 }
 
-// settle computes scores, payments, and aggregates for a completed day,
-// and appends the day's audit-ledger entry when a ledger is configured.
-// Substituted households forfeit their flexibility reward regardless of
-// where their imputed consumption landed (they never confirmed
-// compliance), putting them on the Eq. 5 defector path.
-func (c *Center) settle(tid string, day int, reports []core.Report, assignments []core.Assignment, consumptions []core.Consumption, substituted []bool) (*DayRecord, *mechanism.LedgerEntry, error) {
-	prefs := make([]core.Preference, len(reports))
-	assigned := make([]core.Interval, len(reports))
-	consumed := make([]core.Interval, len(reports))
-	for i := range reports {
-		prefs[i] = reports[i].Pref
-		assigned[i] = assignments[i].Interval
-		consumed[i] = consumptions[i].Interval
-	}
-	predicted := mechanism.FlexibilityScores(prefs)
-	flex := mechanism.ActualFlexibilities(predicted, assigned, consumed)
-	for i := range substituted {
-		if substituted[i] {
-			flex[i] = 0
-		}
-	}
-	defect := mechanism.DefectionScores(c.cfg.Pricer, c.cfg.Rating, assigned, consumed)
-	psi, err := mechanism.SocialCostScores(flex, defect, c.cfg.Mechanism.K)
-	if err != nil {
-		return nil, nil, fmt.Errorf("netproto: social cost: %w", err)
-	}
-	load := core.LoadOf(consumed, c.cfg.Rating)
-	cost := pricing.Cost(c.cfg.Pricer, load)
-	payments, err := mechanism.Payments(psi, c.cfg.Mechanism.Xi, cost)
-	if err != nil {
-		return nil, nil, fmt.Errorf("netproto: payments: %w", err)
-	}
-	mechanism.RecordSettlementMetrics(flex, defect, psi, payments, cost, c.cfg.Mechanism.Xi, load.PAR())
-	var entry *mechanism.LedgerEntry
-	if c.cfg.Ledger != nil || c.cfg.onSettle != nil {
-		e := mechanism.BuildLedgerEntry(tid, day, c.cfg.Mechanism, c.cfg.Rating,
-			reports, assigned, consumed, substituted, predicted, flex, defect, psi, payments, cost, load.Peak())
-		entry = &e
-	}
-	return &DayRecord{
-		Day:          day,
-		TraceID:      tid,
-		Reports:      reports,
-		Assignments:  assignments,
-		Consumptions: consumptions,
-		Payments:     payments,
-		Flexibility:  flex,
-		Defection:    defect,
-		SocialCost:   psi,
-		Cost:         cost,
-		Peak:         load.Peak(),
-		Substituted:  substituted,
-	}, entry, nil
-}
-
-// commitPhase replicates a phase boundary through the onPhase hook, if one is
-// installed. The payload is marshalled once so every replica journals the same
-// bytes.
-func (c *Center) commitPhase(day int, phase string, payload any) error {
-	if c.cfg.onPhase == nil {
-		return nil
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("netproto: encode %s phase: %w", phase, err)
-	}
-	return c.cfg.onPhase(day, phase, data)
-}
-
 // redeliverDay re-issues payment notices for a day that was already committed
 // to the replicated journal. Delivery is best-effort, exactly like the normal
 // payment phase: agents that are connected receive the notice immediately,
 // dark sessions have it queued for resume, and agents dedupe by day.
 func (c *Center) redeliverDay(record *DayRecord) *DayRecord {
 	c.stat.setPhase("payment")
-	trace := &obs.TraceContext{TraceID: record.TraceID}
-	for i, r := range record.Reports {
-		if i >= len(record.Payments) {
-			break
-		}
-		detail := &PaymentDetail{
-			Amount:      record.Payments[i],
-			Flexibility: record.Flexibility[i],
-			Defection:   record.Defection[i],
-			SocialCost:  record.SocialCost[i],
-			TotalCost:   record.Cost,
-			PeakLoad:    record.Peak,
-		}
-		c.deliverPayment(&Message{Kind: KindPayment, ID: r.ID, Day: record.Day, Payment: detail, Trace: trace})
-	}
+	c.deliverPayments(record, &obs.TraceContext{TraceID: record.TraceID})
 	c.stat.setPhase("settled")
 	return record
 }
 
-func (s *centerStatus) startPhase(day int, phase string, members int, deadline time.Duration) {
-	s.mu.Lock()
-	s.day, s.phase, s.members = day, phase, members
-	s.deadlineAt = time.Now().Add(deadline)
-	s.reported, s.dark = 0, 0
-	s.mu.Unlock()
-}
-
-func (s *centerStatus) setPhase(phase string) {
-	s.mu.Lock()
-	s.phase = phase
-	s.mu.Unlock()
-}
-
-func (s *centerStatus) noteReported() {
-	s.mu.Lock()
-	s.reported++
-	s.mu.Unlock()
-}
-
-func (s *centerStatus) noteDark(n int) {
-	s.mu.Lock()
-	s.dark = n
-	s.mu.Unlock()
-}
-
 // DayStatus implements obs.StatusSource: the current day, phase, and
 // reporting progress for /api/v1/day.
-func (c *Center) DayStatus() obs.DayStatus {
-	s := &c.stat
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var remaining float64
-	if s.phase != "idle" && s.phase != "settled" {
-		if d := time.Until(s.deadlineAt); d > 0 {
-			remaining = float64(d.Nanoseconds()) / 1e6
-		}
-	}
-	return obs.DayStatus{
-		Day:                 s.day,
-		Phase:               s.phase,
-		DeadlineRemainingMS: remaining,
-		Members:             s.members,
-		Reported:            s.reported,
-		Dark:                s.dark,
-		DaysSettled:         s.daysSettled,
-		LastCost:            s.lastCost,
-		LastRevenue:         s.lastRevenue,
-		LastResidual:        s.lastResidual,
-		LastPeak:            s.lastPeak,
-	}
-}
+func (c *Center) DayStatus() obs.DayStatus { return c.stat.DayStatus() }
 
 // ShardStatuses implements obs.StatusSource. A single-neighborhood
 // center is its own shard 0, so enkiops renders the same table against
 // an enkid daemon and a sharded cluster.
-func (c *Center) ShardStatuses() []obs.ShardStatus {
-	s := &c.stat
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.daysSettled == 0 {
-		return []obs.ShardStatus{}
-	}
-	return []obs.ShardStatus{{
-		Shard:        0,
-		Healthy:      true,
-		TraceID:      s.lastTrace,
-		LastDay:      s.lastDay,
-		Households:   s.lastSettled + s.lastAbsent,
-		Settled:      s.lastSettled,
-		Absent:       s.lastAbsent,
-		Substituted:  s.lastSubstituted,
-		Cost:         s.lastCost,
-		Revenue:      s.lastRevenue,
-		Residual:     s.lastResidual,
-		LastSettleMS: s.lastSettleMS,
-	}}
-}
+func (c *Center) ShardStatuses() []obs.ShardStatus { return c.stat.ShardStatuses() }
 
 // memberIDs returns every neighborhood member — live or dark — sorted
 // by household ID. Dark members stay members: they may resume mid-day,
@@ -1072,14 +801,15 @@ func (c *Center) memberIDs() []core.HouseholdID {
 }
 
 // phase runs one request/response round of the day cycle under its own
-// child span: it sends one message per member — stamped with the phase
-// span's trace context so agent-side spans parent under it — then
-// collects replies of the wanted kind until every member has answered
-// or the phase deadline expires. It returns the replies plus the sorted
-// IDs of members that stayed dark; only protocol violations (not
-// darkness) produce an error.
+// child span: it sends one message per member — built by build from the
+// member's index and stamped with the phase span's trace context so
+// agent-side spans parent under it — then collects replies of the
+// wanted kind until every member has answered or the phase deadline
+// expires. It returns the replies aligned with members, nil for the
+// members that stayed dark; only protocol violations (not darkness)
+// produce an error.
 func (c *Center) phase(ctx context.Context, daySpan *obs.ActiveSpan, tid string, members []core.HouseholdID, want Kind, day int,
-	build func(id core.HouseholdID, tc *obs.TraceContext) *Message) (map[core.HouseholdID]*Message, []core.HouseholdID, error) {
+	build func(i int, tc *obs.TraceContext) *Message) ([]*Message, error) {
 	span := daySpan.StartChild(obs.SpanNetPhase, obs.LabelPhase, string(want), "day", strconv.Itoa(day))
 	defer span.End()
 	c.stat.startPhase(day, string(want), len(members), c.cfg.PhaseDeadline)
@@ -1087,8 +817,8 @@ func (c *Center) phase(ctx context.Context, daySpan *obs.ActiveSpan, tid string,
 		rec.Record(obs.Event{Kind: obs.EventPhase, Day: day, Shard: -1, Phase: string(want), Action: "start", N: len(members)})
 	}
 	tc := wireTrace(tid, span)
-	for _, id := range members {
-		m := build(id, tc)
+	for i, id := range members {
+		m := build(i, tc)
 		c.mu.Lock()
 		s := c.sessions[id]
 		var cc *centerConn
@@ -1115,14 +845,15 @@ func earlierReply(kind, want Kind) bool {
 	return want == KindConsumption && kind == KindPreference
 }
 
-// collect waits until every member has sent a message of the wanted
-// kind for the given day, or the phase deadline expires — whichever
-// comes first. Members dark at the deadline are returned in the dark
-// list rather than failing the day; a disconnect mid-phase keeps the
-// member pending until the deadline so a resuming agent can still
-// answer. Wrong-kind or future-day messages from live agents are
-// protocol violations and error the day.
-func (c *Center) collect(ctx context.Context, members []core.HouseholdID, want Kind, day int) (map[core.HouseholdID]*Message, []core.HouseholdID, error) {
+// collect waits until every member (sorted by ID) has sent a message of
+// the wanted kind for the given day, or the phase deadline expires —
+// whichever comes first. It returns the replies aligned with members;
+// members dark at the deadline keep a nil reply rather than failing the
+// day, and a disconnect mid-phase keeps the member pending until the
+// deadline so a resuming agent can still answer. Wrong-kind or
+// future-day messages from live agents are protocol violations and
+// error the day.
+func (c *Center) collect(ctx context.Context, members []core.HouseholdID, want Kind, day int) ([]*Message, error) {
 	start := time.Now()
 	defer func() {
 		obs.Default().Histogram(obs.MetricNetPhaseLatencyMS, obs.LatencyBucketsMS, obs.LabelPhase, string(want)).
@@ -1130,15 +861,12 @@ func (c *Center) collect(ctx context.Context, members []core.HouseholdID, want K
 	}()
 	deadlineHist := obs.Default().Histogram(obs.MetricNetPhaseDeadlineRemainingMS, obs.LatencyBucketsMS, obs.LabelPhase, string(want))
 
-	pending := make(map[core.HouseholdID]bool, len(members))
-	for _, id := range members {
-		pending[id] = true
-	}
-	got := make(map[core.HouseholdID]*Message, len(members))
+	got := make([]*Message, len(members))
+	pending := len(members)
 	timer := time.NewTimer(c.cfg.PhaseDeadline)
 	defer timer.Stop()
 
-	for len(pending) > 0 {
+	for pending > 0 {
 		select {
 		case in := <-c.inbox:
 			if c.currentConn(in.id) != in.conn {
@@ -1164,43 +892,39 @@ func (c *Center) collect(ctx context.Context, members []core.HouseholdID, want K
 			case m.Day < day:
 				continue // stale reply from a previous day's replay
 			case m.Day > day:
-				return nil, nil, fmt.Errorf("netproto: unexpected %s(day %d) from %d during %s phase",
+				return nil, fmt.Errorf("netproto: unexpected %s(day %d) from %d during %s phase",
 					m.Kind, m.Day, in.id, want)
 			case m.Kind == want:
-				if !pending[in.id] {
-					continue // duplicate delivery (FaultDup or replay overlap)
+				i := sort.Search(len(members), func(i int) bool { return members[i] >= in.id })
+				if i == len(members) || members[i] != in.id || got[i] != nil {
+					continue // not asked this phase, or a duplicate delivery (FaultDup or replay overlap)
 				}
-				delete(pending, in.id)
-				got[in.id] = m
+				got[i] = m
+				pending--
 				c.clearLastOut(in.id)
 				c.stat.noteReported()
 			case earlierReply(m.Kind, want):
 				continue // late answer to an already-closed round
 			default:
-				return nil, nil, fmt.Errorf("netproto: unexpected %s(day %d) from %d during %s phase",
+				return nil, fmt.Errorf("netproto: unexpected %s(day %d) from %d during %s phase",
 					m.Kind, m.Day, in.id, want)
 			}
 		case <-timer.C:
 			obs.Default().Counter(obs.MetricNetTimeoutsTotal, obs.LabelPhase, string(want)).Inc()
 			deadlineHist.Observe(0)
-			dark := make([]core.HouseholdID, 0, len(pending))
-			for id := range pending {
-				dark = append(dark, id)
-			}
-			sort.Slice(dark, func(i, j int) bool { return dark[i] < dark[j] })
-			c.stat.noteDark(len(dark))
+			c.stat.noteDark(pending)
 			if rec := obs.DefaultRecorder(); rec.Enabled() {
-				rec.Record(obs.Event{Kind: obs.EventPhase, Day: day, Shard: -1, Phase: string(want), Action: "deadline", N: len(dark)})
+				rec.Record(obs.Event{Kind: obs.EventPhase, Day: day, Shard: -1, Phase: string(want), Action: "deadline", N: pending})
 			}
-			return got, dark, nil
+			return got, nil
 		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("netproto: %s phase: %w", want, ctx.Err())
+			return nil, fmt.Errorf("netproto: %s phase: %w", want, ctx.Err())
 		case <-c.closing:
-			return nil, nil, errors.New("netproto: center closed")
+			return nil, errors.New("netproto: center closed")
 		}
 	}
 	if remaining := c.cfg.PhaseDeadline - time.Since(start); remaining > 0 {
 		deadlineHist.Observe(float64(remaining.Nanoseconds()) / 1e6)
 	}
-	return got, nil, nil
+	return got, nil
 }

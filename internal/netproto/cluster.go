@@ -14,8 +14,8 @@ import (
 	"enki/internal/mechanism"
 	"enki/internal/obs"
 	"enki/internal/parallel"
-	"enki/internal/pricing"
 	"enki/internal/sched"
+	"enki/internal/settle"
 )
 
 // ClusterConfig carries the cluster-specific knobs of the option set;
@@ -109,7 +109,7 @@ type shardState struct {
 // merged ledger is appended in shard-index order after the parallel
 // phase.
 type Cluster struct {
-	center  CenterConfig  // settlement parameters shared with the center
+	center  centerConfig  // settlement parameters shared with the center
 	cfg     ClusterConfig // cluster-specific knobs
 	codec   Codec
 	engine  parallel.Engine
@@ -122,15 +122,7 @@ type Cluster struct {
 	dirty   bool // membership changed since shards were built
 	closed  bool
 
-	stat clusterStatus
-}
-
-// clusterStatus is the cluster's operator-plane state: the day summary
-// and the per-shard health table, rebuilt at each merge.
-type clusterStatus struct {
-	mu     sync.Mutex
-	day    obs.DayStatus
-	shards []obs.ShardStatus
+	stat statusTable // rebuilt at each merge from the shards' machine rows
 }
 
 // StartCluster starts a sharded settlement service configured by
@@ -176,8 +168,8 @@ func StartCluster(ctx context.Context, opts ...Option) (*Cluster, error) {
 		custom:  custom,
 		members: make(map[core.HouseholdID]Policy),
 		dirty:   true,
+		stat:    newStatusTable(),
 	}
-	c.stat.day.Phase = "idle"
 	if center.Reporting {
 		c.fed = obs.NewFederation(obs.Default())
 	}
@@ -212,19 +204,11 @@ func (c *Cluster) Operator() *obs.Operator {
 }
 
 // DayStatus implements obs.StatusSource for /api/v1/day.
-func (c *Cluster) DayStatus() obs.DayStatus {
-	c.stat.mu.Lock()
-	defer c.stat.mu.Unlock()
-	return c.stat.day
-}
+func (c *Cluster) DayStatus() obs.DayStatus { return c.stat.DayStatus() }
 
 // ShardStatuses implements obs.StatusSource for /api/v1/shards: the
 // last settled day's per-shard health table, in shard-index order.
-func (c *Cluster) ShardStatuses() []obs.ShardStatus {
-	c.stat.mu.Lock()
-	defer c.stat.mu.Unlock()
-	return append([]obs.ShardStatus(nil), c.stat.shards...)
-}
+func (c *Cluster) ShardStatuses() []obs.ShardStatus { return c.stat.ShardStatuses() }
 
 // Join enrolls a household. Households may join between days; the next
 // ClusterDay repartitions the membership (sorted by household ID, in
@@ -386,22 +370,21 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 	}
 
 	c.stat.mu.Lock()
-	prevSettled := c.stat.day.DaysSettled
-	c.stat.day = obs.DayStatus{Day: day, Phase: "settling", Members: memberCount, DaysSettled: prevSettled}
+	c.stat.day = obs.DayStatus{Day: day, Phase: "settling", Members: memberCount, DaysSettled: c.stat.day.DaysSettled}
 	c.stat.mu.Unlock()
 
 	// Parallel phase: each shard settles into its own pre-sized slot and
 	// never returns an error into ForEach (an error would stop dispatch
 	// and starve sibling shards); failures are recorded in the slot.
-	// Per-shard wall-clock lands in a side slot, never in the ShardDay —
-	// its JSON stays bit-identical across worker counts.
+	// Per-shard wall-clock lands in the status row, never in the
+	// ShardDay — its JSON stays bit-identical across worker counts.
 	days := make([]ShardDay, len(shards))
+	rows := make([]obs.ShardStatus, len(shards))
 	entries := make([]*mechanism.LedgerEntry, len(shards))
-	latMS := make([]float64, len(shards))
 	_ = c.engine.ForEach(len(shards), func(s int) error {
 		t0 := time.Now()
-		days[s], entries[s] = c.runShardDay(shards[s], s, day)
-		latMS[s] = float64(time.Since(t0).Nanoseconds()) / 1e6
+		days[s], rows[s], entries[s] = c.runShardDay(shards[s], s, day)
+		rows[s].LastSettleMS = float64(time.Since(t0).Nanoseconds()) / 1e6
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -451,51 +434,25 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 	obs.Default().Histogram(obs.MetricNetDaySettleMS, obs.LatencyBucketsMS).
 		ObserveExemplar(settleMS, obs.DeriveTraceID(c.center.TraceSeed, uint64(day)))
 
-	statuses := make([]obs.ShardStatus, len(days))
-	for s := range days {
-		d := &days[s]
-		statuses[s] = obs.ShardStatus{
-			Shard:        s,
-			Healthy:      d.Err == "",
-			Err:          d.Err,
-			TraceID:      d.TraceID,
-			LastDay:      day,
-			Households:   d.Households,
-			Settled:      d.Settled,
-			Absent:       d.Absent,
-			Substituted:  d.Substituted,
-			Cost:         d.Cost,
-			Revenue:      d.Revenue,
-			Residual:     d.Revenue - c.center.Mechanism.Xi*d.Cost,
-			LastSettleMS: latMS[s],
-		}
-	}
 	c.stat.mu.Lock()
-	c.stat.shards = statuses
-	c.stat.day = obs.DayStatus{
-		Day:          day,
-		Phase:        "settled",
-		Members:      rec.Households,
-		Reported:     rec.Settled,
-		Dark:         rec.Absent + rec.Substituted,
-		DaysSettled:  prevSettled + 1,
-		LastCost:     rec.Cost,
-		LastRevenue:  rec.Revenue,
-		LastResidual: rec.Revenue - c.center.Mechanism.Xi*rec.Cost,
-		LastPeak:     rec.Peak,
-	}
+	c.stat.day.Members = rec.Households
+	c.stat.day.Reported = rec.Settled
+	c.stat.day.Dark = rec.Absent + rec.Substituted
 	c.stat.mu.Unlock()
+	c.stat.settled(obs.ShardStatus{Cost: rec.Cost, Revenue: rec.Revenue,
+		Residual: rec.Revenue - c.center.Mechanism.Xi*rec.Cost}, rec.Peak, rows)
 	return rec, nil
 }
 
-// runShardDay runs the full Figure 1 day cycle for one shard, every
-// message passing through the shard's batch-framed link: request →
-// preference → allocation → consumption → payment, then settlement.
+// runShardDay drives one shard's day machine through the full Figure 1
+// day cycle, every message passing through the shard's batch-framed
+// link: request → preference → allocation → consumption → payment.
 // Message loss (injected faults) degrades the shard the same way agent
 // darkness degrades the TCP center: a household whose preference never
-// arrives is absent; one that reported and then went dark is settled
-// via the Eq. 5 imputed-defector path.
-func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechanism.LedgerEntry) {
+// arrives is absent; one that reported and then went dark is on the
+// machine's dark set. It returns the shard's day, its operator row and,
+// when the cluster keeps a ledger, its ledger entry.
+func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, obs.ShardStatus, *mechanism.LedgerEntry) {
 	start := time.Now()
 	tid := obs.DeriveTraceID(c.center.TraceSeed, uint64(day), uint64(shard))
 	span := obs.DefaultTracer().StartTrace(tid, obs.SpanClusterShard,
@@ -507,6 +464,7 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	}()
 
 	out := ShardDay{Shard: shard, TraceID: tid, Households: len(st.members)}
+	row := obs.ShardStatus{Shard: shard, Healthy: true, TraceID: tid, LastDay: day}
 	recordShardDay := func() {
 		rec := obs.DefaultRecorder()
 		if !rec.Enabled() {
@@ -530,16 +488,20 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 		})
 	}
 	defer recordShardDay()
-	fail := func(err error) (ShardDay, *mechanism.LedgerEntry) {
+	fail := func(err error) (ShardDay, obs.ShardStatus, *mechanism.LedgerEntry) {
 		out.Err = err.Error()
 		obs.Default().Counter(obs.MetricClusterShardFailures).Inc()
-		return out, nil
+		row.Healthy, row.Err, row.Households, row.Absent = false, out.Err, out.Households, out.Absent
+		return out, row, nil
 	}
 	if len(st.members) == 0 {
 		// An empty shard (more shards than households) settles trivially.
 		obs.Default().Counter(obs.MetricClusterShardsSettled).Inc()
-		return out, nil
+		return out, row, nil
 	}
+	cfg := c.center.Config
+	cfg.Scheduler = st.scheduler
+	m := settle.New(cfg, day, tid)
 
 	// Every leg is built in, and delivered into, slots the shard day
 	// borrows from the pool: one message per member at most, plus the
@@ -568,23 +530,14 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	forEachDelivered(st.members, delivered, func(m clusterMember, msg *Message) {
 		reports = append(reports, core.Report{ID: m.id, Pref: *msg.Pref})
 	})
-	if len(reports) == 0 {
-		return fail(fmt.Errorf("no household reported a preference (all %d dark)", len(st.members)))
-	}
-	for _, r := range reports {
-		if err := r.Pref.Validate(); err != nil {
-			return fail(fmt.Errorf("household %d: invalid report: %w", r.ID, err))
-		}
+	assignments, err := m.Allocate(reports, absentees(st.members, reports))
+	if err != nil {
+		return fail(err)
 	}
 	out.Absent = len(st.members) - len(reports)
 
-	assignments, err := st.scheduler.Allocate(reports)
-	if err != nil {
-		return fail(fmt.Errorf("allocate: %w", err))
-	}
-
 	// Phase 2: allocations out, consumptions back. Loss on either leg
-	// puts the household on the imputed-defector path.
+	// puts the household on the machine's dark set.
 	reporting := make([]clusterMember, len(reports))
 	memberAt := memberIndexer(st.members)
 	for i := range reports {
@@ -604,38 +557,21 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 		return fail(err)
 	}
 	consumptions := make([]core.Consumption, len(reports))
-	seen := make([]bool, len(reports))
-	var badConsumption error
+	dark := make([]bool, len(reports))
+	for i := range dark {
+		dark[i] = true
+	}
 	forEachDelivered(reporting, delivered, func(m clusterMember, msg *Message) {
 		i := reportAt(m.id)
-		if msg.Interval.Len() != reports[i].Pref.Duration && badConsumption == nil {
-			badConsumption = fmt.Errorf("household %d consumed %d slots, declared %d",
-				m.id, msg.Interval.Len(), reports[i].Pref.Duration)
-			return
-		}
 		consumptions[i] = core.Consumption{ID: m.id, Interval: *msg.Interval}
-		seen[i] = true
+		dark[i] = false
 	})
-	if badConsumption != nil {
-		return fail(badConsumption)
-	}
-	var substituted []bool
-	for i := range reports {
-		if seen[i] {
-			continue
-		}
-		if substituted == nil {
-			substituted = make([]bool, len(reports))
-		}
-		substituted[i] = true
-		out.Substituted++
-		consumptions[i] = core.Consumption{ID: reports[i].ID, Interval: mechanism.DarkConsumption(reports[i].Pref)}
-	}
-
-	record, entry, err := settleDay(c.center, tid, day, reports, assignments, consumptions, substituted)
+	settled, err := m.Settle(consumptions, dark)
 	if err != nil {
 		return fail(err)
 	}
+	recordSettlement(c.center, &settled)
+	record := settled.Record
 
 	// Phase 3: payments out, best-effort — the settled record is already
 	// authoritative, so loss here only suppresses a household's feedback.
@@ -644,19 +580,11 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	// same codec, counted by the same wire metrics, subject to the same
 	// fault plan (a dropped or garbled frame loses the day's report; the
 	// next day's cumulative snapshot covers the gap).
-	var revenue float64
-	for _, p := range record.Payments {
-		revenue += p
-	}
+	row = settled.Status
+	row.Shard = shard
+	out.Substituted = row.Substituted
 	for i := range reports {
-		ls.add(Message{Kind: KindPayment, ID: reports[i].ID, Day: day}).setPayment(PaymentDetail{
-			Amount:      record.Payments[i],
-			Flexibility: record.Flexibility[i],
-			Defection:   record.Defection[i],
-			SocialCost:  record.SocialCost[i],
-			TotalCost:   record.Cost,
-			PeakLoad:    record.Peak,
-		})
+		ls.add(Message{Kind: KindPayment, ID: reports[i].ID, Day: day}).setPayment(record.Notice(i))
 	}
 	if st.reg != nil {
 		st.reg.Counter(obs.MetricClusterShardsSettled).Inc()
@@ -667,7 +595,7 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 		if out.Absent > 0 {
 			st.reg.Counter(obs.MetricClusterAbsentTotal).Add(uint64(out.Absent))
 		}
-		st.reg.Gauge(obs.MetricMechTheorem1Deviation).Set(revenue - c.center.Mechanism.Xi*record.Cost)
+		st.reg.Gauge(obs.MetricMechTheorem1Deviation).Set(row.Residual)
 		st.reg.Histogram(obs.MetricClusterShardSettleMS, obs.LatencyBucketsMS).
 			ObserveExemplar(float64(time.Since(start).Nanoseconds())/1e6, tid)
 		ls.add(Message{Kind: KindMetricsReport, Day: day,
@@ -700,7 +628,7 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	out.Settled = len(reports)
 	out.Cost = record.Cost
 	out.Peak = record.Peak
-	out.Revenue = revenue
+	out.Revenue = row.Revenue
 	if c.cfg.Records {
 		out.Record = record
 	}
@@ -710,63 +638,30 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	if out.Substituted > 0 {
 		reg.Counter(obs.MetricClusterSubstitutionsTotal).Add(uint64(out.Substituted))
 	}
-	return out, entry
-}
-
-// settleDay computes scores, payments, and aggregates for a completed
-// day — the shared settlement core of the TCP center and the cluster
-// shards. Substituted households forfeit their flexibility reward (they
-// never confirmed compliance), putting them on the Eq. 5 defector path.
-// The ledger entry is built but not appended; the caller owns ledger
-// ordering.
-func settleDay(cfg CenterConfig, tid string, day int, reports []core.Report, assignments []core.Assignment, consumptions []core.Consumption, substituted []bool) (*DayRecord, *mechanism.LedgerEntry, error) {
-	prefs := make([]core.Preference, len(reports))
-	assigned := make([]core.Interval, len(reports))
-	consumed := make([]core.Interval, len(reports))
-	for i := range reports {
-		prefs[i] = reports[i].Pref
-		assigned[i] = assignments[i].Interval
-		consumed[i] = consumptions[i].Interval
-	}
-	predicted := mechanism.FlexibilityScores(prefs)
-	flex := mechanism.ActualFlexibilities(predicted, assigned, consumed)
-	for i := range substituted {
-		if substituted[i] {
-			flex[i] = 0
-		}
-	}
-	defect := mechanism.DefectionScores(cfg.Pricer, cfg.Rating, assigned, consumed)
-	psi, err := mechanism.SocialCostScores(flex, defect, cfg.Mechanism.K)
-	if err != nil {
-		return nil, nil, fmt.Errorf("netproto: social cost: %w", err)
-	}
-	load := core.LoadOf(consumed, cfg.Rating)
-	cost := pricing.Cost(cfg.Pricer, load)
-	payments, err := mechanism.Payments(psi, cfg.Mechanism.Xi, cost)
-	if err != nil {
-		return nil, nil, fmt.Errorf("netproto: payments: %w", err)
-	}
-	mechanism.RecordSettlementMetrics(flex, defect, psi, payments, cost, cfg.Mechanism.Xi, load.PAR())
 	var entry *mechanism.LedgerEntry
-	if cfg.Ledger != nil {
-		e := mechanism.BuildLedgerEntry(tid, day, cfg.Mechanism, cfg.Rating,
-			reports, assigned, consumed, substituted, predicted, flex, defect, psi, payments, cost, load.Peak())
+	if c.center.Ledger != nil {
+		e := settled.LedgerEntry()
 		entry = &e
 	}
-	return &DayRecord{
-		Day:          day,
-		TraceID:      tid,
-		Reports:      reports,
-		Assignments:  assignments,
-		Consumptions: consumptions,
-		Payments:     payments,
-		Flexibility:  flex,
-		Defection:    defect,
-		SocialCost:   psi,
-		Cost:         cost,
-		Peak:         load.Peak(),
-		Substituted:  substituted,
-	}, entry, nil
+	return out, row, entry
+}
+
+// absentees returns the members missing from reports (both sorted by
+// household ID), or nil when every member reported.
+func absentees(members []clusterMember, reports []core.Report) []core.HouseholdID {
+	if len(reports) == len(members) {
+		return nil
+	}
+	absent := make([]core.HouseholdID, 0, len(members)-len(reports))
+	j := 0
+	for _, m := range members {
+		if j < len(reports) && reports[j].ID == m.id {
+			j++
+			continue
+		}
+		absent = append(absent, m.id)
+	}
+	return absent
 }
 
 // forEachDelivered merge-walks delivered messages against the sorted

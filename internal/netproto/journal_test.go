@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -17,13 +18,13 @@ func TestJournalRoundTrip(t *testing.T) {
 		{True: core.MustPreference(17, 23, 2), ValuationFactor: 4},
 	}
 	for i, typ := range types {
-		a, err := Dial(c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
+		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer a.Close()
 	}
-	if err := c.WaitForAgents(2, 5*time.Second); err != nil {
+	if err := waitForAgents(c, 2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,7 +32,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	journal := NewJournal(&buf)
 	var wantCost, wantRevenue float64
 	for day := 1; day <= 3; day++ {
-		record, err := c.RunDay(day)
+		record, err := c.RunDayContext(context.Background(), day)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,20 +123,20 @@ func TestReadJournalTruncatedTail(t *testing.T) {
 		{True: core.MustPreference(18, 22, 2), ValuationFactor: 5},
 		{True: core.MustPreference(17, 23, 2), ValuationFactor: 4},
 	} {
-		a, err := Dial(c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
+		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer a.Close()
 	}
-	if err := c.WaitForAgents(2, 5*time.Second); err != nil {
+	if err := waitForAgents(c, 2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
 	journal := NewJournal(&buf)
 	for day := 1; day <= 2; day++ {
-		record, err := c.RunDay(day)
+		record, err := c.RunDayContext(context.Background(), day)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -20,16 +21,16 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		agents := make([]*Agent, 4)
 		for i := range agents {
 			typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
-			a, err := Dial(c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
+			a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 			if err != nil {
 				t.Fatal(err)
 			}
 			agents[i] = a
 		}
-		if err := c.WaitForAgents(len(agents), 5*time.Second); err != nil {
+		if err := waitForAgents(c, len(agents), 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.RunDay(1); err != nil {
+		if _, err := c.RunDayContext(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range agents {

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,16 +27,16 @@ func TestMetricsScrapeAfterDayCycle(t *testing.T) {
 		{True: core.MustPreference(19, 24, 3), ValuationFactor: 6},
 	}
 	for i, typ := range types {
-		a, err := Dial(c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
+		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer a.Close()
 	}
-	if err := c.WaitForAgents(len(types), 5*time.Second); err != nil {
+	if err := waitForAgents(c, len(types), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunDay(1); err != nil {
+	if _, err := c.RunDayContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,25 +12,33 @@ import (
 	"enki/internal/mechanism"
 	"enki/internal/pricing"
 	"enki/internal/sched"
+	"enki/internal/settle"
 )
 
 var quad = pricing.Quadratic{Sigma: pricing.DefaultSigma}
 
-func newTestCenter(t *testing.T) *Center {
+// newTestCenter starts a center with the greedy scheduler over the
+// quadratic pricer, a 5 s phase deadline, and opts on top.
+func newTestCenter(t *testing.T, opts ...Option) *Center {
 	t.Helper()
-	cfg := CenterConfig{
-		Scheduler:    &sched.Greedy{Pricer: quad, Rating: 2},
-		Pricer:       quad,
-		Mechanism:    mechanism.DefaultConfig(),
-		Rating:       2,
-		ReplyTimeout: 5 * time.Second,
+	base := []Option{
+		WithScheduler(&sched.Greedy{Pricer: quad, Rating: 2}),
+		WithPricer(quad),
+		WithPhaseDeadline(5 * time.Second),
 	}
-	c, err := NewCenter("127.0.0.1:0", cfg)
+	c, err := StartCenter("127.0.0.1:0", append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// waitForAgents waits up to timeout for n agents to connect to c.
+func waitForAgents(c *Center, n int, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return c.WaitForAgentsContext(ctx, n)
 }
 
 func TestWireRoundTrip(t *testing.T) {
@@ -78,31 +87,25 @@ func TestReadMessageRejectsOversizedFrame(t *testing.T) {
 }
 
 func TestCenterConfigValidation(t *testing.T) {
-	base := CenterConfig{
-		Scheduler: &sched.Greedy{Pricer: quad, Rating: 2},
+	bad := centerConfig{Config: settle.Config{
 		Pricer:    quad,
 		Mechanism: mechanism.DefaultConfig(),
 		Rating:    2,
-	}
-	bad := base
-	bad.Scheduler = nil
-	if _, err := NewCenter("127.0.0.1:0", bad); err == nil {
+	}}
+	if err := bad.validate(); err == nil {
 		t.Error("nil scheduler should be rejected")
 	}
-	bad = base
-	bad.Pricer = nil
-	if _, err := NewCenter("127.0.0.1:0", bad); err == nil {
-		t.Error("nil pricer should be rejected")
-	}
-	bad = base
-	bad.Rating = 0
-	if _, err := NewCenter("127.0.0.1:0", bad); err == nil {
-		t.Error("zero rating should be rejected")
-	}
-	bad = base
-	bad.Mechanism.Xi = 0.5
-	if _, err := NewCenter("127.0.0.1:0", bad); err == nil {
-		t.Error("xi < 1 should be rejected")
+	mech := mechanism.DefaultConfig()
+	mech.Xi = 0.5
+	for name, opt := range map[string]Option{
+		"nil pricer":  WithPricer(nil),
+		"zero rating": WithRating(0),
+		"xi < 1":      WithMechanism(mech),
+	} {
+		if c, err := StartCenter("127.0.0.1:0", opt); err == nil {
+			c.Close()
+			t.Errorf("%s should be rejected", name)
+		}
 	}
 }
 
@@ -117,18 +120,18 @@ func TestFullDayCycleTruthfulAgents(t *testing.T) {
 	}
 	agents := make([]*Agent, len(types))
 	for i, typ := range types {
-		a, err := Dial(c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
+		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
 		agents[i] = a
 		defer a.Close()
 	}
-	if err := c.WaitForAgents(len(types), 5*time.Second); err != nil {
+	if err := waitForAgents(c, len(types), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	record, err := c.RunDay(1)
+	record, err := c.RunDayContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,22 +182,22 @@ func TestMultiDayAndDefector(t *testing.T) {
 		Type:     liarType,
 		Reported: core.MustPreference(14, 20, 2), // widened window, Section V-B style
 	}
-	a1, err := Dial(c.Addr(), 0, honest)
+	a1, err := Connect(context.Background(), c.Addr(), 0, honest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a1.Close()
-	a2, err := Dial(c.Addr(), 1, liar)
+	a2, err := Connect(context.Background(), c.Addr(), 1, liar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a2.Close()
-	if err := c.WaitForAgents(2, 5*time.Second); err != nil {
+	if err := waitForAgents(c, 2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	for day := 1; day <= 3; day++ {
-		record, err := c.RunDay(day)
+		record, err := c.RunDayContext(context.Background(), day)
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
@@ -220,7 +223,7 @@ func TestMultiDayAndDefector(t *testing.T) {
 
 func TestRunDayNoAgents(t *testing.T) {
 	c := newTestCenter(t)
-	if _, err := c.RunDay(1); err == nil {
+	if _, err := c.RunDayContext(context.Background(), 1); err == nil {
 		t.Error("RunDay with no agents should fail")
 	}
 }
@@ -228,12 +231,12 @@ func TestRunDayNoAgents(t *testing.T) {
 func TestDuplicateIDRejected(t *testing.T) {
 	c := newTestCenter(t)
 	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
-	a1, err := Dial(c.Addr(), 7, &Truthful{Type: typ})
+	a1, err := Connect(context.Background(), c.Addr(), 7, &Truthful{Type: typ})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a1.Close()
-	if _, err := Dial(c.Addr(), 7, &Truthful{Type: typ}); err == nil {
+	if _, err := Connect(context.Background(), c.Addr(), 7, &Truthful{Type: typ}); err == nil {
 		t.Error("duplicate household ID should be rejected at registration")
 	} else if !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("unexpected rejection error: %v", err)
@@ -243,16 +246,16 @@ func TestDuplicateIDRejected(t *testing.T) {
 func TestAgentDisconnectFailsPhase(t *testing.T) {
 	c := newTestCenter(t)
 	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
-	a1, err := Dial(c.Addr(), 0, &Truthful{Type: typ})
+	a1, err := Connect(context.Background(), c.Addr(), 0, &Truthful{Type: typ})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a1.Close()
-	a2, err := Dial(c.Addr(), 1, &Truthful{Type: typ})
+	a2, err := Connect(context.Background(), c.Addr(), 1, &Truthful{Type: typ})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitForAgents(2, 5*time.Second); err != nil {
+	if err := waitForAgents(c, 2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	a2.Close() // drop before the day starts
@@ -260,7 +263,7 @@ func TestAgentDisconnectFailsPhase(t *testing.T) {
 	// The day must fail cleanly (either at send or collect), not hang.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunDay(1)
+		_, err := c.RunDayContext(context.Background(), 1)
 		done <- err
 	}()
 	select {
@@ -279,7 +282,7 @@ func TestAgentDisconnectFailsPhase(t *testing.T) {
 
 func TestWaitForAgentsTimeout(t *testing.T) {
 	c := newTestCenter(t)
-	if err := c.WaitForAgents(3, 50*time.Millisecond); err == nil {
+	if err := waitForAgents(c, 3, 50*time.Millisecond); err == nil {
 		t.Error("WaitForAgents should time out with no agents")
 	}
 }
@@ -287,7 +290,7 @@ func TestWaitForAgentsTimeout(t *testing.T) {
 func TestAgentCleanShutdownNoError(t *testing.T) {
 	c := newTestCenter(t)
 	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
-	a, err := Dial(c.Addr(), 0, &Truthful{Type: typ})
+	a, err := Connect(context.Background(), c.Addr(), 0, &Truthful{Type: typ})
 	if err != nil {
 		t.Fatal(err)
 	}

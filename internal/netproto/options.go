@@ -12,6 +12,7 @@ import (
 	"enki/internal/obs"
 	"enki/internal/pricing"
 	"enki/internal/sched"
+	"enki/internal/settle"
 )
 
 // DialFunc establishes one transport connection to the center. The
@@ -78,7 +79,7 @@ type appliedOption struct {
 // that every applied option actually targets it, so a misplaced option
 // is a descriptive error instead of a silent no-op.
 type options struct {
-	center  CenterConfig
+	center  centerConfig
 	agent   agentConfig
 	cluster ClusterConfig
 	replica replicaConfig
@@ -129,11 +130,13 @@ const (
 // has applied (see resolveCenter).
 func defaultOptions() *options {
 	return &options{
-		center: CenterConfig{
-			Pricer:    pricing.Quadratic{Sigma: pricing.DefaultSigma},
-			Mechanism: mechanism.DefaultConfig(),
-			Rating:    2,
-			Codec:     CodecJSON,
+		center: centerConfig{
+			Config: settle.Config{
+				Pricer:    pricing.Quadratic{Sigma: pricing.DefaultSigma},
+				Mechanism: mechanism.DefaultConfig(),
+				Rating:    2,
+			},
+			Codec: CodecJSON,
 		},
 		agent: agentConfig{
 			codecs: CodecNames(),
@@ -155,7 +158,7 @@ func defaultOptions() *options {
 // applied: a nil scheduler becomes Greedy over the configured pricer
 // and rating, so WithPricer/WithRating compose with the default
 // scheduler instead of being ignored by a prematurely built one.
-func (o *options) resolveCenter() CenterConfig {
+func (o *options) resolveCenter() centerConfig {
 	cfg := o.center
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = &sched.Greedy{Pricer: cfg.Pricer, Rating: cfg.Rating}

@@ -11,22 +11,15 @@ import (
 	"sync"
 	"time"
 
-	"enki/internal/core"
 	"enki/internal/obs"
 	"enki/internal/replica"
+	"enki/internal/settle"
 )
 
 // errReplicaKilled marks a day that failed because the leader replica
 // was killed mid-phase; the ReplicaSet fails over and re-runs the day
 // instead of surfacing it.
 var errReplicaKilled = errors.New("netproto: leader replica killed")
-
-// memberPayload is the replicated record of one household registration.
-type memberPayload struct {
-	ID    core.HouseholdID `json:"id"`
-	Token string           `json:"token"`
-	Epoch uint64           `json:"epoch"`
-}
 
 // dayPayload is the replicated record of one settled day: the full day
 // record for redelivery plus the audit-ledger entry bytes every replica
@@ -74,19 +67,21 @@ type replicaNode struct {
 
 // ReplicaSet is a settlement center replicated across 2f+1 nodes with a
 // quorum journal. The leader runs the ordinary Center protocol with the
-// agents and replicates every durable decision — memberships, phase
-// boundaries, settled days — to its followers, committing each entry
-// once a majority holds it. When the leader dies the lowest live
-// replica takes over mid-day: it adopts the longest log among the
-// survivors, re-replicates the uncommitted tail, rebuilds the session
-// table from the committed member entries, and resumes the day from the
-// last committed phase boundary. Agents reconnect with their session
-// tokens exactly as after a link cut, so the failover run settles to
-// the same ledger bytes as a fault-free one.
+// agents, and the set is the leader's commit path (see committer):
+// every durable decision — memberships, phase inputs, settled days — is
+// replicated to the followers and commits once a majority holds it.
+// When the leader dies the lowest live replica takes over mid-day: it
+// adopts the longest log among the survivors, re-replicates the
+// uncommitted tail, and hands the committed log to a new Center, which
+// rebuilds its session table from the member entries and replays the
+// in-flight day's committed phase inputs into a fresh day machine.
+// Agents reconnect with their session tokens exactly as after a link
+// cut, so the failover run settles to the same ledger bytes as a
+// fault-free one.
 type ReplicaSet struct {
 	n             int
 	quorumTimeout time.Duration
-	baseCfg       CenterConfig // leader Center config minus per-takeover seed state
+	baseCfg       centerConfig // every leader Center's configuration
 	merged        *Journal     // the caller's WithLedger journal, written exactly once per day
 	nodes         []*replicaNode
 
@@ -137,13 +132,9 @@ func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 		days:          make(map[int]*DayRecord),
 		mergedApplied: make(map[int]bool),
 	}
-	// Replicas journal locally at commit; the leader center must not
-	// also append, so the replicated hooks replace the direct ledger.
+	// Replicas journal at commit, and the merged ledger is written once
+	// per committed day; the leader center itself never appends.
 	cfg.Ledger = nil
-	cfg.onMember = rs.onMember
-	cfg.onPhase = rs.onPhase
-	cfg.onSettle = rs.onSettle
-	cfg.beforeDeliver = rs.beforeDeliver
 	rs.baseCfg = cfg
 
 	for id := 0; id < rc.n; id++ {
@@ -166,7 +157,7 @@ func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 		rs.nodes = append(rs.nodes, n)
 	}
 
-	c, err := rs.startLeaderCenter(rs.nodes[rc.leaderID], nil, 0, nil)
+	c, err := rs.startLeaderCenter(rs.nodes[rc.leaderID], nil)
 	if err != nil {
 		rs.Close()
 		return nil, err
@@ -179,18 +170,14 @@ func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 }
 
 // startLeaderCenter builds an agent-facing Center for node n on a fresh
-// listener, seeded with the given session table, epoch floor, and
-// committed phase boundaries.
-func (rs *ReplicaSet) startLeaderCenter(n *replicaNode, seeds []seedSession, epochFloor uint64, resume map[int]*dayResume) (*Center, error) {
+// listener, committing through the set and taking over the committed
+// log (nil at start-up).
+func (rs *ReplicaSet) startLeaderCenter(n *replicaNode, log []replica.Entry) (*Center, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("netproto: replica %d agent listener: %w", n.id, err)
 	}
-	cfg := rs.baseCfg
-	cfg.seedSessions = seeds
-	cfg.epochFloor = epochFloor
-	cfg.resume = resume
-	c, err := newCenter(ln, cfg)
+	c, err := newCenter(ln, rs.baseCfg, rs, log)
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -281,35 +268,45 @@ func (n *replicaNode) applyLocal(newly []replica.Entry) {
 	}
 }
 
-// Replicated hooks, installed on every leader Center this set starts.
+// The committer implementation: every leader Center this set starts
+// commits through these, each blocking until a majority holds the
+// entry. The chaos kill points sit at the same commit boundaries.
 
-func (rs *ReplicaSet) onMember(id core.HouseholdID, token string, epoch uint64) error {
-	data, err := json.Marshal(memberPayload{ID: id, Token: token, Epoch: epoch})
+func (rs *ReplicaSet) commitMember(m memberPayload) error {
+	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
 	return rs.replicate(replica.KindMember, 0, "", data, "")
 }
 
-func (rs *ReplicaSet) onPhase(day int, phase string, data json.RawMessage) error {
+func (rs *ReplicaSet) commitPhase(day int, phase string, payload any) error {
 	if rs.fireKill(phase, day, phase) {
 		return errReplicaKilled
+	}
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return fmt.Errorf("netproto: encode %s phase: %w", phase, err)
 	}
 	return rs.replicate(replica.KindPhase, day, phase, data, "")
 }
 
-func (rs *ReplicaSet) onSettle(tid string, day int, record *DayRecord, ledger json.RawMessage) error {
+func (rs *ReplicaSet) commitDay(out *settle.Outcome) error {
+	day := out.Record.Day
 	if rs.fireKill("settle", day, "settle") {
 		return errReplicaKilled
 	}
-	data, err := json.Marshal(dayPayload{Record: record, Ledger: ledger})
+	ledger, err := json.Marshal(out.LedgerEntry())
+	if err != nil {
+		return fmt.Errorf("netproto: encode ledger entry: %w", err)
+	}
+	data, err := json.Marshal(dayPayload{Record: out.Record, Ledger: ledger})
 	if err != nil {
 		return err
 	}
-	return rs.replicate(replica.KindDay, day, "", data, "beforeCommit")
-}
-
-func (rs *ReplicaSet) beforeDeliver(day int) error {
+	if err := rs.replicate(replica.KindDay, day, "", data, "beforeCommit"); err != nil {
+		return err
+	}
 	if rs.fireKill("payment", day, "payment") {
 		return errReplicaKilled
 	}
@@ -508,8 +505,7 @@ func (rs *ReplicaSet) leaderCenter() (*Center, error) {
 // takeOver promotes the lowest live replica: sync the survivors' logs,
 // adopt the longest, commit everything a majority already held,
 // re-replicate the uncommitted tail under the original entry terms, and
-// rebuild the agent-facing Center from the committed log — session
-// table from member entries, day resume state from phase boundaries.
+// hand the committed log to a new agent-facing Center.
 func (rs *ReplicaSet) takeOver() (*Center, error) {
 	rs.repMu.Lock()
 	defer rs.repMu.Unlock()
@@ -575,45 +571,10 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 		}
 	}
 
-	// Rebuild the agent-facing state from the committed log.
-	var seeds []seedSession
-	var epochFloor uint64
-	resume := make(map[int]*dayResume)
-	for _, e := range leader.log.Entries() {
-		switch e.Kind {
-		case replica.KindMember:
-			var p memberPayload
-			if err := json.Unmarshal(e.Data, &p); err != nil {
-				continue
-			}
-			seeds = append(seeds, seedSession{id: p.ID, token: p.Token})
-			if p.Epoch > epochFloor {
-				epochFloor = p.Epoch
-			}
-		case replica.KindPhase:
-			res := resume[e.Day]
-			if res == nil {
-				res = &dayResume{}
-				resume[e.Day] = res
-			}
-			switch e.Phase {
-			case "preference":
-				var p prefPhasePayload
-				if err := json.Unmarshal(e.Data, &p); err != nil {
-					continue
-				}
-				res.reports, res.absent = p.Reports, p.Absent
-			case "consumption":
-				var p consPhasePayload
-				if err := json.Unmarshal(e.Data, &p); err != nil {
-					continue
-				}
-				res.consumptions, res.substituted, res.haveCons = p.Consumptions, p.Substituted, true
-			}
-		}
-	}
-
-	c, err := rs.startLeaderCenter(leader, seeds, epochFloor, resume)
+	// The new Center rebuilds the agent-facing state from the committed
+	// log: sessions from member entries, the in-flight day from its
+	// committed phase inputs.
+	c, err := rs.startLeaderCenter(leader, leader.log.Entries())
 	if err != nil {
 		return nil, err
 	}
@@ -636,10 +597,11 @@ func (rs *ReplicaSet) committedDay(day int) *DayRecord {
 }
 
 // RunDayContext runs one settlement day against the replica set. A day
-// interrupted by a leader death is re-run on the next leader from the
-// last committed phase boundary; a day that already committed before
-// the death is not re-settled — the new leader only redelivers its
-// payments (agents dedupe by day), keeping settlement exactly-once.
+// interrupted by a leader death is re-run on the next leader, which
+// replays the day's committed phase inputs; a day that already
+// committed before the death is not re-settled — the new leader only
+// redelivers its payments (agents dedupe by day), keeping settlement
+// exactly-once.
 func (rs *ReplicaSet) RunDayContext(ctx context.Context, day int) (*DayRecord, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -661,11 +623,6 @@ func (rs *ReplicaSet) RunDayContext(ctx context.Context, day int) (*DayRecord, e
 		}
 		return rec, nil
 	}
-}
-
-// RunDay runs one day cycle without cancellation.
-func (rs *ReplicaSet) RunDay(day int) (*DayRecord, error) {
-	return rs.RunDayContext(context.Background(), day)
 }
 
 // leaderDead reports whether c is no longer the live leader's center.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"enki/internal/core"
 	"enki/internal/mechanism"
 	"enki/internal/obs"
-	"enki/internal/sched"
 )
 
 // rawDial opens a raw TCP connection to the center for protocol-abuse
@@ -74,7 +74,7 @@ func TestCenterRejectsUnsolicitedMessageDuringPhase(t *testing.T) {
 	// the wrong message kind.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunDay(1)
+		_, err := c.RunDayContext(context.Background(), 1)
 		done <- err
 	}()
 	req, err := ReadMessage(conn)
@@ -106,7 +106,7 @@ func TestCenterRejectsPreferenceFrameWithoutPref(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunDay(1)
+		_, err := c.RunDayContext(context.Background(), 1)
 		done <- err
 	}()
 	if _, err := ReadMessage(conn); err != nil { // the request
@@ -126,6 +126,23 @@ func TestCenterRejectsPreferenceFrameWithoutPref(t *testing.T) {
 }
 
 func TestCenterRejectsWrongDurationConsumption(t *testing.T) {
+	centerRejectsConsumption(t, core.Interval{Begin: 18, End: 21}) // duration 3, declared 2
+}
+
+// TestCenterRejectsOffDayConsumption: a consumption of the declared
+// duration but outside the day fails the day instead of settling with
+// its load dropped from κ(ω).
+func TestCenterRejectsOffDayConsumption(t *testing.T) {
+	if err := centerRejectsConsumption(t, core.Interval{Begin: 30, End: 32}); !strings.Contains(err.Error(), "outside day") {
+		t.Errorf("day failed with %v, want an outside-day rejection", err)
+	}
+}
+
+// centerRejectsConsumption registers one raw household that reports a
+// 2-slot preference and answers its allocation with bad, and returns
+// the error that must fail the day.
+func centerRejectsConsumption(t *testing.T, bad core.Interval) error {
+	t.Helper()
 	c := newTestCenter(t)
 	conn := rawDial(t, c.Addr())
 	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 4}); err != nil {
@@ -136,7 +153,7 @@ func TestCenterRejectsWrongDurationConsumption(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunDay(1)
+		_, err := c.RunDayContext(context.Background(), 1)
 		done <- err
 	}()
 	if _, err := ReadMessage(conn); err != nil {
@@ -150,33 +167,23 @@ func TestCenterRejectsWrongDurationConsumption(t *testing.T) {
 	if err != nil || alloc.Kind != KindAllocation {
 		t.Fatalf("expected allocation, got %v %v", alloc, err)
 	}
-	bad := core.Interval{Begin: 18, End: 21} // duration 3, declared 2
 	if err := WriteMessage(conn, &Message{Kind: KindConsumption, ID: 4, Day: 1, Interval: &bad}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Error("RunDay should reject a consumption with the wrong duration")
+			t.Fatalf("RunDayContext should reject the consumption %v", bad)
 		}
+		return err
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunDay hung")
+		t.Fatal("RunDayContext hung")
 	}
+	return nil
 }
 
 func TestCenterPhaseTimeout(t *testing.T) {
-	cfg := CenterConfig{
-		Scheduler:    &sched.Greedy{Pricer: quad, Rating: 2},
-		Pricer:       quad,
-		Mechanism:    mechanism.DefaultConfig(),
-		Rating:       2,
-		ReplyTimeout: 200 * time.Millisecond,
-	}
-	c, err := NewCenter("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newTestCenter(t, WithPhaseDeadline(200*time.Millisecond))
 
 	conn := rawDial(t, c.Addr())
 	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 1}); err != nil {
@@ -187,7 +194,7 @@ func TestCenterPhaseTimeout(t *testing.T) {
 	}
 	// Never answer the preference request: the phase must time out.
 	start := time.Now()
-	_, err = c.RunDay(1)
+	_, err := c.RunDayContext(context.Background(), 1)
 	if err == nil {
 		t.Fatal("RunDay should time out when an agent stays silent")
 	}
@@ -214,7 +221,7 @@ func TestLargeNeighborhoodOverTCP(t *testing.T) {
 				True:            core.MustPreference(begin, min(begin+4+i%3, 24), 2),
 				ValuationFactor: 5,
 			}
-			a, err := Dial(c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
+			a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 			if err != nil {
 				errs[i] = err
 				return
@@ -235,11 +242,11 @@ func TestLargeNeighborhoodOverTCP(t *testing.T) {
 			}
 		}
 	}()
-	if err := c.WaitForAgents(n, 10*time.Second); err != nil {
+	if err := waitForAgents(c, n, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for day := 1; day <= 3; day++ {
-		record, err := c.RunDay(day)
+		record, err := c.RunDayContext(context.Background(), day)
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
@@ -267,17 +274,17 @@ func TestConcurrentWritesSerialized(t *testing.T) {
 		{True: core.MustPreference(17, 23, 3), ValuationFactor: 5},
 	}
 	for i, typ := range types {
-		a, err := Dial(c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
+		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer a.Close()
 	}
-	if err := c.WaitForAgents(len(types), 5*time.Second); err != nil {
+	if err := waitForAgents(c, len(types), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for day := 1; day <= 10; day++ {
-		if _, err := c.RunDay(day); err != nil {
+		if _, err := c.RunDayContext(context.Background(), day); err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
 	}
@@ -314,19 +321,19 @@ func TestAgentReconnectAfterDrop(t *testing.T) {
 	// proceeds normally.
 	c := newTestCenter(t)
 	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
-	a1, err := Dial(c.Addr(), 0, &Truthful{Type: typ})
+	a1, err := Connect(context.Background(), c.Addr(), 0, &Truthful{Type: typ})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a1.Close()
-	a2, err := Dial(c.Addr(), 1, &Truthful{Type: typ})
+	a2, err := Connect(context.Background(), c.Addr(), 1, &Truthful{Type: typ})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitForAgents(2, 5*time.Second); err != nil {
+	if err := waitForAgents(c, 2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunDay(1); err != nil {
+	if _, err := c.RunDayContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -340,15 +347,15 @@ func TestAgentReconnectAfterDrop(t *testing.T) {
 		t.Fatalf("agent count = %d after drop, want 1", c.AgentCount())
 	}
 
-	a2b, err := Dial(c.Addr(), 1, &Truthful{Type: typ})
+	a2b, err := Connect(context.Background(), c.Addr(), 1, &Truthful{Type: typ})
 	if err != nil {
 		t.Fatalf("reconnect with the same ID rejected: %v", err)
 	}
 	defer a2b.Close()
-	if err := c.WaitForAgents(2, 5*time.Second); err != nil {
+	if err := waitForAgents(c, 2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	record, err := c.RunDay(2)
+	record, err := c.RunDayContext(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +378,7 @@ func TestAgentRetryExhaustionIsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := c.WaitForAgents(1, 5*time.Second); err != nil {
+	if err := waitForAgents(c, 1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -72,13 +73,8 @@ func TestDayCycleOverTLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	center, err := NewCenterWithListener(ln, CenterConfig{
-		Scheduler:    &sched.Greedy{Pricer: quad, Rating: 2},
-		Pricer:       quad,
-		Mechanism:    mechanism.DefaultConfig(),
-		Rating:       2,
-		ReplyTimeout: 5 * time.Second,
-	})
+	center, err := StartCenterListener(ln, WithScheduler(&sched.Greedy{Pricer: quad, Rating: 2}),
+		WithPricer(quad), WithPhaseDeadline(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +99,12 @@ func TestDayCycleOverTLS(t *testing.T) {
 		agents[i] = a
 		defer a.Close()
 	}
-	if err := center.WaitForAgents(len(types), 5*time.Second); err != nil {
+	if err := waitForAgents(center, len(types), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	for day := 1; day <= 2; day++ {
-		record, err := center.RunDay(day)
+		record, err := center.RunDayContext(context.Background(), day)
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
@@ -130,19 +126,14 @@ func TestTLSRejectsPlaintextClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	center, err := NewCenterWithListener(ln, CenterConfig{
-		Scheduler: &sched.Greedy{Pricer: quad, Rating: 2},
-		Pricer:    quad,
-		Mechanism: mechanism.DefaultConfig(),
-		Rating:    2,
-	})
+	center, err := StartCenterListener(ln, WithScheduler(&sched.Greedy{Pricer: quad, Rating: 2}), WithPricer(quad))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer center.Close()
 
 	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
-	if _, err := Dial(center.Addr(), 0, &Truthful{Type: typ}); err == nil {
+	if _, err := Connect(context.Background(), center.Addr(), 0, &Truthful{Type: typ}); err == nil {
 		t.Error("plaintext Dial against a TLS center should fail")
 	}
 }

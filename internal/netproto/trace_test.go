@@ -2,13 +2,13 @@ package netproto
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
 	"enki/internal/core"
 	"enki/internal/mechanism"
 	"enki/internal/obs"
-	"enki/internal/sched"
 )
 
 // traceTestTypes is a small seeded neighborhood for the trace tests.
@@ -24,14 +24,14 @@ func dialTruthful(t *testing.T, c *Center) []*Agent {
 	t.Helper()
 	agents := make([]*Agent, len(traceTestTypes))
 	for i, typ := range traceTestTypes {
-		a, err := Dial(c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
+		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
 		agents[i] = a
 		t.Cleanup(func() { a.Close() })
 	}
-	if err := c.WaitForAgents(len(traceTestTypes), 5*time.Second); err != nil {
+	if err := waitForAgents(c, len(traceTestTypes), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	return agents
@@ -66,22 +66,10 @@ func TestDayCycleOneConnectedTrace(t *testing.T) {
 	})
 
 	const seed = 42
-	cfg := CenterConfig{
-		Scheduler:    &sched.Greedy{Pricer: quad, Rating: 2},
-		Pricer:       quad,
-		Mechanism:    mechanism.DefaultConfig(),
-		Rating:       2,
-		ReplyTimeout: 5 * time.Second,
-		TraceSeed:    seed,
-	}
-	c, err := NewCenter("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newTestCenter(t, WithTraceSeed(seed))
 	agents := dialTruthful(t, c)
 
-	record, err := c.RunDay(1)
+	record, err := c.RunDayContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,21 +147,10 @@ func TestTraceIdentitiesReproducible(t *testing.T) {
 		tr.Enable()
 		defer tr.Disable()
 
-		cfg := CenterConfig{
-			Scheduler:    &sched.Greedy{Pricer: quad, Rating: 2},
-			Pricer:       quad,
-			Mechanism:    mechanism.DefaultConfig(),
-			Rating:       2,
-			ReplyTimeout: 5 * time.Second,
-			TraceSeed:    7,
-		}
-		c, err := NewCenter("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newTestCenter(t, WithTraceSeed(7))
 		defer c.Close()
 		agents := dialTruthful(t, c)
-		if _, err := c.RunDay(1); err != nil {
+		if _, err := c.RunDayContext(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
 		waitForHistories(t, agents, 1)
@@ -201,23 +178,11 @@ func TestTraceIdentitiesReproducible(t *testing.T) {
 func TestLedgerDeterministicBytesAndAudit(t *testing.T) {
 	runOnce := func() *bytes.Buffer {
 		var buf bytes.Buffer
-		cfg := CenterConfig{
-			Scheduler:    &sched.Greedy{Pricer: quad, Rating: 2},
-			Pricer:       quad,
-			Mechanism:    mechanism.DefaultConfig(),
-			Rating:       2,
-			ReplyTimeout: 5 * time.Second,
-			TraceSeed:    99,
-			Ledger:       NewJournal(&buf),
-		}
-		c, err := NewCenter("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newTestCenter(t, WithTraceSeed(99), WithLedger(NewJournal(&buf)))
 		defer c.Close()
 		dialTruthful(t, c)
 		for day := 1; day <= 3; day++ {
-			if _, err := c.RunDay(day); err != nil {
+			if _, err := c.RunDayContext(context.Background(), day); err != nil {
 				t.Fatalf("day %d: %v", day, err)
 			}
 		}

@@ -25,6 +25,7 @@ import (
 
 	"enki/internal/core"
 	"enki/internal/obs"
+	"enki/internal/settle"
 )
 
 // MaxFrameSize bounds a single message frame; anything larger is a
@@ -96,18 +97,9 @@ type Message struct {
 	Err string `json:"err,omitempty"` // error
 }
 
-// PaymentDetail is the per-household settlement the center reveals: the
-// bill plus the score breakdown and the neighborhood aggregates, which
-// is the "load statistics and score history" information step of the
-// user study (Section VII-B).
-type PaymentDetail struct {
-	Amount      float64 `json:"amount"`      // p_i
-	Flexibility float64 `json:"flexibility"` // f_i (0 when defected)
-	Defection   float64 `json:"defection"`   // δ_i
-	SocialCost  float64 `json:"socialCost"`  // Ψ_i
-	TotalCost   float64 `json:"totalCost"`   // κ(ω) for the whole neighborhood
-	PeakLoad    float64 `json:"peakLoad"`    // peak hourly load
-}
+// PaymentDetail is the per-household settlement notice a payment
+// message carries (see settle.PaymentDetail).
+type PaymentDetail = settle.PaymentDetail
 
 // WriteMessage frames and writes one message: a 4-byte big-endian
 // length followed by the JSON encoding.

@@ -1,9 +1,9 @@
-// Package sim is the in-process multi-day simulation driver: it runs
-// the same day cycle as the TCP center (internal/netproto) against the
-// same Policy contract, without sockets. Any household policy —
-// truthful, misreporting, or ECC-learning — can therefore be developed
-// and tested in-process and then deployed over the wire unchanged; the
-// equivalence is asserted by TestSimMatchesNetworkCenter.
+// Package sim is the in-process multi-day simulation driver: it drives
+// the same settle.Machine as the TCP center and the cluster shards
+// (internal/netproto) against the same Policy contract, without
+// sockets. Any household policy — truthful, misreporting, or
+// ECC-learning — can therefore be developed and tested in-process and
+// then deployed over the wire unchanged.
 //
 // The driver records a per-day metric time series (cost, peak, PAR,
 // defections, payments) for longitudinal studies such as the
@@ -12,39 +12,15 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"enki/internal/core"
-	"enki/internal/mechanism"
 	"enki/internal/netproto"
-	"enki/internal/pricing"
-	"enki/internal/sched"
+	"enki/internal/settle"
 )
 
-// Config parameterizes a simulation run.
-type Config struct {
-	// Scheduler allocates each day; it must be non-nil.
-	Scheduler sched.Scheduler
-	// Pricer prices hourly load; it must be non-nil.
-	Pricer pricing.Pricer
-	// Mechanism carries the payment scaling factors.
-	Mechanism mechanism.Config
-	// Rating is the power rating r in kW.
-	Rating float64
-}
-
-func (c Config) validate() error {
-	if c.Scheduler == nil {
-		return fmt.Errorf("sim: nil scheduler")
-	}
-	if c.Pricer == nil {
-		return fmt.Errorf("sim: nil pricer")
-	}
-	if c.Rating <= 0 {
-		return fmt.Errorf("sim: rating %g must be positive", c.Rating)
-	}
-	return c.Mechanism.Validate()
-}
+// Config parameterizes a simulation run: the day machine's settlement
+// parameters.
+type Config = settle.Config
 
 // DayMetrics is the aggregate outcome of one simulated day.
 type DayMetrics struct {
@@ -94,8 +70,8 @@ func (r *Result) DefectionSeries() []int {
 // Run simulates `days` day cycles over the policies. Policies are
 // addressed by their slice position: household i gets HouseholdID(i).
 func Run(cfg Config, policies []netproto.Policy, days int) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if len(policies) == 0 {
 		return nil, fmt.Errorf("sim: no policies")
@@ -115,74 +91,45 @@ func Run(cfg Config, policies []netproto.Policy, days int) (*Result, error) {
 	return res, nil
 }
 
-// runDay mirrors netproto.Center.RunDay without the wire.
+// runDay drives one day of the settlement machine: every policy
+// reports, the machine allocates, every policy consumes, the machine
+// settles, and every policy sees its payment notice.
 func runDay(cfg Config, policies []netproto.Policy, day int) (*DayMetrics, error) {
-	n := len(policies)
-	reports := make([]core.Report, n)
+	m := settle.New(cfg, day, "")
+	reports := make([]core.Report, len(policies))
 	for i, p := range policies {
-		pref := p.Report(day)
-		if err := pref.Validate(); err != nil {
-			return nil, fmt.Errorf("policy %d: invalid report: %w", i, err)
-		}
-		reports[i] = core.Report{ID: core.HouseholdID(i), Pref: pref}
+		reports[i] = core.Report{ID: core.HouseholdID(i), Pref: p.Report(day)}
 	}
-	sort.Slice(reports, func(a, b int) bool { return reports[a].ID < reports[b].ID })
-
-	assignments, err := cfg.Scheduler.Allocate(reports)
+	assignments, err := m.Allocate(reports, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	assigned := make([]core.Interval, n)
-	consumed := make([]core.Interval, n)
-	prefs := make([]core.Preference, n)
-	for i := range reports {
-		prefs[i] = reports[i].Pref
-		assigned[i] = assignments[i].Interval
-		consumed[i] = policies[i].Consume(day, assigned[i])
-		if consumed[i].Len() != prefs[i].Duration {
-			return nil, fmt.Errorf("policy %d: consumed %d slots, declared %d",
-				i, consumed[i].Len(), prefs[i].Duration)
-		}
+	consumptions := make([]core.Consumption, len(policies))
+	for i, p := range policies {
+		consumptions[i] = core.Consumption{ID: reports[i].ID, Interval: p.Consume(day, assignments[i].Interval)}
 	}
-
-	predicted := mechanism.FlexibilityScores(prefs)
-	flex := mechanism.ActualFlexibilities(predicted, assigned, consumed)
-	defect := mechanism.DefectionScores(cfg.Pricer, cfg.Rating, assigned, consumed)
-	psi, err := mechanism.SocialCostScores(flex, defect, cfg.Mechanism.K)
+	out, err := m.Settle(consumptions, nil)
 	if err != nil {
 		return nil, err
 	}
-	load := core.LoadOf(consumed, cfg.Rating)
-	cost := pricing.Cost(cfg.Pricer, load)
-	payments, err := mechanism.Payments(psi, cfg.Mechanism.Xi, cost)
-	if err != nil {
-		return nil, err
-	}
+	record := out.Record
 
 	metrics := &DayMetrics{
 		Day:         day,
-		Cost:        cost,
-		Peak:        load.Peak(),
-		PAR:         load.PAR(),
-		Payments:    payments,
-		Utilities:   make([]float64, n),
-		Flexibility: flex,
-		DefectionSc: defect,
+		Cost:        record.Cost,
+		Peak:        record.Peak,
+		PAR:         out.PAR,
+		Payments:    record.Payments,
+		Utilities:   make([]float64, len(policies)),
+		Flexibility: record.Flexibility,
+		DefectionSc: record.Defection,
 	}
-	for i := range policies {
-		if core.Defected(assigned[i], consumed[i]) {
+	for i, p := range policies {
+		if core.Defected(assignments[i].Interval, consumptions[i].Interval) {
 			metrics.Defections++
 		}
-		metrics.Utilities[i] = -payments[i]
-		policies[i].Feedback(day, netproto.PaymentDetail{
-			Amount:      payments[i],
-			Flexibility: flex[i],
-			Defection:   defect[i],
-			SocialCost:  psi[i],
-			TotalCost:   cost,
-			PeakLoad:    load.Peak(),
-		})
+		metrics.Utilities[i] = -record.Payments[i]
+		p.Feedback(day, record.Notice(i))
 	}
 	return metrics, nil
 }

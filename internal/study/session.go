@@ -182,18 +182,11 @@ func playRound(cfg SessionConfig, round int, players []*player, greedy *sched.Gr
 		consumed[i] = core.ClosestConsumption(p.truth, assigned[i])
 	}
 
-	predicted := mechanism.FlexibilityScores(prefs)
-	flex := mechanism.ActualFlexibilities(predicted, assigned, consumed)
-	defect := mechanism.DefectionScores(cfg.Pricer, cfg.Rating, assigned, consumed)
-	psi, err := mechanism.SocialCostScores(flex, defect, cfg.Mechanism.K)
+	chain, err := mechanism.SettleChain(cfg.Pricer, cfg.Mechanism, cfg.Rating, prefs, assigned, consumed, nil)
 	if err != nil {
 		return err
 	}
-	cost := pricing.CostOfIntervals(cfg.Pricer, consumed, cfg.Rating)
-	payments, err := mechanism.Payments(psi, cfg.Mechanism.Xi, cost)
-	if err != nil {
-		return err
-	}
+	payments := chain.Payments
 
 	for i, p := range players {
 		valuation := core.Valuation(core.Satisfaction(assigned[i], p.truth), p.truth.Duration, p.rho)

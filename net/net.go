@@ -43,8 +43,7 @@
 // passing one elsewhere (say WithShards to Connect) is a descriptive
 // error rather than a silent no-op. Failure modes are classified by
 // the exported sentinels (ErrNotLeader, ErrQuorumLost,
-// ErrSessionExpired, ErrRetryExhausted) for errors.Is. Deprecated
-// pre-v1 constructors live in legacy.go with a migration table.
+// ErrSessionExpired, ErrRetryExhausted) for errors.Is.
 package net
 
 import (
@@ -61,9 +60,6 @@ type (
 	// Center is the neighborhood center: it registers agents and runs
 	// the daily request/preference/allocation/consumption/payment cycle.
 	Center = netproto.Center
-	// CenterConfig is the center's explicit configuration struct;
-	// options-based construction via StartCenter is preferred.
-	CenterConfig = netproto.CenterConfig
 	// Agent is a household endpoint driven by a Policy.
 	Agent = netproto.Agent
 	// Policy decides how a household reports and consumes.
