@@ -84,7 +84,7 @@ chaos:
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
 	$(GO) test ./internal/netproto -race -count=10 -run 'TestCluster|TestChaosFederatedSnapshotDegradedShard'
 	$(GO) test ./cmd/enkitrace -count=1 -run 'Degraded|SurvivingReplica'
-	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
+	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 10s
@@ -145,5 +145,8 @@ apicheck-update:
 vet:
 	$(GO) vet ./...
 
+# Fails when any file is not gofmt-formatted, listing the offenders.
 fmt:
-	gofmt -l .
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
+		echo "$$files"; echo 'fmt: run gofmt -w on the files above'; exit 1; \
+	fi

@@ -11,7 +11,7 @@
 // existing deployments keep working:
 //
 //	enkid -wire.addr 127.0.0.1:7600 -shard.agents 3 -shard.days 2
-//	enkid -wire.codec binary            # prefer the compact codec when agents offer it
+//	enkid -wire.codec binary            # settle in the compact codec with agents that offer it
 //	enkid -obs.http 127.0.0.1:8080      # /metrics, /healthz, pprof
 //	enkid -obs.trace-out day-spans.jsonl
 //	enkid -obs.ledger audit.jsonl       # per-day mechanism audit ledger
@@ -92,7 +92,7 @@ func newFlagSet() (*flag.FlagSet, *daemonFlags) {
 	// -wire.*: the transport — where the center listens and how frames
 	// behave on the way out.
 	fs.StringVar(&f.addr, "wire.addr", "127.0.0.1:7600", "listen address")
-	fs.StringVar(&f.codec, "wire.codec", netproto.CodecJSON, "preferred batch-frame codec when an agent offers negotiation (json or binary)")
+	fs.StringVar(&f.codec, "wire.codec", netproto.CodecJSON, "day-cycle codec (json or binary), used with each agent whose hello offers it; registration is always json")
 	fs.DurationVar(&f.deadline, "wire.phase-deadline", netproto.DefaultPhaseDeadline, "per-phase reply deadline; households dark past it are settled degraded")
 	fs.StringVar(&f.faultSpec, "wire.fault-plan", "", "deterministic outbound fault plan, e.g. drop@3,dup@7 or seed=42,msgs=100,drop=0.05")
 

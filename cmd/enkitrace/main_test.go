@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -226,20 +227,20 @@ func TestAuditAcceptsDegradedDayLedger(t *testing.T) {
 	}
 	defer conn.Close()
 	darkPref := core.MustPreference(19, 24, 3)
-	if err := netproto.WriteMessage(conn, &netproto.Message{Kind: netproto.KindHello, ID: 2}); err != nil {
+	if err := sendJSON(conn, &netproto.Message{Kind: netproto.KindHello, ID: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if w, err := netproto.ReadMessage(conn); err != nil || w.Kind != netproto.KindWelcome {
+	if w, err := recvOne(conn); err != nil || w.Kind != netproto.KindWelcome {
 		t.Fatalf("registration failed: %v %v", w, err)
 	}
 	go func() {
 		for {
-			m, err := netproto.ReadMessage(conn)
+			m, err := recvOne(conn)
 			if err != nil {
 				return
 			}
 			if m.Kind == netproto.KindRequest {
-				_ = netproto.WriteMessage(conn, &netproto.Message{Kind: netproto.KindPreference, ID: 2, Day: m.Day, Pref: &darkPref})
+				_ = sendJSON(conn, &netproto.Message{Kind: netproto.KindPreference, ID: 2, Day: m.Day, Pref: &darkPref})
 			}
 		}
 	}()
@@ -341,6 +342,25 @@ func TestAuditSurvivingReplicaLedger(t *testing.T) {
 }
 
 // waitForAgents waits up to timeout for n agents to connect to c.
+// sendJSON writes m as a one-message JSON batch frame, the framing a
+// household registers in.
+func sendJSON(conn net.Conn, m *netproto.Message) error {
+	c, _ := netproto.LookupCodec(netproto.CodecJSON)
+	return netproto.WriteBatch(conn, c, []*netproto.Message{m})
+}
+
+// recvOne reads one frame from the center, which carries one message.
+func recvOne(conn net.Conn) (*netproto.Message, error) {
+	msgs, err := netproto.ReadBatch(conn)
+	if err != nil {
+		return nil, err
+	}
+	if len(msgs) != 1 {
+		return nil, fmt.Errorf("frame carries %d messages, want 1", len(msgs))
+	}
+	return msgs[0], nil
+}
+
 func waitForAgents(c *netproto.Center, n int, timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()

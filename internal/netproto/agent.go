@@ -91,9 +91,10 @@ type Agent struct {
 	src    string         // federation source key ("agent/<id>")
 
 	mu      sync.Mutex
-	ws      *wireState // framing negotiated on the current connection
 	conn    net.Conn
-	token   string // session-resumption credential from the welcome
+	codec   Codec        // selected by the current connection's welcome
+	fr      *frameReader // reads the current connection
+	token   string       // session-resumption credential from the welcome
 	history []PaymentDetail
 	paid    map[int]bool // days already settled; dedupes replayed payments
 	err     error
@@ -105,7 +106,7 @@ type Agent struct {
 }
 
 // Connect dials a center, registers the household, and starts the
-// agent's message loop. The context governs the initial dial and
+// agent's message loop. The context bounds the initial dial and
 // handshake only; use Close to stop the agent. Options configure the
 // transport (WithDialer), reconnection (WithRetryPolicy), and fault
 // injection (WithFaultPlan).
@@ -128,7 +129,7 @@ func Connect(ctx context.Context, addr string, id core.HouseholdID, policy Polic
 	if err != nil {
 		return nil, fmt.Errorf("netproto: dial center: %w", err)
 	}
-	a, err := newAgent(conn, id, policy, cfg)
+	a, err := newAgent(ctx, conn, id, policy, cfg)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -149,10 +150,10 @@ func NewAgent(conn net.Conn, id core.HouseholdID, policy Policy, opts ...Option)
 	if err := o.validate("NewAgent", targetAgent); err != nil {
 		return nil, err
 	}
-	return newAgent(conn, id, policy, o.agent)
+	return newAgent(context.Background(), conn, id, policy, o.agent)
 }
 
-func newAgent(conn net.Conn, id core.HouseholdID, policy Policy, cfg agentConfig) (*Agent, error) {
+func newAgent(ctx context.Context, conn net.Conn, id core.HouseholdID, policy Policy, cfg agentConfig) (*Agent, error) {
 	if policy == nil {
 		return nil, errors.New("netproto: nil policy")
 	}
@@ -173,7 +174,7 @@ func newAgent(conn net.Conn, id core.HouseholdID, policy Policy, cfg agentConfig
 		a.reg = obs.NewRegistry()
 		a.src = fmt.Sprintf("agent/%d", id)
 	}
-	token, err := a.handshake(conn, "")
+	token, err := a.handshake(ctx, conn, "")
 	if err != nil {
 		return nil, err
 	}
@@ -183,32 +184,36 @@ func newAgent(conn net.Conn, id core.HouseholdID, policy Policy, cfg agentConfig
 }
 
 // handshake registers or resumes over conn: hello (bearing the resume
-// token, if any, plus the codec offer) out, welcome back. The welcome's
-// codec selection fixes the connection's framing — empty (a pre-batching
-// center, or one that declined the offer) keeps the legacy per-message
-// JSON frames. It returns the session token the center issued.
-func (a *Agent) handshake(conn net.Conn, token string) (string, error) {
-	hello := &Message{Kind: KindHello, ID: a.id, Token: token, Codecs: a.cfg.codecs}
-	if err := a.inj.send(conn, nil, hello); err != nil {
-		return "", err
+// token, if any, plus the codec offer) out, welcome back, both in JSON.
+// The welcome names the codec of every later frame the agent sends; a
+// welcome naming none this build knows is refused. A done ctx fails the
+// exchange through the connection's deadline. It returns the session
+// token the center issued.
+func (a *Agent) handshake(ctx context.Context, conn net.Conn, token string) (string, error) {
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	fr := &frameReader{r: conn}
+	err := a.inj.send(conn, jsonCodec{}, &Message{Kind: KindHello, ID: a.id, Token: token, Codecs: CodecNames()})
+	var welcome *Message
+	if err == nil {
+		welcome, err = fr.next()
 	}
-	welcome, err := ReadMessage(conn)
-	if err != nil {
-		return "", fmt.Errorf("netproto: read welcome: %w", err)
+	if !stop() {
+		// ctx ended the exchange, or ended just after it and left its
+		// deadline on conn: either way the handshake fails.
+		return "", fmt.Errorf("netproto: handshake: %w", ctx.Err())
 	}
-	if welcome.Kind != KindWelcome {
+	switch {
+	case err != nil:
+		return "", fmt.Errorf("netproto: handshake: %w", err)
+	case welcome.Kind != KindWelcome:
 		return "", rejectionError(welcome)
 	}
-	var ws *wireState
-	if welcome.Codec != "" {
-		codec, ok := LookupCodec(welcome.Codec)
-		if !ok {
-			return "", fmt.Errorf("netproto: center selected unknown codec %q", welcome.Codec)
-		}
-		ws = &wireState{codec: codec}
+	codec, ok := LookupCodec(welcome.Codec)
+	if !ok {
+		return "", fmt.Errorf("netproto: center selected unknown codec %q", welcome.Codec)
 	}
 	a.mu.Lock()
-	a.ws = ws
+	a.codec, a.fr = codec, fr
 	a.mu.Unlock()
 	return welcome.Token, nil
 }
@@ -312,9 +317,9 @@ func (a *Agent) loop() {
 	defer close(a.done)
 	for {
 		a.mu.Lock()
-		conn, ws := a.conn, a.ws
+		fr := a.fr
 		a.mu.Unlock()
-		m, err := ws.read(conn)
+		m, err := fr.next()
 		if err != nil {
 			if a.isClosed() {
 				return
@@ -413,12 +418,12 @@ func (a *Agent) handle(m *Message) (fatal bool, err error) {
 }
 
 // send writes one message on the current connection through the fault
-// injector, under the connection's negotiated framing.
+// injector, in the codec the connection's welcome selected.
 func (a *Agent) send(m *Message) error {
 	a.mu.Lock()
-	conn, ws := a.conn, a.ws
+	conn, codec := a.conn, a.codec
 	a.mu.Unlock()
-	return a.inj.send(conn, ws, m)
+	return a.inj.send(conn, codec, m)
 }
 
 // reconnect runs the retry policy after a link failure: bounded
@@ -453,7 +458,7 @@ func (a *Agent) reconnect() bool {
 		// Any handshake failure is retryable: the center may still be
 		// tearing down the dead connection (a transient "duplicate
 		// household id") or restarting.
-		newToken, err := a.handshake(conn, token)
+		newToken, err := a.handshake(context.Background(), conn, token)
 		if err != nil {
 			conn.Close()
 			continue

@@ -44,11 +44,10 @@ type centerConfig struct {
 	// center's outbound messages, independently per accepted
 	// connection. Test/soak tooling only.
 	FaultPlan *FaultPlan
-	// Codec is the batch-frame codec the center prefers when an agent's
-	// hello offers codec negotiation (CodecJSON or CodecBinary; empty
-	// behaves as CodecJSON). Connections whose hello offers nothing — a
-	// pre-batching agent — stay on the legacy per-message JSON framing
-	// regardless.
+	// Codec is the batch-frame codec the center encodes a connection's
+	// day cycle with when the agent's hello offers it (JSON otherwise),
+	// and the codec of every cluster shard link: CodecJSON or
+	// CodecBinary, empty meaning CodecJSON.
 	Codec string
 	// Reporting enables metrics federation: agents and cluster shards
 	// piggyback metricsReport snapshots onto the settlement wire, and the
@@ -135,7 +134,18 @@ func (c centerConfig) validate() error {
 	if err := c.Config.Validate(); err != nil {
 		return fmt.Errorf("netproto: %w", err)
 	}
+	if _, ok := LookupCodec(c.Codec); !ok && c.Codec != "" {
+		return fmt.Errorf("netproto: unknown codec %q", c.Codec)
+	}
 	return nil
+}
+
+// codec resolves the validated Codec name.
+func (c centerConfig) codec() Codec {
+	if codec, ok := LookupCodec(c.Codec); ok {
+		return codec
+	}
+	return jsonCodec{}
 }
 
 // inbound is a message received from a registered agent. The conn
@@ -150,26 +160,18 @@ type inbound struct {
 
 // centerConn is the center's view of one agent connection.
 type centerConn struct {
-	id   core.HouseholdID
-	conn net.Conn
-	inj  *faultInjector
-	ws   *wireState // framing negotiated on this connection's hello
-	mu   sync.Mutex // serializes writes
+	id    core.HouseholdID
+	conn  net.Conn
+	inj   *faultInjector
+	codec Codec      // selected on this connection's hello
+	mu    sync.Mutex // serializes writes
 }
 
-func (c *centerConn) send(m *Message) error {
+// send writes m in codec through the connection's fault injector.
+func (c *centerConn) send(codec Codec, m *Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inj.send(c.conn, c.ws, m)
-}
-
-// sendLegacy writes m in the legacy framing regardless of negotiation —
-// the welcome itself, which both sides must be able to read before the
-// negotiated mode takes effect.
-func (c *centerConn) sendLegacy(m *Message) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inj.send(c.conn, nil, m)
+	return c.inj.send(c.conn, codec, m)
 }
 
 // session is the center's durable state for one household, surviving
@@ -206,8 +208,9 @@ type Center struct {
 
 	mu       sync.Mutex
 	sessions map[core.HouseholdID]*session
-	epoch    uint64        // bumped per fresh registration; invalidates old tokens
-	joined   chan struct{} // signaled (best effort) on each registration
+	conns    map[net.Conn]struct{} // every accepted connection, closed by Close
+	epoch    uint64                // bumped per fresh registration; invalidates old tokens
+	joined   chan struct{}         // signaled (best effort) on each registration
 
 	// committed holds the phase inputs of a takeover log: a failover
 	// leader replays them into a fresh machine instead of collecting
@@ -275,6 +278,7 @@ func newCenter(ln net.Listener, cfg centerConfig, commit committer, log []replic
 		ln:       ln,
 		commit:   commit,
 		sessions: make(map[core.HouseholdID]*session),
+		conns:    make(map[net.Conn]struct{}),
 		joined:   make(chan struct{}, 1),
 		inbox:    make(chan inbound),
 		closing:  make(chan struct{}),
@@ -334,16 +338,15 @@ func (c *Center) Operator() *obs.Operator {
 // Addr returns the listening address, for agents to dial.
 func (c *Center) Addr() string { return c.ln.Addr().String() }
 
-// Close shuts down the center and waits for all goroutines to exit.
+// Close shuts down the center and waits for all goroutines to exit. It
+// closes every accepted connection, registered or still registering.
 func (c *Center) Close() error {
 	c.once.Do(func() {
 		close(c.closing)
 		c.ln.Close()
 		c.mu.Lock()
-		for _, s := range c.sessions {
-			if s.conn != nil {
-				s.conn.conn.Close()
-			}
+		for conn := range c.conns {
+			conn.Close()
 		}
 		c.mu.Unlock()
 	})
@@ -402,18 +405,19 @@ func (c *Center) acceptLoop() {
 // agent missed while dark.
 func (c *Center) handleConn(conn net.Conn) {
 	defer c.wg.Done()
+	if !c.track(conn) {
+		return
+	}
+	defer c.untrack(conn)
 
-	hello, err := ReadMessage(conn)
+	fr := &frameReader{r: conn}
+	hello, err := fr.next()
 	if err != nil || hello.Kind != KindHello {
 		conn.Close()
 		return
 	}
-	cc := &centerConn{id: hello.ID, conn: conn, inj: newFaultInjector(c.cfg.FaultPlan)}
-	var codecName string
-	if codec := selectCodec(c.cfg.Codec, hello.Codecs); codec != nil {
-		cc.ws = &wireState{codec: codec}
-		codecName = codec.Name()
-	}
+	cc := &centerConn{id: hello.ID, conn: conn, inj: newFaultInjector(c.cfg.FaultPlan),
+		codec: selectCodec(c.cfg.codec(), hello.Codecs)}
 
 	c.mu.Lock()
 	s := c.sessions[hello.ID]
@@ -422,14 +426,12 @@ func (c *Center) handleConn(conn net.Conn) {
 	switch {
 	case s != nil && s.conn != nil:
 		c.mu.Unlock()
-		_ = WriteMessage(conn, &Message{Kind: KindError, ID: hello.ID, Err: "duplicate household id"})
-		conn.Close()
+		refuse(conn, hello.ID, "duplicate household id")
 		return
 	case s != nil && hello.Token != "":
 		if hello.Token != s.token {
 			c.mu.Unlock()
-			_ = WriteMessage(conn, &Message{Kind: KindError, ID: hello.ID, Err: "bad session token"})
-			conn.Close()
+			refuse(conn, hello.ID, "bad session token")
 			return
 		}
 		resume = true
@@ -457,19 +459,20 @@ func (c *Center) handleConn(conn net.Conn) {
 	// token, so it must not be issued until a majority holds the entry.
 	if fresh {
 		if err := c.commit.commitMember(memberPayload{ID: hello.ID, Token: token, Epoch: epoch}); err != nil {
-			_ = WriteMessage(conn, &Message{Kind: KindError, ID: hello.ID,
-				Err: "registration not replicated: " + err.Error()})
 			c.mu.Lock()
 			if c.sessions[hello.ID] == s {
 				delete(c.sessions, hello.ID)
 			}
 			c.mu.Unlock()
-			conn.Close()
+			refuse(conn, hello.ID, "registration not replicated: "+err.Error())
 			return
 		}
 	}
 
-	if err := cc.sendLegacy(&Message{Kind: KindWelcome, ID: hello.ID, Token: token, Codec: codecName}); err != nil {
+	// The welcome travels in JSON, like the hello: it is what tells the
+	// agent the connection's codec.
+	welcome := &Message{Kind: KindWelcome, ID: hello.ID, Token: token, Codec: cc.codec.Name()}
+	if err := cc.send(jsonCodec{}, welcome); err != nil {
 		c.markDark(cc)
 		return
 	}
@@ -479,7 +482,7 @@ func (c *Center) handleConn(conn net.Conn) {
 			rec.Record(obs.Event{Kind: obs.EventResume, Shard: -1, Action: obs.SideCenter, N: int(hello.ID)})
 		}
 		for _, m := range replay {
-			if err := cc.send(m); err != nil {
+			if err := cc.send(cc.codec, m); err != nil {
 				c.markDark(cc)
 				return
 			}
@@ -495,7 +498,7 @@ func (c *Center) handleConn(conn net.Conn) {
 	}
 
 	for {
-		m, err := cc.ws.read(conn)
+		m, err := fr.next()
 		if err != nil {
 			c.markDark(cc)
 			select {
@@ -510,6 +513,35 @@ func (c *Center) handleConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// refuse answers a hello with a registration error, in JSON like the
+// welcome it replaces, and closes the connection. The error bypasses the
+// fault injector: a refused connection never reaches message index 0.
+func refuse(conn net.Conn, id core.HouseholdID, reason string) {
+	_ = WriteBatch(conn, jsonCodec{}, []*Message{{Kind: KindError, ID: id, Err: reason}})
+	conn.Close()
+}
+
+// track adds an accepted connection to the set Close shuts, or closes
+// it and reports false when the center is already closing.
+func (c *Center) track(conn net.Conn) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.closing:
+		conn.Close()
+		return false
+	default:
+		c.conns[conn] = struct{}{}
+		return true
+	}
+}
+
+func (c *Center) untrack(conn net.Conn) {
+	c.mu.Lock()
+	delete(c.conns, conn)
+	c.mu.Unlock()
 }
 
 // markDark closes cc and detaches it from its session (if cc is still
@@ -748,7 +780,7 @@ func (c *Center) deliverPayment(m *Message) {
 		return
 	}
 	c.mu.Unlock()
-	if err := cc.send(m); err != nil {
+	if err := cc.send(cc.codec, m); err != nil {
 		c.markDark(cc)
 		c.mu.Lock()
 		if c.sessions[m.ID] == s {
@@ -830,7 +862,7 @@ func (c *Center) phase(ctx context.Context, daySpan *obs.ActiveSpan, tid string,
 		if cc == nil {
 			continue // dark; the message waits on the session for a resume
 		}
-		if err := cc.send(m); err != nil {
+		if err := cc.send(cc.codec, m); err != nil {
 			c.markDark(cc)
 		}
 	}

@@ -100,20 +100,20 @@ func TestChaosPermanentlyDarkAgentSettlesAsDefector(t *testing.T) {
 	// dark past the consumption deadline.
 	darkPref := core.MustPreference(18, 23, 2)
 	conn := rawDial(t, c.Addr())
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 2}); err != nil {
+	if err := conn.Send(&Message{Kind: KindHello, ID: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if w, err := ReadMessage(conn); err != nil || w.Kind != KindWelcome {
+	if w, err := conn.Recv(); err != nil || w.Kind != KindWelcome {
 		t.Fatalf("registration failed: %v %v", w, err)
 	}
 	go func() {
 		for {
-			m, err := ReadMessage(conn)
+			m, err := conn.Recv()
 			if err != nil {
 				return
 			}
 			if m.Kind == KindRequest {
-				_ = WriteMessage(conn, &Message{Kind: KindPreference, ID: 2, Day: m.Day, Pref: &darkPref})
+				_ = conn.Send(&Message{Kind: KindPreference, ID: 2, Day: m.Day, Pref: &darkPref})
 			}
 			// Allocations and payments go unanswered: permanently dark.
 		}
@@ -254,10 +254,10 @@ func TestSessionTokenGatesResume(t *testing.T) {
 	c := chaosCenter(t, &buf)
 
 	conn := rawDial(t, c.Addr())
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 5}); err != nil {
+	if err := conn.Send(&Message{Kind: KindHello, ID: 5}); err != nil {
 		t.Fatal(err)
 	}
-	w, err := ReadMessage(conn)
+	w, err := conn.Recv()
 	if err != nil || w.Kind != KindWelcome {
 		t.Fatalf("registration failed: %v %v", w, err)
 	}
@@ -267,10 +267,10 @@ func TestSessionTokenGatesResume(t *testing.T) {
 
 	// Live session: any second hello for the ID is a duplicate.
 	dup := rawDial(t, c.Addr())
-	if err := WriteMessage(dup, &Message{Kind: KindHello, ID: 5, Token: w.Token}); err != nil {
+	if err := dup.Send(&Message{Kind: KindHello, ID: 5, Token: w.Token}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := ReadMessage(dup); err != nil || m.Kind != KindError || !strings.Contains(m.Err, "duplicate") {
+	if m, err := dup.Recv(); err != nil || m.Kind != KindError || !strings.Contains(m.Err, "duplicate") {
 		t.Fatalf("hello against a live session: %v %v, want duplicate rejection", m, err)
 	}
 
@@ -281,17 +281,17 @@ func TestSessionTokenGatesResume(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	impostor := rawDial(t, c.Addr())
-	if err := WriteMessage(impostor, &Message{Kind: KindHello, ID: 5, Token: "0123456789abcdef"}); err != nil {
+	if err := impostor.Send(&Message{Kind: KindHello, ID: 5, Token: "0123456789abcdef"}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := ReadMessage(impostor); err != nil || m.Kind != KindError || !strings.Contains(m.Err, "token") {
+	if m, err := impostor.Recv(); err != nil || m.Kind != KindError || !strings.Contains(m.Err, "token") {
 		t.Fatalf("hello with a wrong token: %v %v, want token rejection", m, err)
 	}
 	resumed := rawDial(t, c.Addr())
-	if err := WriteMessage(resumed, &Message{Kind: KindHello, ID: 5, Token: w.Token}); err != nil {
+	if err := resumed.Send(&Message{Kind: KindHello, ID: 5, Token: w.Token}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := ReadMessage(resumed); err != nil || m.Kind != KindWelcome {
+	if m, err := resumed.Recv(); err != nil || m.Kind != KindWelcome {
 		t.Fatalf("resume with the issued token: %v %v, want welcome", m, err)
 	}
 }
@@ -303,10 +303,10 @@ func TestRunDayContextCancel(t *testing.T) {
 	c := chaosCenter(t, &buf) // default 10s phase deadline
 
 	conn := rawDial(t, c.Addr())
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 1}); err != nil {
+	if err := conn.Send(&Message{Kind: KindHello, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessage(conn); err != nil {
+	if _, err := conn.Recv(); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

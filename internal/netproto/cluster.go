@@ -30,9 +30,6 @@ type ClusterConfig struct {
 	// Workers sizes the worker pool shards settle on. Zero means
 	// GOMAXPROCS. The worker count never changes a settled byte.
 	Workers int
-	// Codec names the batch-frame codec shard links encode with
-	// (CodecJSON or CodecBinary; empty means CodecJSON).
-	Codec string
 	// BatchSize caps the messages per batch frame on shard links
 	// (≥ 1; zero means DefaultBatchSize).
 	BatchSize int
@@ -93,14 +90,15 @@ type shardState struct {
 
 // Cluster is the sharded multi-neighborhood settlement service: it
 // partitions its households into Shards neighborhoods and settles all
-// of them concurrently, each through the same batched wire framing a
-// TCP connection negotiates. Create with StartCluster, enroll
+// of them concurrently, each through the same batch framing a TCP
+// connection carries. Create with StartCluster, enroll
 // households with Join, run days with ClusterDay.
 //
 // StartCenter remains the single-shard special case of this service
 // with real sockets under it; the cluster trades the sockets for
 // in-process links so a million households settle in seconds while
-// every message still passes through the negotiated codec framing.
+// every message still passes through a batch frame in the configured
+// codec.
 //
 // Determinism contract: the settled output — every ShardDay, every
 // DayRecord byte, every ledger entry — is bit-identical for any worker
@@ -147,23 +145,16 @@ func StartCluster(ctx context.Context, opts ...Option) (*Cluster, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.Codec == "" {
-		cfg.Codec = CodecJSON
-	}
 	if err := center.validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	codec, ok := LookupCodec(cfg.Codec)
-	if !ok {
-		return nil, fmt.Errorf("netproto: unknown codec %q", cfg.Codec)
-	}
 	c := &Cluster{
 		center:  center,
 		cfg:     cfg,
-		codec:   codec,
+		codec:   center.codec(),
 		engine:  parallel.Engine{Workers: cfg.Workers},
 		custom:  custom,
 		members: make(map[core.HouseholdID]Policy),
@@ -828,10 +819,7 @@ func (l *shardLink) transfer(ls *linkScratch) ([]*Message, error) {
 		ls.frame = frame
 		observeBatch(obs.DirectionSent, l.codec, len(batch), len(frame))
 		if garbled {
-			payload := frame[4:]
-			for i := range payload {
-				payload[i] ^= 0x5a
-			}
+			garble(frame)
 		}
 		c, n, err := decodeFrame(frame[4:], func(i int) *slot { return &ls.recv[used+i] })
 		if err != nil {

@@ -5,18 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"enki/internal/core"
 	"enki/internal/obs"
 )
 
-// Codec serializes protocol messages inside batch frames. Two codecs
-// ship with the package: CodecJSON (the historical representation, the
-// negotiation fallback) and CodecBinary (a compact fixed-layout binary
-// encoding, roughly 4× smaller and an order of magnitude cheaper to
-// encode). A codec must be a pure bijection on the Message fields it
+// Codec serializes protocol messages inside batch frames. The package
+// has exactly two: CodecJSON (the reference codec, the one registration
+// travels in) and CodecBinary (a compact fixed-layout binary encoding,
+// roughly 4× smaller and an order of magnitude cheaper to encode).
+// Decode takes the package's unexported slot, so no other package can
+// add one. A codec must be a pure bijection on the Message fields it
 // carries: Decode(Append(nil, m)) == m for every encodable m, which the
 // cross-codec differential fuzz (FuzzCodecDifferential) enforces
 // against the JSON reference.
@@ -62,64 +62,40 @@ const (
 	CodecBinary = "binary"
 )
 
-var (
-	codecMu     sync.RWMutex
-	codecByName = map[string]Codec{}
-	codecByID   = map[byte]Codec{}
-)
-
-// RegisterCodec adds a codec to the process-wide registry consulted by
-// negotiation and batch-frame decoding. Registering a name or ID twice
-// panics: codec identity is part of the wire contract.
-func RegisterCodec(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if _, dup := codecByName[c.Name()]; dup {
-		panic(fmt.Sprintf("netproto: codec %q registered twice", c.Name()))
-	}
-	if _, dup := codecByID[c.ID()]; dup {
-		panic(fmt.Sprintf("netproto: codec id %d registered twice", c.ID()))
-	}
-	codecByName[c.Name()] = c
-	codecByID[c.ID()] = c
-}
+// codecs is every codec this build speaks, indexed by wire ID.
+var codecs = [...]Codec{jsonCodec{}, binaryCodec{}}
 
 // LookupCodec resolves a codec by negotiation name.
 func LookupCodec(name string) (Codec, bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecByName[name]
-	return c, ok
+	for _, c := range codecs {
+		if c.Name() == name {
+			return c, true
+		}
+	}
+	return nil, false
 }
 
 func lookupCodecID(id byte) (Codec, bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecByID[id]
-	return c, ok
+	if int(id) >= len(codecs) {
+		return nil, false
+	}
+	return codecs[id], true
 }
 
-// CodecNames lists the registered codecs in lexical order — the offer
-// an agent puts on its hello.
+// CodecNames lists the codecs in lexical order — the offer an agent
+// puts on its hello.
 func CodecNames() []string {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	names := make([]string, 0, len(codecByName))
-	for name := range codecByName {
-		names = append(names, name)
+	names := make([]string, len(codecs))
+	for i, c := range codecs {
+		names[i] = c.Name()
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
-func init() {
-	RegisterCodec(jsonCodec{})
-	RegisterCodec(binaryCodec{})
-}
-
 // jsonCodec is the reference codec: encoding/json over the Message
-// struct tags, byte-identical to the legacy per-message framing's
-// payload.
+// struct tags. Hello, welcome and registration errors always travel in
+// it, whatever codec the connection then selects.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string { return CodecJSON }
@@ -165,12 +141,8 @@ func (jsonCodec) Decode(data []byte, s *slot) (*Message, error) {
 //	  codec    = str
 //	  metrics  = str (JSON-encoded obs.MetricsReport)
 //
-// str = uvarint length + raw bytes. The mask was a single byte until
-// the binMetrics bit pushed it past eight bits; masks below 0x80 encode
-// to the same byte either way, and larger masks only ever travel on
-// connections that negotiated a codec (hello/welcome are always
-// legacy-framed), so the widening is not a wire break for any message
-// an older build could have produced.
+// str = uvarint length + raw bytes. The mask is a uvarint, so every
+// day-cycle message's mask still fits one byte.
 type binaryCodec struct{}
 
 func (binaryCodec) Name() string { return CodecBinary }
@@ -453,28 +425,12 @@ func (binaryCodec) Decode(data []byte, s *slot) (*Message, error) {
 	return m, nil
 }
 
-// selectCodec is the center's half of codec negotiation: the first
-// entry of the preference list (the center's configured codec, then
-// JSON) that the agent offered and this build registers. An empty offer
-// — a pre-batching agent — selects nothing, and the connection stays on
-// legacy per-message JSON frames.
-func selectCodec(preferred string, offered []string) Codec {
-	if len(offered) == 0 {
-		return nil
+// selectCodec is the center's half of codec negotiation: its configured
+// codec when the hello offers it, JSON otherwise — the codec the hello
+// itself arrived in, which every agent speaks.
+func selectCodec(preferred Codec, offered []string) Codec {
+	if slices.Contains(offered, preferred.Name()) {
+		return preferred
 	}
-	prefs := []string{preferred, CodecJSON}
-	for _, want := range prefs {
-		if want == "" {
-			continue
-		}
-		for _, name := range offered {
-			if name != want {
-				continue
-			}
-			if c, ok := LookupCodec(name); ok {
-				return c
-			}
-		}
-	}
-	return nil
+	return jsonCodec{}
 }

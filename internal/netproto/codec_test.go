@@ -3,6 +3,10 @@ package netproto
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -98,8 +102,10 @@ func TestBinaryCodecSmallerThanJSON(t *testing.T) {
 }
 
 // TestBatchRoundTripBothCodecs drives frames through the byte-level
-// write/read path (headers, counts, per-message lengths) for each codec
-// and for the degenerate single-message batch.
+// write/read path (headers, counts, per-message lengths) for each codec:
+// multi-message batches, then one frame per protocol message — the TCP
+// path's framing — and odd but legal field combinations, all written
+// back to back on one stream.
 func TestBatchRoundTripBothCodecs(t *testing.T) {
 	pref := core.MustPreference(17, 23, 3)
 	batches := [][]*Message{
@@ -110,20 +116,45 @@ func TestBatchRoundTripBothCodecs(t *testing.T) {
 			fullMessage(),
 		},
 	}
+	wirePref := core.MustPreference(18, 22, 2)
+	iv := core.Interval{Begin: 19, End: 21}
+	for _, m := range []*Message{
+		{Kind: KindHello, ID: 3},
+		{Kind: KindRequest, ID: 3, Day: 7},
+		{Kind: KindPreference, ID: 3, Day: 7, Pref: &wirePref},
+		{Kind: KindAllocation, ID: 3, Day: 7, Interval: &iv},
+		{Kind: KindPayment, ID: 3, Day: 7, Payment: &PaymentDetail{Amount: 4.2, TotalCost: 21}},
+		{Kind: KindError, Err: "boom"},
+	} {
+		batches = append(batches, []*Message{m})
+	}
+	for i := 0; i < 50; i++ {
+		batches = append(batches, []*Message{{
+			Kind: Kind(fmt.Sprintf("kind-%d", i)),
+			ID:   core.HouseholdID(i * 7),
+			Day:  i,
+			Err:  fmt.Sprintf("err-%d", i),
+		}})
+	}
 	for _, name := range CodecNames() {
 		c, _ := LookupCodec(name)
+		var buf bytes.Buffer
 		for _, in := range batches {
-			var buf bytes.Buffer
 			if err := WriteBatch(&buf, c, in); err != nil {
 				t.Fatalf("%s write: %v", name, err)
 			}
+		}
+		for i, in := range batches {
 			out, err := ReadBatch(&buf)
 			if err != nil {
-				t.Fatalf("%s read: %v", name, err)
+				t.Fatalf("%s read frame %d: %v", name, i, err)
 			}
 			if !reflect.DeepEqual(in, out) {
-				t.Errorf("%s batch round trip mismatch (%d msgs)", name, len(in))
+				t.Errorf("%s frame %d round trip mismatch (%d msgs):\n in  %+v\n out %+v", name, i, len(in), in, out)
 			}
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes left on the stream", name, buf.Len())
 		}
 	}
 }
@@ -153,163 +184,129 @@ func TestDecodeBatchRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestSelectCodec covers the negotiation matrix: empty offers stay
-// legacy, unknown preferences fall back to JSON, and the preferred
-// codec wins when offered.
+// TestSelectCodec covers the selection rule: the center's configured
+// codec (an empty name meaning JSON) when the hello offers it, and JSON
+// — the codec the hello arrived in — otherwise.
 func TestSelectCodec(t *testing.T) {
 	cases := []struct {
 		preferred string
 		offered   []string
-		want      string // "" means legacy (nil codec)
+		want      string
 	}{
-		{"", nil, ""},
-		{CodecBinary, nil, ""},
-		{"", []string{"json"}, "json"},
-		{CodecBinary, []string{"json", "binary"}, "binary"},
-		{CodecBinary, []string{"json"}, "json"},
-		{"zstd", []string{"json", "binary"}, "json"},
-		{"zstd", []string{"snappy"}, ""},
+		{"", nil, CodecJSON},
+		{CodecBinary, nil, CodecJSON},
+		{"", []string{"json"}, CodecJSON},
+		{"", []string{"binary", "json"}, CodecJSON},
+		{CodecBinary, []string{"json", "binary"}, CodecBinary},
+		{CodecBinary, []string{"json"}, CodecJSON},
+		{CodecBinary, []string{"snappy"}, CodecJSON},
+		{CodecJSON, []string{"binary"}, CodecJSON},
 	}
 	for _, tc := range cases {
-		c := selectCodec(tc.preferred, tc.offered)
-		got := ""
-		if c != nil {
-			got = c.Name()
-		}
-		if got != tc.want {
+		preferred := centerConfig{Codec: tc.preferred}.codec()
+		if got := selectCodec(preferred, tc.offered).Name(); got != tc.want {
 			t.Errorf("selectCodec(%q, %v) = %q, want %q", tc.preferred, tc.offered, got, tc.want)
 		}
 	}
 }
 
-// legacyDay drives one scripted day-cycle exchange for a single
-// household over raw legacy frames — the behaviour of a pre-batching
-// peer, which knows nothing of Codecs fields or batch frames.
-func legacyDay(t *testing.T, conn net.Conn, id core.HouseholdID) {
+// legacyFrame hand-builds m in the deleted one-JSON-message-per-frame
+// framing: a u32 length, then the bare JSON.
+func legacyFrame(t *testing.T, m *Message) []byte {
 	t.Helper()
-	for {
-		m, err := ReadMessage(conn)
-		if err != nil {
-			return // center closed after the day
-		}
-		switch m.Kind {
-		case KindRequest:
-			pref := core.MustPreference(18, 22, 2)
-			if err := WriteMessage(conn, &Message{Kind: KindPreference, ID: id, Day: m.Day, Pref: &pref}); err != nil {
-				t.Errorf("legacy preference: %v", err)
-				return
-			}
-		case KindAllocation:
-			if err := WriteMessage(conn, &Message{Kind: KindConsumption, ID: id, Day: m.Day, Interval: m.Interval}); err != nil {
-				t.Errorf("legacy consumption: %v", err)
-				return
-			}
-		case KindPayment:
-			return // day complete
-		default:
-			t.Errorf("legacy agent got unexpected %s", m.Kind)
-			return
-		}
+	payload, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// TestNegotiationLegacyAgentAgainstNewCenter is the backward-compat
-// acceptance test: an agent that predates codec negotiation (offers
-// nothing, speaks only legacy frames) registers against a center
-// preferring the binary codec and settles a full day.
+// TestNegotiationLegacyAgentAgainstNewCenter: an agent that predates
+// batch frames sends its hello as a bare JSON frame, which is a
+// malformed batch frame. The center closes that connection without
+// registering the household, and a real agent still registers under
+// the same ID and settles a day.
 func TestNegotiationLegacyAgentAgainstNewCenter(t *testing.T) {
-	center, err := StartCenter("127.0.0.1:0",
-		WithCodec(CodecBinary),
-		WithPhaseDeadline(5*time.Second),
-	)
-	if err != nil {
+	c := newTestCenter(t, WithCodec(CodecBinary))
+	conn := rawDial(t, c.Addr())
+	if _, err := conn.Write(legacyFrame(t, &Message{Kind: KindHello, ID: 5})); err != nil {
 		t.Fatal(err)
 	}
-	defer center.Close()
-
-	conn, err := net.Dial("tcp", center.Addr())
-	if err != nil {
-		t.Fatal(err)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	m, err := conn.Recv()
+	var netErr net.Error
+	switch {
+	case err == nil:
+		t.Fatalf("legacy hello answered with %s; want the connection closed", m.Kind)
+	case errors.As(err, &netErr) && netErr.Timeout():
+		t.Fatal("center left the legacy connection open")
 	}
-	defer conn.Close()
-	// A pre-negotiation hello: no Codecs offer.
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 5}); err != nil {
-		t.Fatal(err)
-	}
-	welcome, err := ReadMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if welcome.Kind != KindWelcome {
-		t.Fatalf("got %s, want welcome", welcome.Kind)
-	}
-	if welcome.Codec != "" {
-		t.Fatalf("center selected codec %q for a legacy agent; must stay legacy", welcome.Codec)
+	if n := c.AgentCount(); n != 0 {
+		t.Fatalf("agent count %d after a legacy hello, want 0", n)
 	}
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		legacyDay(t, conn, 5)
-	}()
-	record, err := center.RunDayContext(context.Background(), 1)
+	ctx := context.Background()
+	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
+	a, err := Connect(ctx, c.Addr(), 5, &Truthful{Type: typ})
 	if err != nil {
-		t.Fatalf("day against legacy agent: %v", err)
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := c.WaitForAgentsContext(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	record, err := c.RunDayContext(ctx, 1)
+	if err != nil {
+		t.Fatalf("day after a legacy hello: %v", err)
 	}
 	if len(record.Payments) != 1 || record.Substituted != nil || record.Absent != nil {
-		t.Fatalf("legacy agent day degraded: %+v", record)
+		t.Fatalf("day after a legacy hello degraded: %+v", record)
 	}
-	<-done
 }
 
-// TestNegotiationNewAgentAgainstLegacyCenter covers the other
-// direction: a modern agent offers codecs, but the center (simulated
-// pre-PR peer) answers a codec-less welcome — the agent must stay on
-// legacy framing and complete the day.
+// TestNegotiationNewAgentAgainstLegacyCenter: a center that predates
+// batch frames answers either with a welcome that names no codec or in
+// the bare JSON framing. Either way NewAgent refuses the registration.
 func TestNegotiationNewAgentAgainstLegacyCenter(t *testing.T) {
-	client, server := net.Pipe()
-	defer server.Close()
-
-	type helloResult struct {
-		hello *Message
-		err   error
-	}
-	helloCh := make(chan helloResult, 1)
-	go func() {
-		m, err := ReadMessage(server)
-		if err == nil {
-			// A legacy center: ignores the unknown Codecs field, answers
-			// without a codec selection.
-			err = WriteMessage(server, &Message{Kind: KindWelcome, ID: m.ID, Token: "tok"})
-		}
-		helloCh <- helloResult{m, err}
-	}()
-
-	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
-	agent, err := NewAgent(client, 3, &Truthful{Type: typ})
-	if err != nil {
+	var codecless bytes.Buffer
+	if err := WriteBatch(&codecless, jsonCodec{}, []*Message{{Kind: KindWelcome, ID: 3, Token: "tok"}}); err != nil {
 		t.Fatal(err)
 	}
-	defer agent.Close()
+	for name, welcome := range map[string][]byte{
+		"codec-less welcome":    codecless.Bytes(),
+		"legacy-framed welcome": legacyFrame(t, &Message{Kind: KindWelcome, ID: 3, Token: "tok", Codec: CodecJSON}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			defer server.Close()
+			answered := make(chan error, 1)
+			go func() {
+				c := RawConn{server}
+				hello, err := c.Recv()
+				switch {
+				case err != nil:
+				case len(hello.Codecs) == 0:
+					err = errors.New("agent offered no codecs")
+				default:
+					_, err = c.Write(welcome)
+				}
+				answered <- err
+			}()
 
-	hr := <-helloCh
-	if hr.err != nil {
-		t.Fatal(hr.err)
-	}
-	if len(hr.hello.Codecs) == 0 {
-		t.Error("modern agent offered no codecs")
-	}
-
-	// The agent must answer a legacy-framed request with a legacy frame.
-	if err := WriteMessage(server, &Message{Kind: KindRequest, ID: 3, Day: 1}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := ReadMessage(server)
-	if err != nil {
-		t.Fatalf("agent reply not legacy-framed: %v", err)
-	}
-	if reply.Kind != KindPreference || reply.Pref == nil {
-		t.Fatalf("got %s, want preference", reply.Kind)
+			typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
+			agent, err := NewAgent(client, 3, &Truthful{Type: typ})
+			if err == nil {
+				agent.Close()
+				t.Fatal("NewAgent accepted the registration")
+			}
+			if !strings.Contains(err.Error(), "codec") {
+				t.Errorf("NewAgent error %q, want a codec refusal", err)
+			}
+			if err := <-answered; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -362,26 +362,27 @@ func TestDifferentialDegradedDay(t *testing.T) {
 // the preference request with p's report first.
 func silentHousehold(t *testing.T, addr string, id core.HouseholdID, reports bool, p netproto.Policy) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	dialed, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	if err := netproto.WriteMessage(conn, &netproto.Message{Kind: netproto.KindHello, ID: id}); err != nil {
+	t.Cleanup(func() { dialed.Close() })
+	conn := netproto.RawConn{Conn: dialed}
+	if err := conn.Send(&netproto.Message{Kind: netproto.KindHello, ID: id}); err != nil {
 		t.Fatal(err)
 	}
-	if w, err := netproto.ReadMessage(conn); err != nil || w.Kind != netproto.KindWelcome {
+	if w, err := conn.Recv(); err != nil || w.Kind != netproto.KindWelcome {
 		t.Fatalf("registration of %d failed: %v %v", id, w, err)
 	}
 	go func() {
 		for {
-			m, err := netproto.ReadMessage(conn)
+			m, err := conn.Recv()
 			if err != nil {
 				return
 			}
 			if reports && m.Kind == netproto.KindRequest {
 				pref := p.Report(m.Day)
-				_ = netproto.WriteMessage(conn, &netproto.Message{Kind: netproto.KindPreference, ID: id, Day: m.Day, Pref: &pref})
+				_ = conn.Send(&netproto.Message{Kind: netproto.KindPreference, ID: id, Day: m.Day, Pref: &pref})
 			}
 		}
 	}()

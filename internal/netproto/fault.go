@@ -1,9 +1,8 @@
 package netproto
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -35,7 +34,7 @@ const (
 	// link. Receivers must treat day-cycle replies idempotently.
 	FaultDup
 	// FaultGarble delivers a correctly framed but bit-flipped payload.
-	// The receiver's JSON decode fails and it drops the connection,
+	// The receiver's frame decode fails and it drops the connection,
 	// exercising the same resume path as FaultDrop but from the far
 	// side of the link.
 	FaultGarble
@@ -247,15 +246,15 @@ func newFaultInjector(plan *FaultPlan) *faultInjector {
 	return &faultInjector{plan: plan}
 }
 
-// send delivers m on conn under the connection's negotiated framing
-// (ws; nil means legacy JSON frames), applying the fault scheduled for
-// this injector's next message index. FaultDrop closes conn and reports
-// success: the message is lost in flight and the link is down, which
-// the sender discovers on its next read — exactly how a real link
-// failure presents.
-func (f *faultInjector) send(conn net.Conn, ws *wireState, m *Message) error {
-	if f == nil || f.plan == nil {
-		return ws.write(conn, m)
+// send delivers m on conn as a one-message batch frame in codec c,
+// applying the fault scheduled for this injector's next message index.
+// FaultDrop closes conn and reports success: the message is lost in
+// flight and the link is down, which the sender discovers on its next
+// read — exactly how a real link failure presents.
+func (f *faultInjector) send(conn net.Conn, c Codec, m *Message) error {
+	msgs := []*Message{m}
+	if f == nil {
+		return WriteBatch(conn, c, msgs)
 	}
 	idx := int(f.next.Add(1) - 1)
 	action := f.plan.ActionAt(idx)
@@ -268,49 +267,41 @@ func (f *faultInjector) send(conn net.Conn, ws *wireState, m *Message) error {
 		return nil
 	case FaultDelay:
 		time.Sleep(f.plan.hold())
-		return ws.write(conn, m)
+		return WriteBatch(conn, c, msgs)
 	case FaultDup:
-		if err := ws.write(conn, m); err != nil {
+		if err := WriteBatch(conn, c, msgs); err != nil {
 			return err
 		}
-		return ws.write(conn, m)
+		return WriteBatch(conn, c, msgs)
 	case FaultGarble:
-		return writeGarbled(conn, ws, m)
+		return writeGarbled(conn, c, msgs)
 	default:
-		return ws.write(conn, m)
+		return WriteBatch(conn, c, msgs)
 	}
 }
 
-// writeGarbled frames m correctly but bit-flips every payload byte, so
+// writeGarbled frames msgs correctly but bit-flips the frame body, so
 // the receiver's length-prefixed read succeeds and its decode fails — a
-// deterministic stand-in for on-wire corruption, under whichever
-// framing the connection negotiated.
-func writeGarbled(w net.Conn, ws *wireState, m *Message) error {
-	var payload []byte
-	var err error
-	if ws != nil && ws.codec != nil {
-		// Garble the whole batch frame body after the length header: the
-		// codec ID or the message bytes are corrupted either way, and
-		// the receiver's DecodeBatch fails.
-		frame, ferr := AppendBatch(nil, ws.codec, []*Message{m})
-		if ferr != nil {
-			return ferr
-		}
-		payload = frame[4:]
-	} else if payload, err = json.Marshal(m); err != nil {
-		return fmt.Errorf("netproto: encode %s: %w", m.Kind, err)
+// deterministic stand-in for on-wire corruption. The frame is counted
+// like any other sent frame.
+func writeGarbled(w io.Writer, c Codec, msgs []*Message) error {
+	frame, err := AppendBatch(nil, c, msgs)
+	if err != nil {
+		return err
 	}
-	for i := range payload {
-		payload[i] ^= 0x5a
+	garble(frame)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("netproto: write frame: %w", err)
 	}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(payload)))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("netproto: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("netproto: write payload: %w", err)
-	}
-	observeFrame(obs.DirectionSent, len(payload))
+	observeBatch(obs.DirectionSent, c, len(msgs), len(frame))
 	return nil
+}
+
+// garble bit-flips every byte of a frame after its length header: the
+// codec ID or the message bytes are corrupted either way, so decoding
+// the frame fails.
+func garble(frame []byte) {
+	for i := 4; i < len(frame); i++ {
+		frame[i] ^= 0x5a
+	}
 }

@@ -8,18 +8,18 @@ import (
 	"enki/internal/obs"
 )
 
-// Batch frame layout, used once a connection has negotiated a codec
-// (legacy connections keep the historical one-JSON-message-per-frame
-// format of WriteMessage/ReadMessage):
+// Batch frame layout, the one framing of every TCP connection and
+// cluster shard link:
 //
 //	u32 BE   payload length (everything after these 4 bytes)
 //	u8       codec ID
 //	uvarint  message count
 //	count ×  { uvarint message length, message bytes }
 //
-// A frame carries 1..n messages encoded with one codec. Which framing a
-// connection speaks is negotiated on the hello/welcome exchange (always
-// legacy-framed), so the reader never has to guess.
+// A frame carries 1..n messages encoded with one codec, and names that
+// codec itself, so the reader never has to guess. A TCP frame carries
+// one message: hello, welcome and registration errors in JSON, the day
+// cycle in the codec the welcome selected.
 
 // DefaultBatchSize is the messages-per-frame cap applied when batching
 // is enabled without an explicit WithBatchSize.
@@ -86,9 +86,9 @@ func WriteBatch(w io.Writer, c Codec, msgs []*Message) error {
 	return nil
 }
 
-// observeBatch counts one batch frame: the legacy per-message traffic
-// series (so dashboards sum both framings), plus the frame count, the
-// messages-per-frame histogram, and per-codec byte volume.
+// observeBatch counts one batch frame: its messages and bytes, the
+// frame count, the messages-per-frame histogram, and per-codec byte
+// volume.
 func observeBatch(direction string, c Codec, msgs, wireBytes int) {
 	m := wireMetricsFor(direction, c.Name())
 	m.messages.Add(uint64(msgs))
@@ -199,8 +199,6 @@ type frameReader struct {
 	pending []*Message
 }
 
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
-
 func (fr *frameReader) next() (*Message, error) {
 	for len(fr.pending) == 0 {
 		msgs, err := ReadBatch(fr.r)
@@ -212,35 +210,4 @@ func (fr *frameReader) next() (*Message, error) {
 	m := fr.pending[0]
 	fr.pending = fr.pending[1:]
 	return m, nil
-}
-
-// wireState is one connection's framing mode: nil codec means the
-// legacy per-message JSON framing, a non-nil codec means batch frames.
-// The reader is lazily created because the mode is decided only after
-// the hello/welcome exchange.
-type wireState struct {
-	codec Codec
-	fr    *frameReader
-}
-
-// write sends one message under the connection's framing (a batch of
-// one on negotiated connections — the TCP path serves one household per
-// connection, so cross-household batching happens on cluster links, not
-// here).
-func (ws *wireState) write(w io.Writer, m *Message) error {
-	if ws == nil || ws.codec == nil {
-		return WriteMessage(w, m)
-	}
-	return WriteBatch(w, ws.codec, []*Message{m})
-}
-
-// read receives the next message under the connection's framing.
-func (ws *wireState) read(r io.Reader) (*Message, error) {
-	if ws == nil || ws.codec == nil {
-		return ReadMessage(r)
-	}
-	if ws.fr == nil || ws.fr.r != r {
-		ws.fr = newFrameReader(r)
-	}
-	return ws.fr.next()
 }

@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"unicode/utf8"
@@ -10,28 +11,35 @@ import (
 	"enki/internal/obs"
 )
 
-// FuzzReadMessage feeds arbitrary bytes to the frame decoder: it must
-// never panic and never return both a message and an error.
-func FuzzReadMessage(f *testing.F) {
+// FuzzReadBatch feeds arbitrary bytes to the frame reader: it must
+// never panic and never return messages alongside an error.
+func FuzzReadBatch(f *testing.F) {
 	var seed bytes.Buffer
 	pref := core.MustPreference(18, 22, 2)
-	_ = WriteMessage(&seed, &Message{Kind: KindPreference, ID: 1, Day: 3, Pref: &pref})
+	_ = WriteBatch(&seed, jsonCodec{}, []*Message{{Kind: KindPreference, ID: 1, Day: 3, Pref: &pref}})
 	f.Add(seed.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
-	f.Add([]byte(`{"kind":"hello"}`))
+	hello := []byte(`{"kind":"hello"}`)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(3+len(hello)))
+	f.Add(append(append(frame, jsonCodec{}.ID(), 1, byte(len(hello))), hello...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadMessage(bytes.NewReader(data))
-		if err == nil && m == nil {
-			t.Fatal("nil message with nil error")
+		msgs, err := ReadBatch(bytes.NewReader(data))
+		if err != nil && msgs != nil {
+			t.Fatal("messages returned alongside an error")
+		}
+		for _, m := range msgs {
+			if m == nil {
+				t.Fatal("nil message in a read batch")
+			}
 		}
 	})
 }
 
-// FuzzRoundTrip: any message the writer accepts must decode back to an
-// identical frame — in the legacy framing and through each batch-frame
-// codec.
+// FuzzRoundTrip: any message the writer accepts must read back
+// identical — written by each codec as a batch frame onto one stream,
+// and through each codec's bare Append and Decode.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add("hello", int64(3), 7, "some error")
 	f.Add("payment", int64(0), 0, "")
@@ -40,16 +48,20 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Skip() // JSON normalizes invalid UTF-8 to U+FFFD, so it cannot round-trip
 		}
 		in := &Message{Kind: Kind(kind), ID: core.HouseholdID(id), Day: day, Err: errStr}
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, in); err != nil {
-			t.Skip() // oversized or unencodable inputs are rejected by contract
+		var stream bytes.Buffer
+		for _, c := range codecs {
+			if err := WriteBatch(&stream, c, []*Message{in}); err != nil {
+				t.Skip() // oversized or unencodable inputs are rejected by contract
+			}
 		}
-		out, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("wrote but could not read back: %v", err)
-		}
-		if out.Kind != in.Kind || out.ID != in.ID || out.Day != in.Day || out.Err != in.Err {
-			t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
+		for _, c := range codecs {
+			out, err := ReadBatch(&stream)
+			if err != nil {
+				t.Fatalf("%s wrote but could not read back: %v", c.Name(), err)
+			}
+			if len(out) != 1 || !reflect.DeepEqual(in, out[0]) {
+				t.Fatalf("%s stream round trip mismatch: %+v vs %+v", c.Name(), out, in)
+			}
 		}
 		for _, name := range CodecNames() {
 			c, _ := LookupCodec(name)

@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"context"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -54,10 +55,43 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	t.Errorf("goroutines: %d before, %d after close", before, runtime.NumGoroutine())
 }
 
-// TestReadMessageNeverPanicsOnGarbage feeds random bytes into the frame
+// TestCenterCloseClosesRegisteringConnections: Close waits for every
+// connection's goroutine, so it must also close a connection that has
+// not sent its hello yet.
+func TestCenterCloseClosesRegisteringConnections(t *testing.T) {
+	c := newTestCenter(t)
+	silent, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The center accepts in dial order, so once a later agent has
+	// registered, the silent connection is waiting for its hello.
+	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
+	a, err := Connect(context.Background(), c.Addr(), 1, &Truthful{Type: typ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		silent.Close() // let Close return
+		<-closed
+		t.Fatal("Close still blocked 3 s on a connection that never sent a hello")
+	}
+}
+
+// TestReadBatchNeverPanicsOnGarbage feeds random bytes into the frame
 // reader: it must return errors, never panic, and never allocate
 // absurd buffers.
-func TestReadMessageNeverPanicsOnGarbage(t *testing.T) {
+func TestReadBatchNeverPanicsOnGarbage(t *testing.T) {
 	rng := dist.New(2026)
 	for trial := 0; trial < 2000; trial++ {
 		size := rng.Intn(64)
@@ -66,20 +100,20 @@ func TestReadMessageNeverPanicsOnGarbage(t *testing.T) {
 			raw[i] = byte(rng.Intn(256))
 		}
 		// Must not panic; errors are expected and fine.
-		_, _ = ReadMessage(bytes.NewReader(raw))
+		_, _ = ReadBatch(bytes.NewReader(raw))
 	}
 }
 
-// TestReadMessageTruncatedPayload: a frame header promising more bytes
+// TestReadBatchTruncatedPayload: a frame header promising more bytes
 // than the stream holds must error cleanly.
-func TestReadMessageTruncatedPayload(t *testing.T) {
+func TestReadBatchTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Message{Kind: KindHello, ID: 1}); err != nil {
+	if err := WriteBatch(&buf, jsonCodec{}, []*Message{{Kind: KindHello, ID: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := ReadMessage(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := ReadBatch(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes should error", cut)
 		}
 	}

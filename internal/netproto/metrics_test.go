@@ -96,3 +96,63 @@ func TestMetricsScrapeAfterDayCycle(t *testing.T) {
 		t.Errorf("GET /healthz: status %d", hresp.StatusCode)
 	}
 }
+
+// TestTCPFramesCountedOnce: every TCP frame carries one message and is
+// counted once in each wire series, registration and garbled frames
+// included. Over a binary-codec day with one garbled reply, the sent
+// frame count equals the sent message count, and the per-codec byte
+// series (JSON registration, binary day cycle) sum to the byte total.
+func TestTCPFramesCountedOnce(t *testing.T) {
+	plan, err := ParseFaultPlan("garble@1") // household 0's day-1 preference reply
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.Default().Snapshot()
+	c := newTestCenter(t, WithCodec(CodecBinary))
+	agents := make([]*Agent, len(traceTestTypes))
+	for i, typ := range traceTestTypes {
+		var opts []Option
+		if i == 0 {
+			opts = []Option{WithFaultPlan(plan), WithRetryPolicy(fastRetry)}
+		}
+		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		agents[i] = a
+	}
+	if err := waitForAgents(c, len(agents), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	record, err := c.RunDayContext(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if record.Substituted != nil || record.Absent != nil {
+		t.Fatalf("day settled degraded (substituted %v, absent %v); the garbled reply should have resumed",
+			record.Substituted, record.Absent)
+	}
+	// Every agent has sent its last frame once it has read its payment.
+	waitForHistories(t, agents, 1)
+	after := obs.Default().Snapshot()
+
+	delta := func(key string) uint64 { return after.Counters[key] - before.Counters[key] }
+	if n := delta(obs.MetricNetFaultsTotal + `{action="garble"}`); n != 1 {
+		t.Fatalf("%d garbled frames, want 1", n)
+	}
+	sent := `{direction="sent"}`
+	frames, msgs := delta(obs.MetricNetFramesTotal+sent), delta(obs.MetricNetMessagesTotal+sent)
+	if frames == 0 || frames != msgs {
+		t.Errorf("sent %d frames carrying %d messages, want one frame per message", frames, msgs)
+	}
+	var codecBytes uint64
+	for key := range after.Counters {
+		if strings.HasPrefix(key, obs.MetricNetCodecBytesTotal+"{") && strings.Contains(key, `direction="sent"`) {
+			codecBytes += delta(key)
+		}
+	}
+	if total := delta(obs.MetricNetBytesTotal + sent); codecBytes != total {
+		t.Errorf("per-codec sent bytes sum to %d, want the %d-byte total", codecBytes, total)
+	}
+}

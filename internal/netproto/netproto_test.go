@@ -41,47 +41,10 @@ func waitForAgents(c *Center, n int, timeout time.Duration) error {
 	return c.WaitForAgentsContext(ctx, n)
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	pref := core.MustPreference(18, 22, 2)
-	iv := core.Interval{Begin: 19, End: 21}
-	msgs := []*Message{
-		{Kind: KindHello, ID: 3},
-		{Kind: KindRequest, ID: 3, Day: 7},
-		{Kind: KindPreference, ID: 3, Day: 7, Pref: &pref},
-		{Kind: KindAllocation, ID: 3, Day: 7, Interval: &iv},
-		{Kind: KindPayment, ID: 3, Day: 7, Payment: &PaymentDetail{Amount: 4.2, TotalCost: 21}},
-		{Kind: KindError, Err: "boom"},
-	}
-	var buf bytes.Buffer
-	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Kind != want.Kind || got.ID != want.ID || got.Day != want.Day {
-			t.Errorf("round trip mismatch: %+v vs %+v", got, want)
-		}
-		if want.Pref != nil && (got.Pref == nil || *got.Pref != *want.Pref) {
-			t.Errorf("pref mismatch: %v vs %v", got.Pref, want.Pref)
-		}
-		if want.Interval != nil && (got.Interval == nil || *got.Interval != *want.Interval) {
-			t.Errorf("interval mismatch: %v vs %v", got.Interval, want.Interval)
-		}
-		if want.Payment != nil && (got.Payment == nil || got.Payment.Amount != want.Payment.Amount) {
-			t.Errorf("payment mismatch: %v vs %v", got.Payment, want.Payment)
-		}
-	}
-}
-
-func TestReadMessageRejectsOversizedFrame(t *testing.T) {
+func TestReadBatchRejectsOversizedFrame(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadMessage(&buf); err == nil {
+	if _, err := ReadBatch(&buf); err == nil {
 		t.Error("oversized frame should be rejected")
 	}
 }
@@ -98,9 +61,10 @@ func TestCenterConfigValidation(t *testing.T) {
 	mech := mechanism.DefaultConfig()
 	mech.Xi = 0.5
 	for name, opt := range map[string]Option{
-		"nil pricer":  WithPricer(nil),
-		"zero rating": WithRating(0),
-		"xi < 1":      WithMechanism(mech),
+		"nil pricer":    WithPricer(nil),
+		"zero rating":   WithRating(0),
+		"xi < 1":        WithMechanism(mech),
+		"unknown codec": WithCodec("zstd"),
 	} {
 		if c, err := StartCenter("127.0.0.1:0", opt); err == nil {
 			c.Close()

@@ -25,8 +25,7 @@ type agentConfig struct {
 	retry     RetryPolicy
 	plan      *FaultPlan
 	dial      DialFunc
-	codecs    []string // batch-frame codecs offered on the hello
-	reporting bool     // piggyback per-agent obs snapshots on the consumption phase
+	reporting bool // piggyback per-agent obs snapshots on the consumption phase
 }
 
 // replicaConfig is the replica-set side of the option set.
@@ -138,9 +137,6 @@ func defaultOptions() *options {
 			},
 			Codec: CodecJSON,
 		},
-		agent: agentConfig{
-			codecs: CodecNames(),
-		},
 		cluster: ClusterConfig{
 			Shards:    1,
 			BatchSize: DefaultBatchSize,
@@ -245,15 +241,12 @@ func WithDialer(d DialFunc) Option {
 }
 
 // WithCodec sets the batch-frame codec (CodecJSON or CodecBinary) the
-// center — or every shard link of a cluster — encodes with. On a TCP
-// center the codec still has to be negotiated: a connection whose agent
-// offers nothing stays on the legacy per-message JSON framing. Default:
+// center — or every shard link of a cluster — encodes with. A TCP
+// center uses it on each connection whose agent's hello offers it, and
+// JSON on the others. An unknown name fails the constructor. Default:
 // CodecJSON.
 func WithCodec(name string) Option {
-	return option("WithCodec", settlementTargets, func(o *options) {
-		o.center.Codec = name
-		o.cluster.Codec = name
-	})
+	return option("WithCodec", settlementTargets, func(o *options) { o.center.Codec = name })
 }
 
 // WithMetricsReporting enables obs federation on both sides of the

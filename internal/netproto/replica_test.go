@@ -310,4 +310,7 @@ func TestReplicaOptionValidation(t *testing.T) {
 	if _, err := StartReplicaSet(context.Background(), WithReplicas(3), WithReplicaID(3)); err == nil {
 		t.Error("out-of-range initial leader accepted, want range error")
 	}
+	if _, err := StartReplicaSet(context.Background(), WithCodec("zstd")); err == nil {
+		t.Error("unknown codec accepted, want codec error")
+	}
 }

@@ -3,7 +3,7 @@ package netproto
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -17,26 +17,26 @@ import (
 
 // rawDial opens a raw TCP connection to the center for protocol-abuse
 // tests.
-func rawDial(t *testing.T, addr string) net.Conn {
+func rawDial(t *testing.T, addr string) RawConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return conn
+	return RawConn{conn}
 }
 
 func TestCenterIgnoresNonHelloFirstFrame(t *testing.T) {
 	c := newTestCenter(t)
 	conn := rawDial(t, c.Addr())
 	// First frame must be a hello; anything else drops the connection.
-	if err := WriteMessage(conn, &Message{Kind: KindPreference, ID: 1}); err != nil {
+	if err := conn.Send(&Message{Kind: KindPreference, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// The center should close the connection without registering.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := ReadMessage(conn); err == nil {
+	if _, err := conn.Recv(); err == nil {
 		t.Error("expected the center to drop a connection that skips hello")
 	}
 	if c.AgentCount() != 0 {
@@ -54,7 +54,7 @@ func TestCenterDropsGarbageFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := ReadMessage(conn); err == nil {
+	if _, err := conn.Recv(); err == nil {
 		t.Error("expected the center to drop a connection with an oversized frame")
 	}
 }
@@ -62,10 +62,10 @@ func TestCenterDropsGarbageFrame(t *testing.T) {
 func TestCenterRejectsUnsolicitedMessageDuringPhase(t *testing.T) {
 	c := newTestCenter(t)
 	conn := rawDial(t, c.Addr())
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 9}); err != nil {
+	if err := conn.Send(&Message{Kind: KindHello, ID: 9}); err != nil {
 		t.Fatal(err)
 	}
-	welcome, err := ReadMessage(conn)
+	welcome, err := conn.Recv()
 	if err != nil || welcome.Kind != KindWelcome {
 		t.Fatalf("registration failed: %v %v", welcome, err)
 	}
@@ -77,12 +77,12 @@ func TestCenterRejectsUnsolicitedMessageDuringPhase(t *testing.T) {
 		_, err := c.RunDayContext(context.Background(), 1)
 		done <- err
 	}()
-	req, err := ReadMessage(conn)
+	req, err := conn.Recv()
 	if err != nil || req.Kind != KindRequest {
 		t.Fatalf("expected request, got %v %v", req, err)
 	}
 	iv := core.Interval{Begin: 18, End: 20}
-	if err := WriteMessage(conn, &Message{Kind: KindConsumption, ID: 9, Day: 1, Interval: &iv}); err != nil {
+	if err := conn.Send(&Message{Kind: KindConsumption, ID: 9, Day: 1, Interval: &iv}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -98,10 +98,10 @@ func TestCenterRejectsUnsolicitedMessageDuringPhase(t *testing.T) {
 func TestCenterRejectsPreferenceFrameWithoutPref(t *testing.T) {
 	c := newTestCenter(t)
 	conn := rawDial(t, c.Addr())
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 3}); err != nil {
+	if err := conn.Send(&Message{Kind: KindHello, ID: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessage(conn); err != nil {
+	if _, err := conn.Recv(); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -109,10 +109,10 @@ func TestCenterRejectsPreferenceFrameWithoutPref(t *testing.T) {
 		_, err := c.RunDayContext(context.Background(), 1)
 		done <- err
 	}()
-	if _, err := ReadMessage(conn); err != nil { // the request
+	if _, err := conn.Recv(); err != nil { // the request
 		t.Fatal(err)
 	}
-	if err := WriteMessage(conn, &Message{Kind: KindPreference, ID: 3, Day: 1}); err != nil {
+	if err := conn.Send(&Message{Kind: KindPreference, ID: 3, Day: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -145,10 +145,10 @@ func centerRejectsConsumption(t *testing.T, bad core.Interval) error {
 	t.Helper()
 	c := newTestCenter(t)
 	conn := rawDial(t, c.Addr())
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 4}); err != nil {
+	if err := conn.Send(&Message{Kind: KindHello, ID: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessage(conn); err != nil {
+	if _, err := conn.Recv(); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -156,18 +156,18 @@ func centerRejectsConsumption(t *testing.T, bad core.Interval) error {
 		_, err := c.RunDayContext(context.Background(), 1)
 		done <- err
 	}()
-	if _, err := ReadMessage(conn); err != nil {
+	if _, err := conn.Recv(); err != nil {
 		t.Fatal(err)
 	}
 	pref := core.MustPreference(18, 22, 2)
-	if err := WriteMessage(conn, &Message{Kind: KindPreference, ID: 4, Day: 1, Pref: &pref}); err != nil {
+	if err := conn.Send(&Message{Kind: KindPreference, ID: 4, Day: 1, Pref: &pref}); err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := ReadMessage(conn)
+	alloc, err := conn.Recv()
 	if err != nil || alloc.Kind != KindAllocation {
 		t.Fatalf("expected allocation, got %v %v", alloc, err)
 	}
-	if err := WriteMessage(conn, &Message{Kind: KindConsumption, ID: 4, Day: 1, Interval: &bad}); err != nil {
+	if err := conn.Send(&Message{Kind: KindConsumption, ID: 4, Day: 1, Interval: &bad}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -186,10 +186,10 @@ func TestCenterPhaseTimeout(t *testing.T) {
 	c := newTestCenter(t, WithPhaseDeadline(200*time.Millisecond))
 
 	conn := rawDial(t, c.Addr())
-	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 1}); err != nil {
+	if err := conn.Send(&Message{Kind: KindHello, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessage(conn); err != nil {
+	if _, err := conn.Recv(); err != nil {
 		t.Fatal(err)
 	}
 	// Never answer the preference request: the phase must time out.
@@ -290,31 +290,6 @@ func TestConcurrentWritesSerialized(t *testing.T) {
 	}
 }
 
-func TestWireMessageFuzzedFields(t *testing.T) {
-	// Round-trip odd but legal field combinations.
-	for i := 0; i < 50; i++ {
-		m := &Message{
-			Kind: Kind(fmt.Sprintf("kind-%d", i)),
-			ID:   core.HouseholdID(i * 7),
-			Day:  i,
-			Err:  fmt.Sprintf("err-%d", i),
-		}
-		conn1, conn2 := net.Pipe()
-		go func() {
-			_ = WriteMessage(conn1, m)
-			conn1.Close()
-		}()
-		got, err := ReadMessage(conn2)
-		conn2.Close()
-		if err != nil {
-			t.Fatalf("round trip %d: %v", i, err)
-		}
-		if got.Kind != m.Kind || got.ID != m.ID || got.Day != m.Day || got.Err != m.Err {
-			t.Fatalf("round trip %d mismatch: %+v vs %+v", i, got, m)
-		}
-	}
-}
-
 func TestAgentReconnectAfterDrop(t *testing.T) {
 	// A household whose connection drops can re-register with the same
 	// ID (the center frees the slot on disconnect) and the next day
@@ -394,5 +369,49 @@ func TestAgentRetryExhaustionIsTerminal(t *testing.T) {
 	}
 	if got := obs.Default().Counter(obs.MetricNetRetriesTotal).Value() - before; got != uint64(retry.MaxAttempts) {
 		t.Errorf("retry counter advanced by %d, want exactly MaxAttempts=%d", got, retry.MaxAttempts)
+	}
+}
+
+// TestConnectContextBoundsHandshake: Connect's context bounds the
+// hello/welcome exchange, not just the dial — against a center that
+// accepts and never answers, Connect fails once the context expires.
+func TestConnectContextBoundsHandshake(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
+	done := make(chan error, 1)
+	go func() {
+		a, err := Connect(ctx, ln.Addr().String(), 1, &Truthful{Type: typ})
+		if err == nil {
+			a.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Connect against a silent center: %v, want the context's deadline", err)
+		}
+	case <-time.After(3 * time.Second):
+		(<-accepted).Close() // unblock the handshake so the goroutine exits
+		<-done
+		t.Fatal("Connect still blocked 3 s after its 200 ms deadline")
+	}
+	select {
+	case conn := <-accepted:
+		conn.Close()
+	default:
 	}
 }

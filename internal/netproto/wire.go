@@ -8,19 +8,15 @@
 //	agent → center: realized consumption ω
 //	center → agent: payment p (with score breakdown)
 //
-// Messages travel in length-prefixed frames. Registration (hello and
-// welcome) always uses the legacy one-JSON-message-per-frame format;
-// the exchange doubles as codec negotiation, after which a connection
-// may switch to batched frames carrying multiple messages in either the
-// JSON or the compact binary codec (see frame.go and codec.go). The
-// package uses only the standard library (net, encoding/json, sync).
+// Every message travels in a length-prefixed batch frame, encoded with
+// either the JSON or the compact binary codec (see frame.go and
+// codec.go). Registration (hello and welcome) travels in JSON and
+// doubles as codec negotiation: the welcome names the codec every later
+// frame of the connection uses. The package uses only the standard
+// library (net, encoding/json, sync).
 package netproto
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
 
 	"enki/internal/core"
@@ -28,7 +24,7 @@ import (
 	"enki/internal/settle"
 )
 
-// MaxFrameSize bounds a single message frame; anything larger is a
+// MaxFrameSize bounds a single frame's payload; anything larger is a
 // protocol violation (guards against a misbehaving or malicious peer).
 const MaxFrameSize = 1 << 20
 
@@ -76,13 +72,9 @@ type Message struct {
 	Token string `json:"token,omitempty"`
 
 	// Codecs (hello) offers the batch-frame codecs the agent can speak;
-	// Codec (welcome) is the center's selection. Both empty on either
-	// side keeps the connection on the legacy per-message JSON framing,
-	// which is how a post-batching endpoint interoperates with a
-	// pre-batching peer: an old center ignores the unknown hello field
-	// and answers a codec-less welcome, an old agent offers nothing and
-	// is answered in kind. The hello/welcome exchange itself always
-	// travels legacy-framed.
+	// Codec (welcome) is the center's selection, the codec of every
+	// later frame on the connection. The hello and welcome themselves
+	// always travel in JSON.
 	Codecs []string `json:"codecs,omitempty"` // hello: agent → center offer
 	Codec  string   `json:"codec,omitempty"`  // welcome: center → agent selection
 
@@ -101,48 +93,15 @@ type Message struct {
 // message carries (see settle.PaymentDetail).
 type PaymentDetail = settle.PaymentDetail
 
-// WriteMessage frames and writes one message: a 4-byte big-endian
-// length followed by the JSON encoding.
-func WriteMessage(w io.Writer, m *Message) error {
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("netproto: encode %s: %w", m.Kind, err)
-	}
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("netproto: frame of %d bytes exceeds limit", len(payload))
-	}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(payload)))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("netproto: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("netproto: write payload: %w", err)
-	}
-	observeFrame(obs.DirectionSent, len(payload))
-	return nil
-}
-
-// observeFrame counts one framed message and its on-wire size (header
-// included) in the given direction, from this process's perspective.
-func observeFrame(direction string, payloadLen int) {
-	m := wireMetricsFor(direction, "")
-	m.messages.Inc()
-	m.bytes.Add(uint64(payloadLen) + 4)
-}
-
 // wireMetrics caches the handles one (direction, codec) pair of wire
 // telemetry records into. Resolving them through the registry renders a
 // label-qualified key per series — five per batch frame — so the wire
 // resolves them once and again only when the registry generation moved
 // (a test-time Reset), the internal/sched metricsFor pattern.
 type wireMetrics struct {
-	gen      uint64
-	messages *obs.Counter
-	bytes    *obs.Counter
-
-	// The batch-frame series; nil for the legacy per-message framing,
-	// which has no codec.
+	gen           uint64
+	messages      *obs.Counter
+	bytes         *obs.Counter
 	frames        *obs.Counter
 	frameMessages *obs.Histogram
 	codecBytes    *obs.Counter
@@ -156,7 +115,7 @@ var (
 )
 
 // wireMetricsFor returns the cached handles for a direction and a codec
-// name ("" for legacy per-message frames).
+// name.
 func wireMetricsFor(direction, codec string) *wireMetrics {
 	reg := obs.Default()
 	gen := reg.Generation()
@@ -166,38 +125,14 @@ func wireMetricsFor(direction, codec string) *wireMetrics {
 	m := wireMetricsCache[key]
 	if m == nil || m.gen != gen {
 		m = &wireMetrics{
-			gen:      gen,
-			messages: reg.Counter(obs.MetricNetMessagesTotal, obs.LabelDirection, direction),
-			bytes:    reg.Counter(obs.MetricNetBytesTotal, obs.LabelDirection, direction),
-		}
-		if codec != "" {
-			m.frames = reg.Counter(obs.MetricNetFramesTotal, obs.LabelDirection, direction)
-			m.frameMessages = reg.Histogram(obs.MetricNetFrameMessages, obs.BatchBuckets)
-			m.codecBytes = reg.Counter(obs.MetricNetCodecBytesTotal, obs.LabelCodec, codec, obs.LabelDirection, direction)
+			gen:           gen,
+			messages:      reg.Counter(obs.MetricNetMessagesTotal, obs.LabelDirection, direction),
+			bytes:         reg.Counter(obs.MetricNetBytesTotal, obs.LabelDirection, direction),
+			frames:        reg.Counter(obs.MetricNetFramesTotal, obs.LabelDirection, direction),
+			frameMessages: reg.Histogram(obs.MetricNetFrameMessages, obs.BatchBuckets),
+			codecBytes:    reg.Counter(obs.MetricNetCodecBytesTotal, obs.LabelCodec, codec, obs.LabelDirection, direction),
 		}
 		wireMetricsCache[key] = m
 	}
 	return m
-}
-
-// ReadMessage reads one framed message.
-func ReadMessage(r io.Reader) (*Message, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, err // io.EOF is meaningful to callers; do not wrap
-	}
-	size := binary.BigEndian.Uint32(header[:])
-	if size > MaxFrameSize {
-		return nil, fmt.Errorf("netproto: frame of %d bytes exceeds limit", size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("netproto: read payload: %w", err)
-	}
-	var m Message
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return nil, fmt.Errorf("netproto: decode frame: %w", err)
-	}
-	observeFrame(obs.DirectionReceived, len(payload))
-	return &m, nil
 }
