@@ -92,14 +92,17 @@ chaos:
 
 # The differential suites: the day machine settling bit-identically in
 # every topology that drives it (sim, cluster shard, TCP center, replica
-# set across leader kills), under the race detector; then the
+# set across leader kills), the golden digests pinning cluster and
+# center output across builds, and sim against a cluster and a TCP
+# center, all under the race detector; then the
 # allocation-engine acceptance suite: the rewritten greedy and
 # branch-and-bound engines against the retained seed implementations
 # over the seeded instance corpus, the solver property tests (bound
 # validity, incumbent monotonicity, worker bit-identity) under the race
 # detector, and short fuzz passes over the fuzz-derived greedy corpus.
 differential:
-	$(GO) test ./internal/netproto -count=1 -race -run 'TestDifferential'
+	$(GO) test ./internal/netproto -count=1 -race -run 'TestDifferential|GoldenDigests|TestClusterMatchesSim'
+	$(GO) test ./internal/sim -count=1 -race -run TestSimMatchesNetworkCenter
 	$(GO) test ./internal/sched -count=1 -run 'Differential'
 	$(GO) test ./internal/solver -count=1 -race \
 		-run 'Differential|WorkersBitIdentical|NeverWorseThanIncumbent|LowerBoundBelowOptimum|SymCorrect'

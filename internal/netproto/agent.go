@@ -100,9 +100,12 @@ type Agent struct {
 	err     error
 	closed  bool // Close was called; suppress the resulting read error
 
-	closing chan struct{}
-	done    chan struct{}
-	once    sync.Once
+	// ctx bounds the reconnect path's waits, redials and handshakes;
+	// Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
+	once   sync.Once
 }
 
 // Connect dials a center, registers the household, and starts the
@@ -158,15 +161,15 @@ func newAgent(ctx context.Context, conn net.Conn, id core.HouseholdID, policy Po
 		return nil, errors.New("netproto: nil policy")
 	}
 	a := &Agent{
-		id:      id,
-		policy:  policy,
-		cfg:     cfg,
-		inj:     newFaultInjector(cfg.plan),
-		conn:    conn,
-		paid:    make(map[int]bool),
-		closing: make(chan struct{}),
-		done:    make(chan struct{}),
+		id:     id,
+		policy: policy,
+		cfg:    cfg,
+		inj:    newFaultInjector(cfg.plan),
+		conn:   conn,
+		paid:   make(map[int]bool),
+		done:   make(chan struct{}),
 	}
+	a.ctx, a.cancel = context.WithCancel(context.Background())
 	if cfg.retry.Enabled() {
 		a.jitter = cfg.retry.jitterRNG(uint64(id))
 	}
@@ -247,14 +250,15 @@ func (a *Agent) terminalErr(cause error) error {
 // ID returns the agent's household ID.
 func (a *Agent) ID() core.HouseholdID { return a.id }
 
-// Close shuts the connection and waits for the message loop to exit.
+// Close shuts the connection, fails a reconnect in progress, and waits
+// for the message loop to exit.
 func (a *Agent) Close() error {
 	a.once.Do(func() {
 		a.mu.Lock()
 		a.closed = true
 		conn := a.conn
 		a.mu.Unlock()
-		close(a.closing)
+		a.cancel()
 		conn.Close()
 	})
 	<-a.done
@@ -447,18 +451,18 @@ func (a *Agent) reconnect() bool {
 		wait := time.NewTimer(a.cfg.retry.Backoff(attempt, a.jitter))
 		select {
 		case <-wait.C:
-		case <-a.closing:
+		case <-a.ctx.Done():
 			wait.Stop()
 			return false
 		}
-		conn, err := a.cfg.dial(context.Background())
+		conn, err := a.cfg.dial(a.ctx)
 		if err != nil {
 			continue
 		}
 		// Any handshake failure is retryable: the center may still be
 		// tearing down the dead connection (a transient "duplicate
-		// household id") or restarting.
-		newToken, err := a.handshake(context.Background(), conn, token)
+		// household id") or restarting. Close fails it at once.
+		newToken, err := a.handshake(a.ctx, conn, token)
 		if err != nil {
 			conn.Close()
 			continue

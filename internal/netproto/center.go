@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"enki/internal/core"
-	"enki/internal/mechanism"
 	"enki/internal/obs"
 	"enki/internal/replica"
 	"enki/internal/settle"
@@ -100,30 +99,6 @@ type memberPayload struct {
 	ID    core.HouseholdID `json:"id"`
 	Token string           `json:"token"`
 	Epoch uint64           `json:"epoch"`
-}
-
-// prefPhasePayload is the committed preference phase input.
-type prefPhasePayload struct {
-	Reports []core.Report      `json:"reports"`
-	Absent  []core.HouseholdID `json:"absent,omitempty"`
-}
-
-// consPhasePayload is the committed consumption phase input.
-type consPhasePayload struct {
-	Consumptions []core.Consumption `json:"consumptions"`
-	Substituted  []bool             `json:"substituted,omitempty"`
-}
-
-// Committed phase names, the Phase of their log entries.
-const (
-	phasePreference  = "preference"
-	phaseConsumption = "consumption"
-)
-
-// phaseKey names one committed phase input in a takeover log.
-type phaseKey struct {
-	day   int
-	phase string
 }
 
 // DefaultPhaseDeadline is the per-phase wait applied when no phase
@@ -219,9 +194,7 @@ type Center struct {
 
 	inbox chan inbound
 
-	fed  *obs.Federation // non-nil when cfg.Reporting
-	slo  *obs.SLOEngine  // non-nil when cfg.SLO is set
-	stat statusTable
+	operatorPlane
 
 	wg      sync.WaitGroup
 	closing chan struct{}
@@ -282,7 +255,6 @@ func newCenter(ln net.Listener, cfg centerConfig, commit committer, log []replic
 		joined:   make(chan struct{}, 1),
 		inbox:    make(chan inbound),
 		closing:  make(chan struct{}),
-		stat:     newStatusTable(),
 	}
 	for _, e := range log {
 		switch e.Kind {
@@ -300,39 +272,12 @@ func newCenter(ln net.Listener, cfg centerConfig, commit committer, log []replic
 			c.committed[phaseKey{e.Day, e.Phase}] = e.Data
 		}
 	}
-	if cfg.Reporting {
-		c.fed = obs.NewFederation(obs.Default())
-	}
-	if len(cfg.SLO) > 0 {
-		slo, err := obs.NewSLOEngine(obs.Default(), cfg.SLO)
-		if err != nil {
-			return nil, err
-		}
-		c.slo = slo
+	if err := c.operatorPlane.start(cfg); err != nil {
+		return nil, err
 	}
 	c.wg.Add(1)
 	go c.acceptLoop()
 	return c, nil
-}
-
-// Federation returns the center's federated metrics view, or nil when
-// metrics reporting is off.
-func (c *Center) Federation() *obs.Federation { return c.fed }
-
-// Operator assembles the center's operator plane: the default registry,
-// this center as the status source, the audit ledger's tail when a
-// ledger is configured, plus the federation and SLO engine when enabled.
-// Serve it with obs.ServeOperator; the caller flips SetReady once
-// enrollment is complete.
-func (c *Center) Operator() *obs.Operator {
-	op := obs.NewOperator(nil)
-	op.Status = c
-	if c.cfg.Ledger != nil {
-		op.Ledger = c.cfg.Ledger
-	}
-	op.Federation = c.fed
-	op.SLO = c.slo
-	return op
 }
 
 // Addr returns the listening address, for agents to dial.
@@ -410,12 +355,15 @@ func (c *Center) handleConn(conn net.Conn) {
 	}
 	defer c.untrack(conn)
 
+	// A connection that stays silent gets one phase deadline to say hello.
 	fr := &frameReader{r: conn}
+	conn.SetReadDeadline(time.Now().Add(c.cfg.PhaseDeadline))
 	hello, err := fr.next()
 	if err != nil || hello.Kind != KindHello {
 		conn.Close()
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
 	cc := &centerConn{id: hello.ID, conn: conn, inj: newFaultInjector(c.cfg.FaultPlan),
 		codec: selectCodec(c.cfg.codec(), hello.Codecs)}
 
@@ -582,9 +530,9 @@ func (c *Center) clearLastOut(id core.HouseholdID) {
 }
 
 // RunDayContext drives one full day cycle of a fresh settle.Machine
-// over the current neighborhood members: request → preferences →
-// allocation → consumptions → payments. It is not safe for concurrent
-// use with itself.
+// over the current neighborhood members (see dayRun.run): request →
+// preferences → allocation → consumptions → payments. It is not safe
+// for concurrent use with itself.
 //
 // The center only moves messages into and out of the machine and
 // commits what it decides. The day degrades rather than fails when
@@ -592,7 +540,8 @@ func (c *Center) clearLastOut(id core.HouseholdID) {
 // reports and then vanishes past the consumption deadline is on the
 // machine's dark set, settled as a defector from its committed report.
 // Protocol violations from live agents (malformed frames, out-of-phase
-// messages, inputs the machine rejects) still fail the day.
+// messages, inputs the machine rejects) still fail the day, and the
+// operator plane shows it failed.
 //
 // A failover leader replays the day's committed phase inputs into the
 // machine instead of collecting those phases again, so the day settles
@@ -612,146 +561,84 @@ func (c *Center) RunDayContext(ctx context.Context, day int) (*DayRecord, error)
 	if len(members) == 0 {
 		return nil, errors.New("netproto: no registered agents")
 	}
-	m := settle.New(c.cfg.Config, day, tid)
-
-	var pref prefPhasePayload
-	replayed, err := c.replay(day, phasePreference, &pref)
+	if _, ok := c.committed[phaseKey{day, phaseConsumption}]; ok {
+		c.stat.setPhase("settling") // a takeover settles straight from its log
+	}
+	d := dayRun{cfg: c.cfg.Config, day: day, traceID: tid, root: daySpan,
+		legs: tcpLegs{c, day, tid}, commit: c.commit, log: c.committed}
+	out, err := d.run(ctx, members)
 	if err != nil {
+		err = fmt.Errorf("netproto: day %d: %w", day, err)
+		c.stat.closeDay(start, obs.ShardStatus{TraceID: tid, LastDay: day, Households: len(members), Err: err.Error()}, 0, nil, tid)
 		return nil, err
 	}
-	if !replayed {
-		got, err := c.phase(ctx, daySpan, tid, members, KindPreference, day,
-			func(i int, tc *obs.TraceContext) *Message {
-				return &Message{Kind: KindRequest, ID: members[i], Day: day, Trace: tc}
-			})
-		if err != nil {
-			return nil, err
-		}
-		pref.Reports = make([]core.Report, 0, len(members))
-		for i, msg := range got {
-			switch {
-			case msg == nil: // dark past the deadline: absent for the day
-				pref.Absent = append(pref.Absent, members[i])
-			case msg.Pref == nil:
-				return nil, fmt.Errorf("netproto: household %d sent preference frame without pref", members[i])
-			default:
-				pref.Reports = append(pref.Reports, core.Report{ID: members[i], Pref: *msg.Pref})
-			}
-		}
-	}
-	assignments, err := m.Allocate(pref.Reports, pref.Absent)
-	if err != nil {
-		return nil, fmt.Errorf("netproto: day %d: %w", day, err)
-	}
-	if !replayed {
-		if err := c.commit.commitPhase(day, phasePreference, pref); err != nil {
-			return nil, err
-		}
-	}
-
-	var cons consPhasePayload
-	replayed, err = c.replay(day, phaseConsumption, &cons)
-	if err != nil {
-		return nil, err
-	}
-	if !replayed {
-		active := make([]core.HouseholdID, len(pref.Reports))
-		for i, r := range pref.Reports {
-			active[i] = r.ID
-		}
-		got, err := c.phase(ctx, daySpan, tid, active, KindConsumption, day,
-			func(i int, tc *obs.TraceContext) *Message {
-				iv := assignments[i].Interval
-				return &Message{Kind: KindAllocation, ID: active[i], Day: day, Interval: &iv, Trace: tc}
-			})
-		if err != nil {
-			return nil, err
-		}
-		cons.Consumptions = make([]core.Consumption, len(active))
-		for i, msg := range got {
-			switch {
-			case msg == nil: // reported, then dark past the deadline
-				if cons.Substituted == nil {
-					cons.Substituted = make([]bool, len(active))
-				}
-				cons.Substituted[i] = true
-			case msg.Interval == nil:
-				return nil, fmt.Errorf("netproto: household %d sent consumption frame without interval", active[i])
-			default:
-				cons.Consumptions[i] = core.Consumption{ID: active[i], Interval: *msg.Interval}
-			}
-		}
-	}
-
-	c.stat.setPhase("settling")
-	settleSpan := daySpan.StartChild(obs.SpanNetSettle, "day", strconv.Itoa(day))
-	out, err := m.Settle(cons.Consumptions, cons.Substituted)
-	settleSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("netproto: day %d: %w", day, err)
-	}
-	record := out.Record
-	if !replayed {
-		// The committed input carries the machine's imputations, so a
-		// replay settles the identical day.
-		cons = consPhasePayload{Consumptions: record.Consumptions, Substituted: record.Substituted}
-		if err := c.commit.commitPhase(day, phaseConsumption, cons); err != nil {
-			return nil, err
-		}
-	}
-	recordSettlement(c.cfg, &out)
-	// A replicated center blocks here until a majority holds the day —
-	// every replica appends the ledger entry at commit — while a
-	// standalone center appends directly to its ledger.
-	if err := c.commit.commitDay(&out); err != nil {
-		return nil, err
-	}
-
-	paySpan := daySpan.StartChild(obs.SpanNetPhase, obs.LabelPhase, string(KindPayment), "day", strconv.Itoa(day))
-	c.deliverPayments(record, wireTrace(tid, paySpan))
-	paySpan.End()
-
 	row := out.Status
-	degraded := row.Absent+row.Substituted > 0
 	obs.Default().Counter(obs.MetricNetDaysTotal).Inc()
-	if degraded {
+	if row.Absent+row.Substituted > 0 {
 		obs.Default().Counter(obs.MetricNetDegradedDaysTotal).Inc()
 		if row.Substituted > 0 {
 			obs.Default().Counter(obs.MetricNetSubstitutionsTotal).Add(uint64(row.Substituted))
 		}
 	}
-	if rec := obs.DefaultRecorder(); rec.Enabled() {
-		action := "ok"
-		if degraded {
-			action = "degraded"
+	c.stat.closeDay(start, row, out.Record.Peak, nil, tid)
+	return out.Record, nil
+}
+
+// tcpLegs are a center's legs: each household's message goes over its
+// session, waits there for a resume while the household is dark, and
+// the replies are collected under the phase deadline.
+type tcpLegs struct {
+	c   *Center
+	day int
+	tid string
+}
+
+func (l tcpLegs) exchange(ctx context.Context, span *obs.ActiveSpan, members []core.HouseholdID, assignments []core.Assignment) ([]*Message, error) {
+	c, want := l.c, KindPreference
+	if assignments != nil {
+		want = KindConsumption
+		members = make([]core.HouseholdID, len(assignments))
+		for i, a := range assignments {
+			members[i] = a.ID
 		}
-		rec.Record(obs.Event{Kind: obs.EventDay, Day: day, Shard: -1, Action: action, N: row.Settled, TraceID: tid})
 	}
-
-	settleMS := float64(time.Since(start).Nanoseconds()) / 1e6
-	obs.Default().Histogram(obs.MetricNetDaySettleMS, obs.LatencyBucketsMS).ObserveExemplar(settleMS, tid)
-	row.LastSettleMS = settleMS
-	c.stat.settled(row, record.Peak, []obs.ShardStatus{row})
-	return record, nil
+	c.stat.startPhase(l.day, string(want), len(members), c.cfg.PhaseDeadline)
+	if rec := obs.DefaultRecorder(); rec.Enabled() {
+		rec.Record(obs.Event{Kind: obs.EventPhase, Day: l.day, Shard: -1, Phase: string(want), Action: "start", N: len(members)})
+	}
+	tc := wireTrace(l.tid, span)
+	for i, id := range members {
+		m := &Message{Kind: KindRequest, ID: id, Day: l.day, Trace: tc}
+		if assignments != nil {
+			iv := assignments[i].Interval
+			m.Kind, m.Interval = KindAllocation, &iv
+		}
+		c.mu.Lock()
+		s := c.sessions[id]
+		var cc *centerConn
+		if s != nil {
+			s.lastOut = m // replayed if the household resumes mid-phase
+			cc = s.conn
+		}
+		c.mu.Unlock()
+		if cc == nil {
+			continue // dark; the message waits on the session for a resume
+		}
+		if err := cc.send(cc.codec, m); err != nil {
+			c.markDark(cc)
+		}
+	}
+	got, err := c.collect(ctx, members, want, l.day)
+	if want == KindConsumption {
+		c.stat.setPhase("settling")
+	}
+	return got, err
 }
 
-// replay decodes day's committed phase input into v, reporting whether
-// the takeover log held one.
-func (c *Center) replay(day int, phase string, v any) (bool, error) {
-	data, ok := c.committed[phaseKey{day, phase}]
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return false, fmt.Errorf("netproto: committed %s phase of day %d: %w", phase, day, err)
-	}
-	return true, nil
-}
-
-// recordSettlement publishes a settled day to the mechanism metrics.
-func recordSettlement(cfg centerConfig, out *settle.Outcome) {
-	r := out.Record
-	mechanism.RecordSettlementMetrics(r.Flexibility, r.Defection, r.SocialCost, r.Payments, r.Cost, cfg.Mechanism.Xi, out.PAR)
+// deliver never fails: a dark household's payment waits on its session.
+func (l tcpLegs) deliver(span *obs.ActiveSpan, out *settle.Outcome) error {
+	l.c.deliverPayments(out.Record, wireTrace(l.tid, span))
+	return nil
 }
 
 // deliverPayments sends every household its payment notice.
@@ -809,15 +696,6 @@ func (c *Center) redeliverDay(record *DayRecord) *DayRecord {
 	return record
 }
 
-// DayStatus implements obs.StatusSource: the current day, phase, and
-// reporting progress for /api/v1/day.
-func (c *Center) DayStatus() obs.DayStatus { return c.stat.DayStatus() }
-
-// ShardStatuses implements obs.StatusSource. A single-neighborhood
-// center is its own shard 0, so enkiops renders the same table against
-// an enkid daemon and a sharded cluster.
-func (c *Center) ShardStatuses() []obs.ShardStatus { return c.stat.ShardStatuses() }
-
 // memberIDs returns every neighborhood member — live or dark — sorted
 // by household ID. Dark members stay members: they may resume mid-day,
 // and until then each day settles around them.
@@ -830,43 +708,6 @@ func (c *Center) memberIDs() []core.HouseholdID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// phase runs one request/response round of the day cycle under its own
-// child span: it sends one message per member — built by build from the
-// member's index and stamped with the phase span's trace context so
-// agent-side spans parent under it — then collects replies of the
-// wanted kind until every member has answered or the phase deadline
-// expires. It returns the replies aligned with members, nil for the
-// members that stayed dark; only protocol violations (not darkness)
-// produce an error.
-func (c *Center) phase(ctx context.Context, daySpan *obs.ActiveSpan, tid string, members []core.HouseholdID, want Kind, day int,
-	build func(i int, tc *obs.TraceContext) *Message) ([]*Message, error) {
-	span := daySpan.StartChild(obs.SpanNetPhase, obs.LabelPhase, string(want), "day", strconv.Itoa(day))
-	defer span.End()
-	c.stat.startPhase(day, string(want), len(members), c.cfg.PhaseDeadline)
-	if rec := obs.DefaultRecorder(); rec.Enabled() {
-		rec.Record(obs.Event{Kind: obs.EventPhase, Day: day, Shard: -1, Phase: string(want), Action: "start", N: len(members)})
-	}
-	tc := wireTrace(tid, span)
-	for i, id := range members {
-		m := build(i, tc)
-		c.mu.Lock()
-		s := c.sessions[id]
-		var cc *centerConn
-		if s != nil {
-			s.lastOut = m // replayed if the household resumes mid-phase
-			cc = s.conn
-		}
-		c.mu.Unlock()
-		if cc == nil {
-			continue // dark; the message waits on the session for a resume
-		}
-		if err := cc.send(cc.codec, m); err != nil {
-			c.markDark(cc)
-		}
-	}
-	return c.collect(ctx, members, want, day)
 }
 
 // earlierReply reports whether kind is the reply of a phase that
@@ -888,8 +729,7 @@ func earlierReply(kind, want Kind) bool {
 func (c *Center) collect(ctx context.Context, members []core.HouseholdID, want Kind, day int) ([]*Message, error) {
 	start := time.Now()
 	defer func() {
-		obs.Default().Histogram(obs.MetricNetPhaseLatencyMS, obs.LatencyBucketsMS, obs.LabelPhase, string(want)).
-			Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+		obs.Default().Histogram(obs.MetricNetPhaseLatencyMS, obs.LatencyBucketsMS, obs.LabelPhase, string(want)).Observe(sinceMS(start))
 	}()
 	deadlineHist := obs.Default().Histogram(obs.MetricNetPhaseDeadlineRemainingMS, obs.LatencyBucketsMS, obs.LabelPhase, string(want))
 
@@ -923,10 +763,7 @@ func (c *Center) collect(ctx context.Context, members []core.HouseholdID, want K
 				continue
 			case m.Day < day:
 				continue // stale reply from a previous day's replay
-			case m.Day > day:
-				return nil, fmt.Errorf("netproto: unexpected %s(day %d) from %d during %s phase",
-					m.Kind, m.Day, in.id, want)
-			case m.Kind == want:
+			case m.Day == day && m.Kind == want:
 				i := sort.Search(len(members), func(i int) bool { return members[i] >= in.id })
 				if i == len(members) || members[i] != in.id || got[i] != nil {
 					continue // not asked this phase, or a duplicate delivery (FaultDup or replay overlap)
@@ -935,11 +772,10 @@ func (c *Center) collect(ctx context.Context, members []core.HouseholdID, want K
 				pending--
 				c.clearLastOut(in.id)
 				c.stat.noteReported()
-			case earlierReply(m.Kind, want):
+			case m.Day == day && earlierReply(m.Kind, want):
 				continue // late answer to an already-closed round
 			default:
-				return nil, fmt.Errorf("netproto: unexpected %s(day %d) from %d during %s phase",
-					m.Kind, m.Day, in.id, want)
+				return nil, fmt.Errorf("unexpected %s(day %d) from %d during %s phase", m.Kind, m.Day, in.id, want)
 			}
 		case <-timer.C:
 			obs.Default().Counter(obs.MetricNetTimeoutsTotal, obs.LabelPhase, string(want)).Inc()
@@ -950,9 +786,9 @@ func (c *Center) collect(ctx context.Context, members []core.HouseholdID, want K
 			}
 			return got, nil
 		case <-ctx.Done():
-			return nil, fmt.Errorf("netproto: %s phase: %w", want, ctx.Err())
+			return nil, fmt.Errorf("%s phase: %w", want, ctx.Err())
 		case <-c.closing:
-			return nil, errors.New("netproto: center closed")
+			return nil, errors.New("center closed")
 		}
 	}
 	if remaining := c.cfg.PhaseDeadline - time.Since(start); remaining > 0 {

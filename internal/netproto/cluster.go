@@ -64,12 +64,6 @@ func (c ClusterConfig) validate() error {
 // IDs or session tokens derived from the same seed.
 const clusterSeedSalt = 0x636c7573 // "clus"
 
-// clusterMember is one household enrolled in a cluster.
-type clusterMember struct {
-	id     core.HouseholdID
-	policy Policy
-}
-
 // shardState is the durable per-shard machinery: the framed link the
 // shard's protocol messages travel through, and the shard's own
 // scheduler (with a seed-derived RNG for the paper's random
@@ -77,7 +71,8 @@ type clusterMember struct {
 type shardState struct {
 	link      *shardLink
 	scheduler sched.Scheduler
-	members   []clusterMember // sorted by household ID
+	ids       []core.HouseholdID // the members, sorted
+	policies  []Policy           // the members' policies, aligned with ids
 
 	// src and reg carry the shard's federated metrics dimension when
 	// reporting is on: reg accumulates the shard's own series across
@@ -112,15 +107,13 @@ type Cluster struct {
 	codec   Codec
 	engine  parallel.Engine
 	custom  bool // scheduler came from WithScheduler (shared across shards)
-	fed     *obs.Federation
-	slo     *obs.SLOEngine
 	mu      sync.Mutex
 	members map[core.HouseholdID]Policy
 	shards  []*shardState
 	dirty   bool // membership changed since shards were built
 	closed  bool
 
-	stat statusTable // rebuilt at each merge from the shards' machine rows
+	operatorPlane // its shard rows rebuilt at each merge
 }
 
 // StartCluster starts a sharded settlement service configured by
@@ -159,47 +152,12 @@ func StartCluster(ctx context.Context, opts ...Option) (*Cluster, error) {
 		custom:  custom,
 		members: make(map[core.HouseholdID]Policy),
 		dirty:   true,
-		stat:    newStatusTable(),
 	}
-	if center.Reporting {
-		c.fed = obs.NewFederation(obs.Default())
-	}
-	if len(center.SLO) > 0 {
-		slo, err := obs.NewSLOEngine(obs.Default(), center.SLO)
-		if err != nil {
-			return nil, err
-		}
-		c.slo = slo
+	if err := c.operatorPlane.start(center); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
-
-// Federation returns the cluster's federated metrics view, or nil when
-// metrics reporting is off.
-func (c *Cluster) Federation() *obs.Federation { return c.fed }
-
-// Operator assembles the cluster's operator plane: the default
-// registry, this cluster as the status source, the audit ledger's tail
-// when a ledger is configured, plus the federation and SLO engine when
-// enabled. Serve it with obs.ServeOperator; the caller flips SetReady
-// once enrollment is complete.
-func (c *Cluster) Operator() *obs.Operator {
-	op := obs.NewOperator(nil)
-	op.Status = c
-	if c.center.Ledger != nil {
-		op.Ledger = c.center.Ledger
-	}
-	op.Federation = c.fed
-	op.SLO = c.slo
-	return op
-}
-
-// DayStatus implements obs.StatusSource for /api/v1/day.
-func (c *Cluster) DayStatus() obs.DayStatus { return c.stat.DayStatus() }
-
-// ShardStatuses implements obs.StatusSource for /api/v1/shards: the
-// last settled day's per-shard health table, in shard-index order.
-func (c *Cluster) ShardStatuses() []obs.ShardStatus { return c.stat.ShardStatuses() }
 
 // Join enrolls a household. Households may join between days; the next
 // ClusterDay repartitions the membership (sorted by household ID, in
@@ -252,16 +210,16 @@ func (c *Cluster) rebuildShards() {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	policies := make([]Policy, len(ids))
+	for i, id := range ids {
+		policies[i] = c.members[id]
+	}
 
 	root := dist.New(c.center.TraceSeed)
 	n := len(ids)
 	c.shards = make([]*shardState, c.cfg.Shards)
 	for s := 0; s < c.cfg.Shards; s++ {
 		lo, hi := s*n/c.cfg.Shards, (s+1)*n/c.cfg.Shards
-		members := make([]clusterMember, 0, hi-lo)
-		for _, id := range ids[lo:hi] {
-			members = append(members, clusterMember{id: id, policy: c.members[id]})
-		}
 		scheduler := c.center.Scheduler
 		if !c.custom {
 			// Fresh Greedy per shard: the paper's random tie-breaking from
@@ -280,7 +238,8 @@ func (c *Cluster) rebuildShards() {
 				plan:  c.cfg.ShardFaults[s],
 			},
 			scheduler: scheduler,
-			members:   members,
+			ids:       ids[lo:hi],
+			policies:  policies[lo:hi],
 		}
 		if c.fed != nil {
 			c.shards[s].src = fmt.Sprintf("shard/%04d", s)
@@ -374,8 +333,8 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 	entries := make([]*mechanism.LedgerEntry, len(shards))
 	_ = c.engine.ForEach(len(shards), func(s int) error {
 		t0 := time.Now()
-		days[s], rows[s], entries[s] = c.runShardDay(shards[s], s, day)
-		rows[s].LastSettleMS = float64(time.Since(t0).Nanoseconds()) / 1e6
+		days[s], rows[s], entries[s] = c.runShardDay(ctx, shards[s], s, day)
+		rows[s].LastSettleMS = sinceMS(t0)
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -408,292 +367,217 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 		}
 	}
 	obs.Default().Counter(obs.MetricClusterDaysTotal).Inc()
-	if rec.Absent > 0 {
-		obs.Default().Counter(obs.MetricClusterAbsentTotal).Add(uint64(rec.Absent))
-	}
-	if rec.Absent+rec.Substituted+rec.Failed > 0 {
+	total := obs.ShardStatus{Healthy: rec.Failed == 0, LastDay: day, Settled: rec.Settled, Absent: rec.Absent,
+		Substituted: rec.Substituted, Cost: rec.Cost, Revenue: rec.Revenue, Residual: rec.Revenue - c.center.Mechanism.Xi*rec.Cost}
+	if dayAction(total) != "ok" {
 		obs.Default().Counter(obs.MetricNetDegradedDaysTotal).Inc()
 	}
-	if r := obs.DefaultRecorder(); r.Enabled() {
-		action := "ok"
-		if rec.Absent+rec.Substituted+rec.Failed > 0 {
-			action = "degraded"
+	// The latency exemplar is the slowest shard's trace: the cluster day
+	// has no trace of its own, and the slowest shard is where it went.
+	slowest := 0
+	for s := range rows {
+		if rows[s].LastSettleMS > rows[slowest].LastSettleMS {
+			slowest = s
 		}
-		r.Record(obs.Event{Kind: obs.EventDay, Day: day, Shard: -1, Action: action, N: rec.Settled})
 	}
-	settleMS := float64(time.Since(start).Nanoseconds()) / 1e6
-	obs.Default().Histogram(obs.MetricNetDaySettleMS, obs.LatencyBucketsMS).
-		ObserveExemplar(settleMS, obs.DeriveTraceID(c.center.TraceSeed, uint64(day)))
-
 	c.stat.mu.Lock()
-	c.stat.day.Members = rec.Households
-	c.stat.day.Reported = rec.Settled
-	c.stat.day.Dark = rec.Absent + rec.Substituted
+	c.stat.day.Members, c.stat.day.Reported, c.stat.day.Dark = rec.Households, rec.Settled, rec.Absent+rec.Substituted
 	c.stat.mu.Unlock()
-	c.stat.settled(obs.ShardStatus{Cost: rec.Cost, Revenue: rec.Revenue,
-		Residual: rec.Revenue - c.center.Mechanism.Xi*rec.Cost}, rec.Peak, rows)
+	c.stat.closeDay(start, total, rec.Peak, rows, rows[slowest].TraceID)
 	return rec, nil
 }
 
-// runShardDay drives one shard's day machine through the full Figure 1
-// day cycle, every message passing through the shard's batch-framed
-// link: request → preference → allocation → consumption → payment.
-// Message loss (injected faults) degrades the shard the same way agent
-// darkness degrades the TCP center: a household whose preference never
-// arrives is absent; one that reported and then went dark is on the
-// machine's dark set. It returns the shard's day, its operator row and,
-// when the cluster keeps a ledger, its ledger entry.
-func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, obs.ShardStatus, *mechanism.LedgerEntry) {
+// runShardDay runs one shard's day (see dayRun.run) over its
+// batch-framed link. Message loss (injected faults) degrades the shard
+// the same way agent darkness degrades the TCP center: a household
+// whose preference never arrives is absent; one that reported and then
+// went dark is on the machine's dark set. It returns the shard's day,
+// its operator row and, when the cluster keeps a ledger, its ledger
+// entry.
+func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day int) (ShardDay, obs.ShardStatus, *mechanism.LedgerEntry) {
 	start := time.Now()
 	tid := obs.DeriveTraceID(c.center.TraceSeed, uint64(day), uint64(shard))
-	span := obs.DefaultTracer().StartTrace(tid, obs.SpanClusterShard,
-		"day", strconv.Itoa(day), "shard", strconv.Itoa(shard))
-	defer span.End()
-	defer func() {
-		obs.Default().Histogram(obs.MetricClusterShardSettleMS, obs.LatencyBucketsMS).
-			Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	}()
-
-	out := ShardDay{Shard: shard, TraceID: tid, Households: len(st.members)}
+	var span *obs.ActiveSpan
+	if tr := obs.DefaultTracer(); tr.Enabled() {
+		span = tr.StartTrace(tid, obs.SpanClusterShard, "day", strconv.Itoa(day), "shard", strconv.Itoa(shard))
+	}
+	out := ShardDay{Shard: shard, TraceID: tid, Households: len(st.ids)}
 	row := obs.ShardStatus{Shard: shard, Healthy: true, TraceID: tid, LastDay: day}
-	recordShardDay := func() {
-		rec := obs.DefaultRecorder()
-		if !rec.Enabled() {
-			return
-		}
-		action := "ok"
-		switch {
-		case out.Err != "":
-			action = "failed"
-		case out.Absent+out.Substituted > 0:
-			action = "degraded"
-		}
-		rec.Record(obs.Event{
-			Kind:    obs.EventShardDay,
-			Day:     day,
-			Shard:   shard,
-			Action:  action,
-			N:       out.Settled,
-			TraceID: tid,
-			Err:     out.Err,
-		})
-	}
-	defer recordShardDay()
-	fail := func(err error) (ShardDay, obs.ShardStatus, *mechanism.LedgerEntry) {
-		out.Err = err.Error()
-		obs.Default().Counter(obs.MetricClusterShardFailures).Inc()
-		row.Healthy, row.Err, row.Households, row.Absent = false, out.Err, out.Households, out.Absent
-		return out, row, nil
-	}
-	if len(st.members) == 0 {
-		// An empty shard (more shards than households) settles trivially.
-		obs.Default().Counter(obs.MetricClusterShardsSettled).Inc()
-		return out, row, nil
-	}
-	cfg := c.center.Config
-	cfg.Scheduler = st.scheduler
-	m := settle.New(cfg, day, tid)
-
-	// Every leg is built in, and delivered into, slots the shard day
-	// borrows from the pool: one message per member at most, plus the
-	// payment leg's trailing metricsReport.
-	ls := linkScratchPool.Get().(*linkScratch)
-	defer linkScratchPool.Put(ls)
-	ls.reset(len(st.members) + 1)
-
-	// Phase 1: requests out, preferences back. Loss on either leg makes
-	// the household absent for the day.
-	for _, m := range st.members {
-		ls.add(Message{Kind: KindRequest, ID: m.id, Day: day})
-	}
-	delivered, err := st.link.transfer(ls)
-	if err != nil {
-		return fail(err)
-	}
-	forEachDelivered(st.members, delivered, func(m clusterMember, _ *Message) {
-		ls.add(Message{Kind: KindPreference, ID: m.id, Day: day}).setPref(m.policy.Report(day))
-	})
-	delivered, err = st.link.transfer(ls)
-	if err != nil {
-		return fail(err)
-	}
-	reports := make([]core.Report, 0, len(delivered))
-	forEachDelivered(st.members, delivered, func(m clusterMember, msg *Message) {
-		reports = append(reports, core.Report{ID: m.id, Pref: *msg.Pref})
-	})
-	assignments, err := m.Allocate(reports, absentees(st.members, reports))
-	if err != nil {
-		return fail(err)
-	}
-	out.Absent = len(st.members) - len(reports)
-
-	// Phase 2: allocations out, consumptions back. Loss on either leg
-	// puts the household on the machine's dark set.
-	reporting := make([]clusterMember, len(reports))
-	memberAt := memberIndexer(st.members)
-	for i := range reports {
-		reporting[i] = st.members[memberAt(reports[i].ID)]
-		ls.add(Message{Kind: KindAllocation, ID: reports[i].ID, Day: day}).setInterval(assignments[i].Interval)
-	}
-	delivered, err = st.link.transfer(ls)
-	if err != nil {
-		return fail(err)
-	}
-	reportAt := reportIndexer(reports)
-	forEachDelivered(reporting, delivered, func(m clusterMember, msg *Message) {
-		ls.add(Message{Kind: KindConsumption, ID: m.id, Day: day}).setInterval(m.policy.Consume(day, *msg.Interval))
-	})
-	delivered, err = st.link.transfer(ls)
-	if err != nil {
-		return fail(err)
-	}
-	consumptions := make([]core.Consumption, len(reports))
-	dark := make([]bool, len(reports))
-	for i := range dark {
-		dark[i] = true
-	}
-	forEachDelivered(reporting, delivered, func(m clusterMember, msg *Message) {
-		i := reportAt(m.id)
-		consumptions[i] = core.Consumption{ID: m.id, Interval: *msg.Interval}
-		dark[i] = false
-	})
-	settled, err := m.Settle(consumptions, dark)
-	if err != nil {
-		return fail(err)
-	}
-	recordSettlement(c.center, &settled)
-	record := settled.Record
-
-	// Phase 3: payments out, best-effort — the settled record is already
-	// authoritative, so loss here only suppresses a household's feedback.
-	// When reporting is on, the shard's cumulative metrics snapshot rides
-	// the same batch as one trailing metricsReport message — through the
-	// same codec, counted by the same wire metrics, subject to the same
-	// fault plan (a dropped or garbled frame loses the day's report; the
-	// next day's cumulative snapshot covers the gap).
-	row = settled.Status
-	row.Shard = shard
-	out.Substituted = row.Substituted
-	for i := range reports {
-		ls.add(Message{Kind: KindPayment, ID: reports[i].ID, Day: day}).setPayment(record.Notice(i))
-	}
-	if st.reg != nil {
-		st.reg.Counter(obs.MetricClusterShardsSettled).Inc()
-		st.reg.Counter(obs.MetricClusterHouseholdsSettled).Add(uint64(len(reports)))
-		if out.Substituted > 0 {
-			st.reg.Counter(obs.MetricClusterSubstitutionsTotal).Add(uint64(out.Substituted))
-		}
-		if out.Absent > 0 {
-			st.reg.Counter(obs.MetricClusterAbsentTotal).Add(uint64(out.Absent))
-		}
-		st.reg.Gauge(obs.MetricMechTheorem1Deviation).Set(row.Residual)
-		st.reg.Histogram(obs.MetricClusterShardSettleMS, obs.LatencyBucketsMS).
-			ObserveExemplar(float64(time.Since(start).Nanoseconds())/1e6, tid)
-		ls.add(Message{Kind: KindMetricsReport, Day: day,
-			Metrics: &obs.MetricsReport{Source: st.src, Snapshot: st.reg.Snapshot()}})
-	}
-	delivered, err = st.link.transfer(ls)
-	if err != nil {
-		return fail(err)
-	}
-	// The trailing metricsReport (ID 0, no payment) must never reach the
-	// member walk: extract it by kind before delivering feedback.
-	var shardReport *obs.MetricsReport
-	kept := delivered[:0]
-	for _, m := range delivered {
-		if m.Kind == KindMetricsReport {
-			if m.Metrics != nil {
-				shardReport = m.Metrics
-			}
-			continue
-		}
-		kept = append(kept, m)
-	}
-	forEachDelivered(reporting, kept, func(m clusterMember, msg *Message) {
-		m.policy.Feedback(day, *msg.Payment)
-	})
-	if shardReport != nil && c.fed != nil {
-		c.fed.Report(shardReport)
-	}
-
-	out.Settled = len(reports)
-	out.Cost = record.Cost
-	out.Peak = record.Peak
-	out.Revenue = row.Revenue
-	if c.cfg.Records {
-		out.Record = record
-	}
-	reg := obs.Default()
-	reg.Counter(obs.MetricClusterShardsSettled).Inc()
-	reg.Counter(obs.MetricClusterHouseholdsSettled).Add(uint64(len(reports)))
-	if out.Substituted > 0 {
-		reg.Counter(obs.MetricClusterSubstitutionsTotal).Add(uint64(out.Substituted))
-	}
 	var entry *mechanism.LedgerEntry
-	if c.center.Ledger != nil {
-		e := settled.LedgerEntry()
-		entry = &e
+	var err error
+	if len(st.ids) > 0 { // an empty shard (more shards than households) settles trivially
+		// A leg carries one message per member at most, plus the payment
+		// leg's trailing metricsReport.
+		ls := linkScratchPool.Get().(*linkScratch)
+		ls.reset(len(st.ids) + 1)
+		cfg := c.center.Config
+		cfg.Scheduler = st.scheduler
+		d := dayRun{cfg: cfg, day: day, traceID: tid, root: span,
+			legs: &shardLegs{st: st, ls: ls, fed: c.fed, day: day, tid: tid, start: start}}
+		var settled settle.Outcome
+		settled, err = d.run(ctx, st.ids)
+		linkScratchPool.Put(ls)
+		if err == nil {
+			row = settled.Status
+			row.Shard = shard
+			r := settled.Record
+			out.Settled, out.Absent, out.Substituted = row.Settled, row.Absent, row.Substituted
+			out.Cost, out.Revenue, out.Peak = r.Cost, row.Revenue, r.Peak
+			if c.cfg.Records {
+				out.Record = r
+			}
+			if c.center.Ledger != nil {
+				e := settled.LedgerEntry()
+				entry = &e
+			}
+		}
+	}
+	if err != nil {
+		out.Err = err.Error()
+		row = obs.ShardStatus{Shard: shard, TraceID: tid, LastDay: day, Households: out.Households, Err: out.Err}
+		obs.Default().Counter(obs.MetricClusterShardFailures).Inc()
+	} else {
+		countSettledShard(obs.Default(), row)
+	}
+	span.End()
+	obs.Default().Histogram(obs.MetricClusterShardSettleMS, obs.LatencyBucketsMS).Observe(sinceMS(start))
+	if rec := obs.DefaultRecorder(); rec.Enabled() {
+		rec.Record(obs.Event{Kind: obs.EventShardDay, Day: day, Shard: shard, Action: dayAction(row),
+			N: out.Settled, TraceID: tid, Err: out.Err})
 	}
 	return out, row, entry
 }
 
-// absentees returns the members missing from reports (both sorted by
-// household ID), or nil when every member reported.
-func absentees(members []clusterMember, reports []core.Report) []core.HouseholdID {
-	if len(reports) == len(members) {
-		return nil
+// countSettledShard counts a settled shard day into reg: the default
+// registry, and a reporting shard's own.
+func countSettledShard(reg *obs.Registry, row obs.ShardStatus) {
+	reg.Counter(obs.MetricClusterShardsSettled).Inc()
+	reg.Counter(obs.MetricClusterHouseholdsSettled).Add(uint64(row.Settled))
+	if row.Substituted > 0 {
+		reg.Counter(obs.MetricClusterSubstitutionsTotal).Add(uint64(row.Substituted))
 	}
-	absent := make([]core.HouseholdID, 0, len(members)-len(reports))
-	j := 0
-	for _, m := range members {
-		if j < len(reports) && reports[j].ID == m.id {
-			j++
-			continue
+	if row.Absent > 0 {
+		reg.Counter(obs.MetricClusterAbsentTotal).Add(uint64(row.Absent))
+	}
+}
+
+// shardLegs are a shard day's legs: every leg crosses the shard's link
+// in the day's pooled scratch, and the members' policies answer on the
+// far side. Link messages carry no trace context.
+type shardLegs struct {
+	st    *shardState
+	ls    *linkScratch
+	fed   *obs.Federation // non-nil when the cluster federates reports
+	day   int
+	tid   string
+	start time.Time
+}
+
+func (l *shardLegs) exchange(_ context.Context, _ *obs.ActiveSpan, members []core.HouseholdID, assignments []core.Assignment) ([]*Message, error) {
+	st, ls, day := l.st, l.ls, l.day
+	ids := members
+	if assignments == nil {
+		for _, id := range members {
+			ls.add(Message{Kind: KindRequest, ID: id, Day: day})
 		}
-		absent = append(absent, m.id)
+	} else {
+		ids = ls.ids[:0]
+		for _, a := range assignments {
+			ids = append(ids, a.ID)
+			ls.add(Message{Kind: KindAllocation, ID: a.ID, Day: day}).setInterval(a.Interval)
+		}
+		ls.ids = ids
 	}
-	return absent
+	delivered, err := st.link.transfer(ls)
+	if err != nil {
+		return nil, err
+	}
+	// Each member's policy answers what reached it; loss either way
+	// leaves its reply nil.
+	forEachDelivered(st.ids, delivered, func(i int, msg *Message) {
+		if assignments == nil {
+			ls.add(Message{Kind: KindPreference, ID: st.ids[i], Day: day}).setPref(st.policies[i].Report(day))
+		} else {
+			ls.add(Message{Kind: KindConsumption, ID: st.ids[i], Day: day}).setInterval(st.policies[i].Consume(day, *msg.Interval))
+		}
+	})
+	if delivered, err = st.link.transfer(ls); err != nil {
+		return nil, err
+	}
+	if cap(ls.replies) < len(ids) {
+		ls.replies = make([]*Message, len(ids))
+	}
+	replies := ls.replies[:len(ids)]
+	clear(replies)
+	forEachDelivered(ids, delivered, func(i int, msg *Message) { replies[i] = msg })
+	return replies, nil
+}
+
+// deliver sends the payments best-effort — the settled record is
+// already authoritative, so loss here only suppresses a household's
+// feedback. When reporting is on, the shard's cumulative metrics
+// snapshot rides the same batch as one trailing metricsReport message —
+// through the same codec, counted by the same wire metrics, subject to
+// the same fault plan (a dropped or garbled frame loses the day's
+// report; the next day's cumulative snapshot covers the gap). Only an
+// encode error fails the shard.
+func (l *shardLegs) deliver(_ *obs.ActiveSpan, out *settle.Outcome) error {
+	st, ls, day, record := l.st, l.ls, l.day, out.Record
+	for i, r := range record.Reports {
+		ls.add(Message{Kind: KindPayment, ID: r.ID, Day: day}).setPayment(record.Notice(i))
+	}
+	if st.reg != nil {
+		countSettledShard(st.reg, out.Status)
+		st.reg.Gauge(obs.MetricMechTheorem1Deviation).Set(out.Status.Residual)
+		st.reg.Histogram(obs.MetricClusterShardSettleMS, obs.LatencyBucketsMS).ObserveExemplar(sinceMS(l.start), l.tid)
+		ls.add(Message{Kind: KindMetricsReport, Day: day,
+			Metrics: &obs.MetricsReport{Source: st.src, Snapshot: st.reg.Snapshot()}})
+	}
+	delivered, err := st.link.transfer(ls)
+	if err != nil {
+		return err
+	}
+	// The trailing metricsReport (ID 0, no payment) must never reach the
+	// member walk: extract it by kind before delivering feedback.
+	var report *obs.MetricsReport
+	kept := delivered[:0]
+	for _, m := range delivered {
+		if m.Kind != KindMetricsReport {
+			kept = append(kept, m)
+		} else if m.Metrics != nil {
+			report = m.Metrics
+		}
+	}
+	forEachDelivered(st.ids, kept, func(i int, msg *Message) { st.policies[i].Feedback(day, *msg.Payment) })
+	if report != nil && l.fed != nil {
+		l.fed.Report(report)
+	}
+	return nil
 }
 
 // forEachDelivered merge-walks delivered messages against the sorted
-// member slice they were generated from, invoking fn once per delivered
-// member in member order. Delivery preserves order and duplicates
+// ids their leg was sent to, calling fn once per delivered household
+// with its index in ids. Delivery preserves order and duplicates
 // (FaultDup) arrive adjacent, so a single forward walk suffices — no
-// per-phase maps, which matters at a million households.
-func forEachDelivered(members []clusterMember, delivered []*Message, fn func(m clusterMember, msg *Message)) {
+// per-leg maps, which matters at a million households.
+func forEachDelivered(ids []core.HouseholdID, delivered []*Message, fn func(i int, msg *Message)) {
 	i := 0
 	var last core.HouseholdID = -1
 	for _, msg := range delivered {
 		if msg.ID == last {
 			continue // duplicate delivery
 		}
-		for i < len(members) && members[i].id < msg.ID {
+		for i < len(ids) && ids[i] < msg.ID {
 			i++
 		}
-		if i >= len(members) {
+		if i >= len(ids) {
 			return
 		}
-		if members[i].id == msg.ID {
-			fn(members[i], msg)
+		if ids[i] == msg.ID {
+			fn(i, msg)
 			last = msg.ID
 			i++
 		}
-	}
-}
-
-// memberIndexer returns a lookup from household ID to index in the
-// sorted member slice, backed by binary search (no map at 1M scale).
-func memberIndexer(members []clusterMember) func(core.HouseholdID) int {
-	return func(id core.HouseholdID) int {
-		return sort.Search(len(members), func(i int) bool { return members[i].id >= id })
-	}
-}
-
-// reportIndexer is memberIndexer over a report slice (same sorted-by-ID
-// invariant).
-func reportIndexer(reports []core.Report) func(core.HouseholdID) int {
-	return func(id core.HouseholdID) int {
-		return sort.Search(len(reports), func(i int) bool { return reports[i].ID >= id })
 	}
 }
 
@@ -724,11 +608,13 @@ type shardLink struct {
 // values out — policies, reports, DayRecords and ledger entries never
 // hold a pointer into a slot.
 type linkScratch struct {
-	send      []slot     // the leg being built; capacity fixed by reset
-	recv      []slot     // decode slots of the delivered leg
-	delivered []*Message // into recv, in delivery order
-	batch     []*Message // one frame's messages, duplicates included
-	frame     []byte     // one encoded frame
+	send      []slot             // the leg being built; capacity fixed by reset
+	recv      []slot             // decode slots of the delivered leg
+	delivered []*Message         // into recv, in delivery order
+	replies   []*Message         // delivered replies aligned with the leg's ids
+	ids       []core.HouseholdID // the allocation leg's households
+	batch     []*Message         // one frame's messages, duplicates included
+	frame     []byte             // one encoded frame
 }
 
 var linkScratchPool = sync.Pool{New: func() any { return new(linkScratch) }}

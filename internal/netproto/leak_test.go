@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -85,6 +86,35 @@ func TestCenterCloseClosesRegisteringConnections(t *testing.T) {
 		silent.Close() // let Close return
 		<-closed
 		t.Fatal("Close still blocked 3 s on a connection that never sent a hello")
+	}
+}
+
+// TestCenterDropsHelloLessConnection: a connection that never sends its
+// hello gets one phase deadline to do so; then the center closes it and
+// stops tracking it, instead of holding its goroutine until Close.
+func TestCenterDropsHelloLessConnection(t *testing.T) {
+	c := newTestCenter(t, WithPhaseDeadline(100*time.Millisecond))
+	silent, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	silent.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent connection read %v within 2 s, want EOF from the center closing it", err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for {
+		c.mu.Lock()
+		tracked := len(c.conns)
+		c.mu.Unlock()
+		if tracked == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("center still tracks %d connections after dropping the silent one", tracked)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

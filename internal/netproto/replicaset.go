@@ -488,17 +488,23 @@ func (rs *ReplicaSet) Kill(id int) error {
 	return nil
 }
 
+// liveCenter returns the live leader's Center, or nil while the leader
+// is dead.
+func (rs *ReplicaSet) liveCenter() *Center {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if n := rs.nodes[rs.leaderID]; n.alive {
+		return n.center
+	}
+	return nil
+}
+
 // leaderCenter returns the live leader's Center, electing and promoting
 // a new leader first if the current one is dead.
 func (rs *ReplicaSet) leaderCenter() (*Center, error) {
-	rs.mu.Lock()
-	n := rs.nodes[rs.leaderID]
-	if n.alive && n.center != nil {
-		c := n.center
-		rs.mu.Unlock()
+	if c := rs.liveCenter(); c != nil {
 		return c, nil
 	}
-	rs.mu.Unlock()
 	return rs.takeOver()
 }
 
@@ -653,27 +659,17 @@ func (rs *ReplicaSet) WaitForAgentsContext(ctx context.Context, n int) error {
 // AgentCount returns the number of households with a live connection
 // to the current leader.
 func (rs *ReplicaSet) AgentCount() int {
-	rs.mu.Lock()
-	var c *Center
-	if n := rs.nodes[rs.leaderID]; n.alive {
-		c = n.center
+	if c := rs.liveCenter(); c != nil {
+		return c.AgentCount()
 	}
-	rs.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.AgentCount()
+	return 0
 }
 
 // Addr returns the current leader's agent-facing address. Prefer
 // Dialer for agents: the address moves on failover.
 func (rs *ReplicaSet) Addr() string {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	for _, n := range rs.nodes {
-		if n.id == rs.leaderID && n.center != nil {
-			return n.center.Addr()
-		}
+	if c := rs.liveCenter(); c != nil {
+		return c.Addr()
 	}
 	return ""
 }
@@ -767,11 +763,8 @@ func (rs *ReplicaSet) ReplicaStatuses() obs.ReplicaSetStatus {
 // with DaysSettled counted from the committed log so a takeover does
 // not reset it.
 func (rs *ReplicaSet) DayStatus() obs.DayStatus {
+	c := rs.liveCenter()
 	rs.mu.Lock()
-	var c *Center
-	if n := rs.nodes[rs.leaderID]; n.alive {
-		c = n.center
-	}
 	settled := uint64(len(rs.days))
 	rs.mu.Unlock()
 	var ds obs.DayStatus
@@ -784,16 +777,10 @@ func (rs *ReplicaSet) DayStatus() obs.DayStatus {
 
 // ShardStatuses implements obs.StatusSource via the current leader.
 func (rs *ReplicaSet) ShardStatuses() []obs.ShardStatus {
-	rs.mu.Lock()
-	var c *Center
-	if n := rs.nodes[rs.leaderID]; n.alive {
-		c = n.center
+	if c := rs.liveCenter(); c != nil {
+		return c.ShardStatuses()
 	}
-	rs.mu.Unlock()
-	if c == nil {
-		return []obs.ShardStatus{}
-	}
-	return c.ShardStatuses()
+	return []obs.ShardStatus{}
 }
 
 // Operator returns the operator plane for the replica set: day and

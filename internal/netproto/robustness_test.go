@@ -126,24 +126,63 @@ func TestCenterRejectsPreferenceFrameWithoutPref(t *testing.T) {
 }
 
 func TestCenterRejectsWrongDurationConsumption(t *testing.T) {
-	centerRejectsConsumption(t, core.Interval{Begin: 18, End: 21}) // duration 3, declared 2
+	centerRejectsConsumption(t, newTestCenter(t), core.Interval{Begin: 18, End: 21}) // duration 3, declared 2
 }
 
 // TestCenterRejectsOffDayConsumption: a consumption of the declared
 // duration but outside the day fails the day instead of settling with
 // its load dropped from κ(ω).
 func TestCenterRejectsOffDayConsumption(t *testing.T) {
-	if err := centerRejectsConsumption(t, core.Interval{Begin: 30, End: 32}); !strings.Contains(err.Error(), "outside day") {
+	if err := centerRejectsConsumption(t, newTestCenter(t), core.Interval{Begin: 30, End: 32}); !strings.Contains(err.Error(), "outside day") {
 		t.Errorf("day failed with %v, want an outside-day rejection", err)
 	}
 }
 
-// centerRejectsConsumption registers one raw household that reports a
-// 2-slot preference and answers its allocation with bad, and returns
-// the error that must fail the day.
-func centerRejectsConsumption(t *testing.T, bad core.Interval) error {
+// TestCenterFailedDayShowsFailed: a failed TCP day shows as failed on
+// the operator plane, the way a failed shard does — phase "failed" with
+// no deadline left, one unhealthy row carrying the error, and a failed
+// day event — while nothing counts it as settled.
+func TestCenterFailedDayShowsFailed(t *testing.T) {
+	rec := obs.DefaultRecorder()
+	rec.Reset()
+	rec.Enable()
+	defer func() {
+		rec.Disable()
+		rec.Reset()
+	}()
+	latency := obs.Default().Histogram(obs.MetricNetDaySettleMS, obs.LatencyBucketsMS)
+	before := latency.Count()
+
+	c := newTestCenter(t, WithTraceSeed(3))
+	dayErr := centerRejectsConsumption(t, c, core.Interval{Begin: 30, End: 32})
+
+	if ds := c.DayStatus(); ds.Phase != "failed" || ds.DeadlineRemainingMS != 0 || ds.DaysSettled != 0 || ds.LastCost != 0 {
+		t.Errorf("day status %+v, want phase failed, no deadline and nothing settled", ds)
+	}
+	tid := obs.DeriveTraceID(3, 1)
+	want := obs.ShardStatus{Shard: 0, Err: dayErr.Error(), TraceID: tid, LastDay: 1, Households: 1}
+	if rows := c.ShardStatuses(); len(rows) != 1 || rows[0] != want {
+		t.Errorf("shard rows %+v, want the one unhealthy row %+v", rows, want)
+	}
+	if latency.Count() != before {
+		t.Error("the failed day was observed as a day-settle latency")
+	}
+	var days []obs.Event
+	for _, e := range rec.Events() {
+		if e.Kind == obs.EventDay {
+			days = append(days, e)
+		}
+	}
+	if len(days) != 1 || days[0].Action != "failed" || days[0].Err != dayErr.Error() || days[0].TraceID != tid || days[0].Day != 1 {
+		t.Errorf("day events %+v, want one failed event carrying the error", days)
+	}
+}
+
+// centerRejectsConsumption registers one raw household with c that
+// reports a 2-slot preference and answers its allocation with bad, and
+// returns the error that must fail the day.
+func centerRejectsConsumption(t *testing.T, c *Center, bad core.Interval) error {
 	t.Helper()
-	c := newTestCenter(t)
 	conn := rawDial(t, c.Addr())
 	if err := conn.Send(&Message{Kind: KindHello, ID: 4}); err != nil {
 		t.Fatal(err)
@@ -413,5 +452,61 @@ func TestConnectContextBoundsHandshake(t *testing.T) {
 	case conn := <-accepted:
 		conn.Close()
 	default:
+	}
+}
+
+// TestAgentCloseBoundsSilentReconnect: Close bounds a reconnect in
+// progress — against a listener that accepts the redial and never
+// answers the hello, Close still returns promptly.
+func TestAgentCloseBoundsSilentReconnect(t *testing.T) {
+	c := newTestCenter(t)
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := silent.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	// The first dial reaches the center; every redial the silent listener.
+	dials := 0
+	dial := func(ctx context.Context) (net.Conn, error) {
+		addr := silent.Addr().String()
+		if dials++; dials == 1 {
+			addr = c.Addr()
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	retry := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1, Seed: 1}
+	typ := core.Type{True: core.MustPreference(18, 22, 2), ValuationFactor: 5}
+	a, err := Connect(context.Background(), "", 1, &Truthful{Type: typ}, WithDialer(dial), WithRetryPolicy(retry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close() // the link drops; the agent redials into the silent listener
+	var conn net.Conn
+	select {
+	case conn = <-accepted:
+		defer conn.Close()
+	case <-time.After(5 * time.Second):
+		a.Close()
+		t.Fatal("the agent never redialed")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		a.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		conn.Close() // fail the handshake so Close can return
+		<-closed
+		t.Fatal("Close still blocked 3 s on a reconnect handshake the listener never answered")
 	}
 }

@@ -3,6 +3,8 @@ package netproto
 import (
 	"bytes"
 	"context"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,6 +135,111 @@ func TestDayCycleOneConnectedTrace(t *testing.T) {
 				t.Errorf("agent span parented under %s, want %s", parent.Name, obs.SpanNetPhase)
 			}
 		}
+	}
+}
+
+// TestShardDayOneConnectedTrace: a traced shard day traces like a TCP
+// day (TestDayCycleOneConnectedTrace) — one cluster.shard root in the
+// shard's trace, with the preference, consumption and payment phase
+// spans and one settle span as its children.
+func TestShardDayOneConnectedTrace(t *testing.T) {
+	tr := obs.DefaultTracer()
+	tr.Drain()
+	tr.Enable()
+	t.Cleanup(func() {
+		tr.Disable()
+		tr.Drain()
+	})
+
+	const seed = 42
+	cluster := buildCluster(t, 12, WithShards(1), WithTraceSeed(seed))
+	rec, err := cluster.ClusterDay(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTID := obs.DeriveTraceID(seed, 1, 0)
+	if rec.Shards[0].TraceID != wantTID {
+		t.Fatalf("shard trace ID %q, want %q", rec.Shards[0].TraceID, wantTID)
+	}
+
+	spans := tr.Drain()
+	var root *obs.Span
+	for i, s := range spans {
+		if s.TraceID != wantTID {
+			t.Fatalf("span %s in trace %q, want every span in %q", s.Name, s.TraceID, wantTID)
+		}
+		if s.ParentID == "" {
+			if root != nil {
+				t.Fatalf("two root spans: %s and %s", root.Name, s.Name)
+			}
+			root = &spans[i]
+		}
+	}
+	if root == nil || root.Name != obs.SpanClusterShard {
+		t.Fatalf("root span = %+v, want a %s span", root, obs.SpanClusterShard)
+	}
+	var children []string
+	for _, s := range spans {
+		if s.ParentID == "" {
+			continue
+		}
+		if s.ParentID != root.SpanID {
+			t.Errorf("span %s parented under %s, want the %s root", s.Name, s.ParentID, obs.SpanClusterShard)
+		}
+		name := s.Name
+		for i := 0; i+1 < len(s.Labels); i += 2 {
+			if s.Labels[i] == obs.LabelPhase {
+				name += " " + s.Labels[i+1]
+			}
+		}
+		children = append(children, name)
+	}
+	sort.Strings(children)
+	want := []string{
+		obs.SpanNetPhase + " " + string(KindConsumption),
+		obs.SpanNetPhase + " " + string(KindPayment),
+		obs.SpanNetPhase + " " + string(KindPreference),
+		obs.SpanNetSettle,
+	}
+	if strings.Join(children, ",") != strings.Join(want, ",") {
+		t.Errorf("root children %v, want %v", children, want)
+	}
+}
+
+// TestClusterDayExemplarIsSlowestShard: a cluster day's day-settle
+// latency exemplar is the trace of its slowest shard — a trace the
+// shards' spans carry, since the cluster day has none of its own.
+func TestClusterDayExemplarIsSlowestShard(t *testing.T) {
+	obs.Default().Reset()
+	tr := obs.DefaultTracer()
+	tr.Drain()
+	tr.Enable()
+	t.Cleanup(func() {
+		tr.Disable()
+		tr.Drain()
+	})
+
+	cluster := buildCluster(t, 40, WithShards(4), WithTraceSeed(9))
+	if _, err := cluster.ClusterDay(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	rows := cluster.ShardStatuses()
+	slowest := rows[0]
+	for _, r := range rows[1:] {
+		if r.LastSettleMS > slowest.LastSettleMS {
+			slowest = r
+		}
+	}
+	ex := obs.Default().Histogram(obs.MetricNetDaySettleMS, obs.LatencyBucketsMS).Exemplars()
+	if len(ex) != 1 || ex[0].TraceID != slowest.TraceID {
+		t.Fatalf("day-settle exemplars %+v, want the slowest shard's trace %q", ex, slowest.TraceID)
+	}
+	traced := false
+	for _, s := range tr.Drain() {
+		traced = traced || s.TraceID == ex[0].TraceID
+	}
+	if !traced {
+		t.Errorf("no span carries the exemplar trace %q", ex[0].TraceID)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // DayStatus is the operator view of the current settlement day — what
 // /api/v1/day serves. Phase names follow the protocol kinds
-// ("preference", "consumption", "payment") plus "settling", "settled",
-// and "idle" between days.
+// ("preference", "consumption", "payment") plus "settling", "settled"
+// or "failed" once a day ends, and "idle" before the first day.
 type DayStatus struct {
 	Day                 int     `json:"day"`
 	Phase               string  `json:"phase"`

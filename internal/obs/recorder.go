@@ -39,8 +39,8 @@ const (
 	// EventShardDay is one shard's settled day (Action "ok",
 	// "degraded", or "failed"; N = households settled).
 	EventShardDay = "shard.day"
-	// EventDay is a settled day on a center or cluster (Action "ok" or
-	// "degraded"; N = households settled).
+	// EventDay is a day on a center or cluster (Action "ok",
+	// "degraded", or "failed" with Err set; N = households settled).
 	EventDay = "day"
 	// EventLedger is one audit-ledger append (Bytes = encoded length).
 	EventLedger = "ledger.append"
