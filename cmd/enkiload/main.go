@@ -8,11 +8,13 @@
 //	enkiload -households 1000000 -shards 1024 -codec binary
 //	enkiload -households 100000 -shards 128 -days 3 -check
 //	enkiload -households 500 -replicas 3 -days 3 -kill-leader 2
+//	enkiload -households 300 -replicas 3 -days 3 -kill-leader 2 -ops 127.0.0.1:0 -ops-check
 //
 // With -replicas N (odd, > 1) the harness settles through a
 // quorum-replicated wire center instead of the shard fabric, one agent
 // connection per household; -kill-leader D kills the current leader
-// before day D so the run crosses a mid-sequence failover.
+// before day D so the run crosses a mid-sequence failover, and -ops
+// serves the set's operator plane across it.
 //
 // With -check the harness re-settles every day on a single worker and
 // fails unless the merged day report is byte-identical — the
@@ -90,7 +92,7 @@ func newFlagSet() (*flag.FlagSet, *loadFlags) {
 	fs.BoolVar(&f.records, "records", false, "keep full per-shard DayRecords (costs memory at scale)")
 	fs.BoolVar(&f.check, "check", false, "re-settle each day on one worker and require byte-identical output")
 	fs.StringVar(&f.out, "out", "", "write an obs metrics snapshot (JSON) on exit")
-	fs.StringVar(&f.ops, "ops", "", "serve the operator plane on this address (e.g. 127.0.0.1:0; enables metrics federation and the default SLOs)")
+	fs.StringVar(&f.ops, "ops", "", "serve the operator plane on this address (e.g. 127.0.0.1:0; enables the default SLOs, and metrics federation in cluster mode)")
 	fs.BoolVar(&f.opsCheck, "ops-check", false, "after the run, scrape /api/v1/day and /api/v1/slo and fail on non-2xx, an unsettled day, or an unhealthy objective")
 	fs.StringVar(&f.fedOut, "fed-out", "", "write the federated metrics snapshot (JSON) on exit (requires -ops)")
 	fs.StringVar(&f.faultPlan, "fault-plan", "", "inject a deterministic fault plan on one shard link (e.g. 'drop@30' or 'seed=7,msgs=200,drop=0.02')")
@@ -104,12 +106,13 @@ func newFlagSet() (*flag.FlagSet, *loadFlags) {
 
 // clusterOnlyFlags are meaningless against a replicated wire center:
 // replicas settle one neighborhood over TCP, not an in-process shard
-// fabric, so the shard/fault/ops machinery has nothing to attach to.
+// fabric, so the shard, fault, federation-export and bundle machinery
+// has nothing to attach to. The operator plane (-ops, -ops-check) works
+// in both modes.
 var clusterOnlyFlags = map[string]bool{
 	"shards": true, "workers": true, "codec": true, "batch": true,
 	"records": true, "check": true, "fault-plan": true, "fault-shard": true,
-	"ops": true, "ops-check": true, "fed-out": true,
-	"bundle-dir": true, "bundle-on-fail": true,
+	"fed-out": true, "bundle-dir": true, "bundle-on-fail": true,
 }
 
 func run(argv []string, out io.Writer) error {
@@ -334,13 +337,19 @@ func runReplicated(ctx context.Context, f *loadFlags, pricer pricing.Pricer, out
 		return err
 	}
 	start := time.Now()
-	rs, err := netproto.StartReplicaSet(ctx,
+	opts := []netproto.Option{
 		netproto.WithReplicas(f.replicas),
 		netproto.WithPricer(pricer),
 		netproto.WithMechanism(mechanism.Config{K: mechanism.DefaultK, Xi: f.xi}),
 		netproto.WithRating(f.rating),
 		netproto.WithTraceSeed(f.seed),
-	)
+	}
+	if f.ops != "" {
+		// The SLO engine only reads the registry; reporting stays off, so
+		// the agents' wire stream is a plain run's.
+		opts = append(opts, netproto.WithSLO())
+	}
+	rs, err := netproto.StartReplicaSet(ctx, opts...)
 	if err != nil {
 		return err
 	}
@@ -374,6 +383,19 @@ func runReplicated(ctx context.Context, f *loadFlags, pricer pricing.Pricer, out
 	fmt.Fprintf(out, "enrolled %d wire households against a %d-replica center (leader %d) in %v\n",
 		f.households, f.replicas, rs.Leader(), time.Since(start).Round(time.Millisecond))
 
+	var opsURL string
+	if f.ops != "" {
+		op := rs.Operator()
+		srv, err := obs.ServeOperator(f.ops, op)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		op.SetReady(true) // enrollment is complete by here
+		opsURL = "http://" + srv.Addr()
+		fmt.Fprintf(out, "operator plane: %s (api /api/v1/{day,shards,ledger/tail,slo,replicas})\n", opsURL)
+	}
+
 	for day := 1; day <= f.days; day++ {
 		if day == f.killLeader {
 			victim := rs.Leader()
@@ -401,6 +423,11 @@ func runReplicated(ctx context.Context, f *loadFlags, pricer pricing.Pricer, out
 		}
 	}
 	fmt.Fprintf(out, "replica set: %d failovers, leader %d, term %d\n", rs.Failovers(), rs.Leader(), rs.Term())
+	if f.opsCheck {
+		if err := checkOps(opsURL, f.days, out); err != nil {
+			return err
+		}
+	}
 
 	if f.out != "" {
 		w, err := os.Create(f.out)

@@ -130,13 +130,15 @@ func TestLoadFlagValidation(t *testing.T) {
 }
 
 // TestLoadReplicatedWithLeaderKill drives the replicated wire mode:
-// 40 households against 3 replicas, leader killed before day 2, and
-// the budget identity checked on every day including the failover one.
+// 40 households against 3 replicas, leader killed before day 2, the
+// budget identity checked on every day including the failover one, and
+// the set's operator plane gated after the last day.
 func TestLoadReplicatedWithLeaderKill(t *testing.T) {
 	obs.Default().Reset()
 	var out strings.Builder
 	err := run([]string{
 		"-households", "40", "-days", "2", "-replicas", "3", "-kill-leader", "2",
+		"-ops", "127.0.0.1:0", "-ops-check",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -149,6 +151,7 @@ func TestLoadReplicatedWithLeaderKill(t *testing.T) {
 		"day 2: settled 40 households",
 		"term 2",
 		"replica set: 1 failovers, leader 1, term 2",
+		"ops-check: day 2 settled",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
@@ -162,7 +165,7 @@ func TestLoadReplicatedFlagValidation(t *testing.T) {
 	for _, argv := range [][]string{
 		{"-replicas", "3", "-shards", "8"},
 		{"-replicas", "3", "-check"},
-		{"-replicas", "3", "-ops", "127.0.0.1:0"},
+		{"-replicas", "3", "-households", "40", "-ops", "127.0.0.1:0", "-fed-out", "fed.json"},
 		{"-replicas", "3", "-fault-plan", "drop@3"},
 		{"-replicas", "2", "-households", "10"},
 		{"-replicas", "3", "-kill-leader", "5", "-days", "2"},

@@ -1,13 +1,12 @@
 package mechanism
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 
 	"enki/internal/core"
+	"enki/internal/obs"
 )
 
 // LedgerSchemaVersion identifies the audit-ledger record layout.
@@ -113,35 +112,9 @@ func BuildLedgerEntry(traceID string, day int, cfg Config, rating float64,
 // ReadLedger loads an audit ledger from a JSONL stream, in order. Like
 // the settlement journal, a corrupt or truncated final line (crash
 // during append) is skipped; corruption followed by further valid
-// entries is an error.
+// entries is an error (see obs.ReadJSONL).
 func ReadLedger(r io.Reader) ([]LedgerEntry, error) {
-	var out []LedgerEntry
-	var pending error
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for scanner.Scan() {
-		line++
-		if len(scanner.Bytes()) == 0 {
-			continue
-		}
-		var e LedgerEntry
-		if err := json.Unmarshal(scanner.Bytes(), &e); err != nil {
-			if pending != nil {
-				return nil, pending
-			}
-			pending = fmt.Errorf("mechanism: ledger line %d: %w", line, err)
-			continue
-		}
-		if pending != nil {
-			return nil, pending
-		}
-		out = append(out, e)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("mechanism: read ledger: %w", err)
-	}
-	return out, nil
+	return obs.ReadJSONL[LedgerEntry](r, "mechanism: ledger")
 }
 
 // auditTolerance absorbs float round-trip noise (JSON encode/decode and

@@ -194,7 +194,7 @@ type Center struct {
 
 	inbox chan inbound
 
-	operatorPlane
+	*operatorPlane
 
 	wg      sync.WaitGroup
 	closing chan struct{}
@@ -231,15 +231,20 @@ func StartCenterListener(ln net.Listener, opts ...Option) (*Center, error) {
 		return nil, err
 	}
 	cfg := o.resolveCenter()
-	return newCenter(ln, cfg, ledgerCommitter{cfg.Ledger}, nil)
+	plane, err := newOperatorPlane(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newCenter(ln, cfg, plane, ledgerCommitter{cfg.Ledger}, nil)
 }
 
-// newCenter starts a center committing through commit. log is the
-// committed log a failover leader takes over (nil for a fresh center):
-// its member entries rebuild the session table — each committed
-// household starts dark and resumes with the token the old leader
-// issued — and its phase entries are the inputs RunDayContext replays.
-func newCenter(ln net.Listener, cfg centerConfig, commit committer, log []replica.Entry) (*Center, error) {
+// newCenter starts a center that reports into plane and commits through
+// commit. log is the committed log a failover leader takes over (nil for
+// a fresh center): its member entries rebuild the session table — each
+// committed household starts dark and resumes with the token the old
+// leader issued — and its phase entries are the inputs RunDayContext
+// replays.
+func newCenter(ln net.Listener, cfg centerConfig, plane *operatorPlane, commit committer, log []replica.Entry) (*Center, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -247,14 +252,15 @@ func newCenter(ln net.Listener, cfg centerConfig, commit committer, log []replic
 		cfg.PhaseDeadline = DefaultPhaseDeadline
 	}
 	c := &Center{
-		cfg:      cfg,
-		ln:       ln,
-		commit:   commit,
-		sessions: make(map[core.HouseholdID]*session),
-		conns:    make(map[net.Conn]struct{}),
-		joined:   make(chan struct{}, 1),
-		inbox:    make(chan inbound),
-		closing:  make(chan struct{}),
+		cfg:           cfg,
+		ln:            ln,
+		commit:        commit,
+		operatorPlane: plane,
+		sessions:      make(map[core.HouseholdID]*session),
+		conns:         make(map[net.Conn]struct{}),
+		joined:        make(chan struct{}, 1),
+		inbox:         make(chan inbound),
+		closing:       make(chan struct{}),
 	}
 	for _, e := range log {
 		switch e.Kind {
@@ -271,9 +277,6 @@ func newCenter(ln net.Listener, cfg centerConfig, commit committer, log []replic
 			}
 			c.committed[phaseKey{e.Day, e.Phase}] = e.Data
 		}
-	}
-	if err := c.operatorPlane.start(cfg); err != nil {
-		return nil, err
 	}
 	c.wg.Add(1)
 	go c.acceptLoop()
@@ -572,7 +575,13 @@ func (c *Center) RunDayContext(ctx context.Context, day int) (*DayRecord, error)
 		c.stat.closeDay(start, obs.ShardStatus{TraceID: tid, LastDay: day, Households: len(members), Err: err.Error()}, 0, nil, tid)
 		return nil, err
 	}
-	row := out.Status
+	return c.settled(start, out.Record, out.Status), nil
+}
+
+// settled closes a settled day on the operator plane from its record and
+// status row: the day counters, then closeDay. A day settled here and a
+// committed day a failover leader redelivers close the same way.
+func (c *Center) settled(start time.Time, record *DayRecord, row obs.ShardStatus) *DayRecord {
 	obs.Default().Counter(obs.MetricNetDaysTotal).Inc()
 	if row.Absent+row.Substituted > 0 {
 		obs.Default().Counter(obs.MetricNetDegradedDaysTotal).Inc()
@@ -580,8 +589,8 @@ func (c *Center) RunDayContext(ctx context.Context, day int) (*DayRecord, error)
 			obs.Default().Counter(obs.MetricNetSubstitutionsTotal).Add(uint64(row.Substituted))
 		}
 	}
-	c.stat.closeDay(start, row, out.Record.Peak, nil, tid)
-	return out.Record, nil
+	c.stat.closeDay(start, row, record.Peak, nil, record.TraceID)
+	return record
 }
 
 // tcpLegs are a center's legs: each household's message goes over its
@@ -688,12 +697,13 @@ func wireTrace(tid string, span *obs.ActiveSpan) *obs.TraceContext {
 // redeliverDay re-issues payment notices for a day that was already committed
 // to the replicated journal. Delivery is best-effort, exactly like the normal
 // payment phase: agents that are connected receive the notice immediately,
-// dark sessions have it queued for resume, and agents dedupe by day.
+// dark sessions have it queued for resume, and agents dedupe by day. The day
+// then closes like any settled day, from the committed record's status row.
 func (c *Center) redeliverDay(record *DayRecord) *DayRecord {
+	start := time.Now()
 	c.stat.setPhase("payment")
 	c.deliverPayments(record, &obs.TraceContext{TraceID: record.TraceID})
-	c.stat.setPhase("settled")
-	return record
+	return c.settled(start, record, settle.StatusRow(record, c.cfg.Mechanism.Xi))
 }
 
 // memberIDs returns every neighborhood member — live or dark — sorted

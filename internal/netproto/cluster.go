@@ -113,7 +113,7 @@ type Cluster struct {
 	dirty   bool // membership changed since shards were built
 	closed  bool
 
-	operatorPlane // its shard rows rebuilt at each merge
+	*operatorPlane // its shard rows rebuilt at each merge
 }
 
 // StartCluster starts a sharded settlement service configured by
@@ -144,19 +144,20 @@ func StartCluster(ctx context.Context, opts ...Option) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		center:  center,
-		cfg:     cfg,
-		codec:   center.codec(),
-		engine:  parallel.Engine{Workers: cfg.Workers},
-		custom:  custom,
-		members: make(map[core.HouseholdID]Policy),
-		dirty:   true,
-	}
-	if err := c.operatorPlane.start(center); err != nil {
+	plane, err := newOperatorPlane(center)
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &Cluster{
+		center:        center,
+		cfg:           cfg,
+		codec:         center.codec(),
+		engine:        parallel.Engine{Workers: cfg.Workers},
+		custom:        custom,
+		members:       make(map[core.HouseholdID]Policy),
+		dirty:         true,
+		operatorPlane: plane,
+	}, nil
 }
 
 // Join enrolls a household. Households may join between days; the next

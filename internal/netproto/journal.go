@@ -1,7 +1,6 @@
 package netproto
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,35 +93,10 @@ func (j *Journal) Append(record *DayRecord) error {
 // ReadJournal loads every day record from a JSONL stream, in order. A
 // corrupt or truncated final line — the signature of a crash during
 // append — is skipped so the intact history stays replayable;
-// corruption followed by further valid records is still an error.
+// corruption followed by further valid records is still an error (see
+// obs.ReadJSONL).
 func ReadJournal(r io.Reader) ([]DayRecord, error) {
-	var out []DayRecord
-	var pending error
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), MaxFrameSize)
-	line := 0
-	for scanner.Scan() {
-		line++
-		if len(scanner.Bytes()) == 0 {
-			continue
-		}
-		var rec DayRecord
-		if err := json.Unmarshal(scanner.Bytes(), &rec); err != nil {
-			if pending != nil {
-				return nil, pending
-			}
-			pending = fmt.Errorf("netproto: journal line %d: %w", line, err)
-			continue
-		}
-		if pending != nil {
-			return nil, pending
-		}
-		out = append(out, rec)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("netproto: read journal: %w", err)
-	}
-	return out, nil
+	return obs.ReadJSONL[DayRecord](r, "netproto: journal")
 }
 
 // Replay summarizes a journal: total cost, total revenue, and the

@@ -31,7 +31,6 @@ type agentConfig struct {
 // replicaConfig is the replica-set side of the option set.
 type replicaConfig struct {
 	n             int           // replica count, odd (2f+1)
-	leaderID      int           // initial leader replica ID
 	quorumTimeout time.Duration // per-follower deadline on append/commit round trips
 }
 
@@ -144,7 +143,6 @@ func defaultOptions() *options {
 		},
 		replica: replicaConfig{
 			n:             DefaultReplicas,
-			leaderID:      0,
 			quorumTimeout: DefaultQuorumTimeout,
 		},
 	}
@@ -323,13 +321,6 @@ func WithShardFaultPlan(shard int, plan *FaultPlan) Option {
 // must be odd and positive so every quorum is a strict majority.
 func WithReplicas(n int) Option {
 	return option("WithReplicas", targetReplica, func(o *options) { o.replica.n = n })
-}
-
-// WithReplicaID sets the replica that leads at start-up (default 0).
-// After a failover leadership always falls to the lowest live ID,
-// regardless of who led first.
-func WithReplicaID(id int) Option {
-	return option("WithReplicaID", targetReplica, func(o *options) { o.replica.leaderID = id })
 }
 
 // WithQuorumTimeout bounds each append/commit round trip to one

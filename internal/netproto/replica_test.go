@@ -282,6 +282,79 @@ func TestChaosReplicaStatusEndpoint(t *testing.T) {
 	}
 }
 
+// TestChaosReplicaOperatorPlane pins the replica set's one operator
+// plane through every leader kill point: with SLOs and metrics reporting
+// on, the set serves the SLO, federation and ledger endpoints a center
+// serves; its day status reads the last settled day however the leader
+// died; and every day, a redelivered one included, closes with exactly
+// one ok day event, the last day event recorded for it.
+func TestChaosReplicaOperatorPlane(t *testing.T) {
+	for _, point := range []string{"", "preference", "consumption", "settle", "beforeCommit", "payment"} {
+		name := point
+		if name == "" {
+			name = "no-kill"
+		}
+		t.Run(name, func(t *testing.T) {
+			rec := obs.DefaultRecorder()
+			rec.Reset()
+			rec.Enable()
+			defer func() {
+				rec.Disable()
+				rec.Reset()
+			}()
+			var buf bytes.Buffer
+			rs := startReplicaSet(t, &buf, WithSLO(), WithMetricsReporting(true))
+			if point != "" {
+				rs.killAt = killOnce(2, point)
+			}
+			runReplicaDays(t, rs, 3)
+
+			srv := httptest.NewServer(rs.Operator().Handler())
+			defer srv.Close()
+			get := func(path string) *http.Response {
+				t.Helper()
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: %d, want 200", path, resp.StatusCode)
+				}
+				return resp
+			}
+			for _, path := range []string{"/api/v1/slo", "/api/v1/federation", "/api/v1/ledger/tail"} {
+				get(path).Body.Close()
+			}
+			resp := get("/api/v1/day")
+			defer resp.Body.Close()
+			var day obs.DayStatus
+			if err := json.NewDecoder(resp.Body).Decode(&day); err != nil {
+				t.Fatal(err)
+			}
+			if day.Day != 3 || day.Phase != "settled" || day.DaysSettled != 3 {
+				t.Errorf("/api/v1/day = day %d phase %q daysSettled %d, want day 3 settled, 3 settled",
+					day.Day, day.Phase, day.DaysSettled)
+			}
+
+			oks, last := map[int]int{}, map[int]string{}
+			for _, e := range rec.Events() {
+				if e.Kind != obs.EventDay {
+					continue
+				}
+				last[e.Day] = e.Action
+				if e.Action == "ok" {
+					oks[e.Day]++
+				}
+			}
+			for d := 1; d <= 3; d++ {
+				if oks[d] != 1 || last[d] != "ok" {
+					t.Errorf("day %d: %d ok day events, last %q; want exactly one ok, recorded last", d, oks[d], last[d])
+				}
+			}
+		})
+	}
+}
+
 // TestReplicaOptionValidation pins the consolidated-API contract: every
 // With* option knows which constructors it configures, and a misplaced
 // option is a descriptive error instead of a silent no-op.
@@ -298,17 +371,14 @@ func TestReplicaOptionValidation(t *testing.T) {
 		t.Errorf("StartCenter(WithReplicas) error %q should name the option and its real target", err)
 	}
 
-	if _, err := Connect(context.Background(), "127.0.0.1:0", 0, &Truthful{}, WithReplicaID(1)); err == nil {
-		t.Error("Connect(WithReplicaID) succeeded, want target error")
-	} else if !strings.Contains(err.Error(), "WithReplicaID") {
-		t.Errorf("Connect(WithReplicaID) error %q should name the option", err)
+	if _, err := Connect(context.Background(), "127.0.0.1:0", 0, &Truthful{}, WithQuorumTimeout(time.Second)); err == nil {
+		t.Error("Connect(WithQuorumTimeout) succeeded, want target error")
+	} else if !strings.Contains(err.Error(), "WithQuorumTimeout") {
+		t.Errorf("Connect(WithQuorumTimeout) error %q should name the option", err)
 	}
 
 	if _, err := StartReplicaSet(context.Background(), WithReplicas(2)); err == nil {
 		t.Error("even replica count accepted, want odd-count error")
-	}
-	if _, err := StartReplicaSet(context.Background(), WithReplicas(3), WithReplicaID(3)); err == nil {
-		t.Error("out-of-range initial leader accepted, want range error")
 	}
 	if _, err := StartReplicaSet(context.Background(), WithCodec("zstd")); err == nil {
 		t.Error("unknown codec accepted, want codec error")

@@ -78,19 +78,25 @@ type replicaNode struct {
 // Agents reconnect with their session tokens exactly as after a link
 // cut, so the failover run settles to the same ledger bytes as a
 // fault-free one.
+//
+// The set has one operator plane, embedded like a center's: every
+// leader it starts reports into the same status table, federation and
+// SLO engine, so the operator view outlives a takeover. The plane's
+// ledger is the caller's WithLedger journal, written exactly once per
+// committed day no matter how many takeovers the day survived.
 type ReplicaSet struct {
 	n             int
 	quorumTimeout time.Duration
 	baseCfg       centerConfig // every leader Center's configuration
-	merged        *Journal     // the caller's WithLedger journal, written exactly once per day
 	nodes         []*replicaNode
 
-	mu            sync.Mutex
-	leaderID      int
-	term          uint64
-	failovers     uint64
-	days          map[int]*DayRecord // committed days, for redelivery after failover
-	mergedApplied map[int]bool       // days already written to the merged journal
+	*operatorPlane
+
+	mu        sync.Mutex
+	leaderID  int
+	term      uint64
+	failovers uint64
+	days      map[int]*DayRecord // committed days: journaled once, redelivered after failover
 
 	repMu sync.Mutex // serializes replication rounds and takeovers
 
@@ -100,12 +106,10 @@ type ReplicaSet struct {
 }
 
 // StartReplicaSet starts a quorum-replicated settlement center:
-// WithReplicas(n) nodes (n odd, default 3), the node picked by
-// WithReplicaID leading first. Settlement options (WithScheduler,
-// WithPricer, WithTraceSeed, ...) configure the leader center exactly
-// as they would StartCenter; WithLedger names the merged audit journal,
-// written exactly once per committed day no matter how many takeovers
-// the day survived.
+// WithReplicas(n) nodes (n odd, default 3), node 0 leading first.
+// Settlement and operator options (WithScheduler, WithPricer,
+// WithTraceSeed, WithSLO, ...) configure the leader center exactly as
+// they would StartCenter; WithLedger names the merged audit journal.
 func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -118,24 +122,23 @@ func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 	if rc.n < 1 || rc.n%2 == 0 {
 		return nil, fmt.Errorf("netproto: replica count %d must be odd (2f+1)", rc.n)
 	}
-	if rc.leaderID < 0 || rc.leaderID >= rc.n {
-		return nil, fmt.Errorf("netproto: initial leader %d out of range [0, %d)", rc.leaderID, rc.n)
-	}
 
 	cfg := o.resolveCenter()
+	plane, err := newOperatorPlane(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Replicas journal at commit, and the plane's ledger is written once
+	// per committed day; the leader center itself never appends.
+	cfg.Ledger = nil
 	rs := &ReplicaSet{
 		n:             rc.n,
 		quorumTimeout: rc.quorumTimeout,
-		merged:        cfg.Ledger,
-		leaderID:      rc.leaderID,
+		baseCfg:       cfg,
+		operatorPlane: plane,
 		term:          1,
 		days:          make(map[int]*DayRecord),
-		mergedApplied: make(map[int]bool),
 	}
-	// Replicas journal at commit, and the merged ledger is written once
-	// per committed day; the leader center itself never appends.
-	cfg.Ledger = nil
-	rs.baseCfg = cfg
 
 	for id := 0; id < rc.n; id++ {
 		buf := &lockedBuffer{}
@@ -157,13 +160,13 @@ func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 		rs.nodes = append(rs.nodes, n)
 	}
 
-	c, err := rs.startLeaderCenter(rs.nodes[rc.leaderID], nil)
+	c, err := rs.startLeaderCenter(rs.nodes[0], nil)
 	if err != nil {
 		rs.Close()
 		return nil, err
 	}
 	rs.mu.Lock()
-	rs.nodes[rc.leaderID].center = c
+	rs.nodes[0].center = c
 	rs.mu.Unlock()
 	rs.publishMetrics()
 	return rs, nil
@@ -177,7 +180,7 @@ func (rs *ReplicaSet) startLeaderCenter(n *replicaNode, log []replica.Entry) (*C
 	if err != nil {
 		return nil, fmt.Errorf("netproto: replica %d agent listener: %w", n.id, err)
 	}
-	c, err := newCenter(ln, rs.baseCfg, rs, log)
+	c, err := newCenter(ln, rs.baseCfg, rs.operatorPlane, rs, log)
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -253,19 +256,25 @@ func (n *replicaNode) handle(m *replica.Message) *replica.Message {
 }
 
 // applyLocal applies newly committed entries to this replica's local
-// audit ledger. Day entries carry the leader's exact ledger bytes, so
-// every replica's journal is byte-identical over the committed prefix.
-func (n *replicaNode) applyLocal(newly []replica.Entry) {
+// audit ledger and returns their decoded day payloads. Day entries carry
+// the leader's exact ledger bytes, so every replica's journal is
+// byte-identical over the committed prefix.
+func (n *replicaNode) applyLocal(newly []replica.Entry) []dayPayload {
+	var days []dayPayload
 	for _, e := range newly {
 		if e.Kind != replica.KindDay {
 			continue
 		}
 		var p dayPayload
-		if err := json.Unmarshal(e.Data, &p); err != nil || p.Ledger == nil {
+		if err := json.Unmarshal(e.Data, &p); err != nil {
 			continue
 		}
-		_ = n.ledger.AppendValue(p.Ledger)
+		if p.Ledger != nil {
+			_ = n.ledger.AppendValue(p.Ledger)
+		}
+		days = append(days, p)
 	}
+	return days
 }
 
 // The committer implementation: every leader Center this set starts
@@ -327,11 +336,8 @@ func (rs *ReplicaSet) fireKill(point string, day int, phase string) bool {
 	return true
 }
 
-// replicate runs one quorum round: append the entry on the leader, push
-// it to every live follower, and — once a majority holds it — commit
-// everywhere and apply it. killPoint "beforeCommit" is the chaos window
-// between a full quorum of acks and the leader's commit: the entry
-// survives on the followers and the next leader finishes the job.
+// replicate appends one entry to the leader's log and runs its quorum
+// round.
 func (rs *ReplicaSet) replicate(kind string, day int, phase string, data json.RawMessage, killPoint string) error {
 	rs.repMu.Lock()
 	defer rs.repMu.Unlock()
@@ -345,25 +351,39 @@ func (rs *ReplicaSet) replicate(kind string, day int, phase string, data json.Ra
 	}
 	rs.mu.Unlock()
 
-	e := leader.log.Append(term, uint64(day), kind, phase, data)
-	q := replica.NewQuorum(rs.n)
-	q.Ack(leader.id)
+	if err := rs.round(leader, term, leader.log.Append(term, uint64(day), kind, phase, data), killPoint); err != nil {
+		return err
+	}
+	rs.publishMetrics()
+	return nil
+}
+
+// round is the one quorum round, for a new entry and for a takeover's
+// uncommitted tail alike: ask each live follower once to append e,
+// count the acks (the leader's own included), fire killPoint, and —
+// once a majority holds e — commit and apply it everywhere. killPoint
+// "beforeCommit" is the chaos window between a full quorum of acks and
+// the leader's commit: the entry survives on the followers and the next
+// leader finishes the job. Callers hold repMu.
+func (rs *ReplicaSet) round(leader *replicaNode, term uint64, e replica.Entry, killPoint string) error {
+	acks := 1
 	for _, f := range rs.livePeers(leader.id) {
 		if rs.appendTo(leader, f, term, e) {
-			q.Ack(f.id)
+			acks++
 		}
 	}
-	if killPoint != "" && rs.fireKill(killPoint, day, phase) {
+	if killPoint != "" && rs.fireKill(killPoint, e.Day, e.Phase) {
 		return errReplicaKilled
 	}
-	if !q.Reached() {
-		return fmt.Errorf("netproto: replicate %s day %d: %d/%d acks: %w", kind, day, q.Acks(), rs.n, ErrQuorumLost)
+	if acks < replica.Majority(rs.n) {
+		return fmt.Errorf("netproto: replicate %s day %d: %d/%d acks: %w", e.Kind, e.Day, acks, rs.n, ErrQuorumLost)
 	}
 	rs.applyCommitted(leader, leader.log.CommitTo(e.Index))
 	for _, f := range rs.livePeers(leader.id) {
-		rs.commitTo(f, term, e.Index)
+		// Best-effort: a missed commit is repaired by the next round's
+		// cumulative watermark or by the next takeover's sync.
+		_, _ = rs.call(f, &replica.Message{Kind: replica.MsgCommit, Term: term, Commit: e.Index})
 	}
-	rs.publishMetrics()
 	return nil
 }
 
@@ -381,13 +401,6 @@ func (rs *ReplicaSet) appendTo(leader, f *replicaNode, term uint64, e replica.En
 		}
 	}
 	return reply.OK
-}
-
-// commitTo raises a follower's commit watermark (best-effort: a missed
-// commit is repaired by the next round's cumulative watermark or by the
-// next takeover's sync).
-func (rs *ReplicaSet) commitTo(f *replicaNode, term, index uint64) {
-	_, _ = rs.call(f, &replica.Message{Kind: replica.MsgCommit, Term: term, Commit: index})
 }
 
 // call sends one frame to a follower's peer listener and reads the
@@ -422,27 +435,21 @@ func (rs *ReplicaSet) call(f *replicaNode, m *replica.Message) (*replica.Message
 
 // applyCommitted applies newly committed entries on the leader: day
 // entries land in the leader's local ledger and — exactly once per day,
-// however many takeovers intervene — in the merged journal and the
-// redelivery table.
+// however many takeovers intervene — in the committed-day table and the
+// plane's ledger.
 func (rs *ReplicaSet) applyCommitted(leader *replicaNode, newly []replica.Entry) {
-	leader.applyLocal(newly)
-	for _, e := range newly {
-		if e.Kind != replica.KindDay {
-			continue
-		}
-		var p dayPayload
-		if err := json.Unmarshal(e.Data, &p); err != nil || p.Record == nil {
+	for _, p := range leader.applyLocal(newly) {
+		if p.Record == nil {
 			continue
 		}
 		rs.mu.Lock()
-		first := !rs.mergedApplied[e.Day]
+		first := rs.days[p.Record.Day] == nil
 		if first {
-			rs.mergedApplied[e.Day] = true
-			rs.days[e.Day] = p.Record
+			rs.days[p.Record.Day] = p.Record
 		}
 		rs.mu.Unlock()
-		if first && rs.merged != nil && p.Ledger != nil {
-			_ = rs.merged.AppendValue(p.Ledger)
+		if first && rs.ledger != nil && p.Ledger != nil {
+			_ = rs.ledger.AppendValue(p.Ledger)
 		}
 	}
 }
@@ -561,19 +568,8 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 	// Finish what the dead leader started: any entry a quorum acked but
 	// never committed is re-replicated (original terms) and committed.
 	for _, e := range leader.log.Suffix(leader.log.Commit()) {
-		q := replica.NewQuorum(rs.n)
-		q.Ack(id)
-		for _, f := range rs.livePeers(id) {
-			if rs.appendTo(leader, f, term, e) {
-				q.Ack(f.id)
-			}
-		}
-		if !q.Reached() {
-			return nil, fmt.Errorf("netproto: takeover commit index %d: %d/%d acks: %w", e.Index, q.Acks(), rs.n, ErrQuorumLost)
-		}
-		rs.applyCommitted(leader, leader.log.CommitTo(e.Index))
-		for _, f := range rs.livePeers(id) {
-			rs.commitTo(f, term, e.Index)
+		if err := rs.round(leader, term, e, ""); err != nil {
+			return nil, err
 		}
 	}
 
@@ -759,63 +755,29 @@ func (rs *ReplicaSet) ReplicaStatuses() obs.ReplicaSetStatus {
 	return st
 }
 
-// DayStatus implements obs.StatusSource: the current leader's view,
-// with DaysSettled counted from the committed log so a takeover does
-// not reset it.
-func (rs *ReplicaSet) DayStatus() obs.DayStatus {
-	c := rs.liveCenter()
-	rs.mu.Lock()
-	settled := uint64(len(rs.days))
-	rs.mu.Unlock()
-	var ds obs.DayStatus
-	if c != nil {
-		ds = c.DayStatus()
-	}
-	ds.DaysSettled = settled
-	return ds
-}
-
-// ShardStatuses implements obs.StatusSource via the current leader.
-func (rs *ReplicaSet) ShardStatuses() []obs.ShardStatus {
-	if c := rs.liveCenter(); c != nil {
-		return c.ShardStatuses()
-	}
-	return []obs.ShardStatus{}
-}
-
-// Operator returns the operator plane for the replica set: day and
-// shard status from the current leader, replica health, and the merged
-// ledger tail.
+// Operator returns the set's operator plane — the one every leader
+// reports into, served as a center's is — plus replica health at
+// /api/v1/replicas.
 func (rs *ReplicaSet) Operator() *obs.Operator {
-	op := obs.NewOperator(nil)
-	op.Status = rs
+	op := rs.operatorPlane.Operator()
 	op.Replicas = rs
-	if rs.merged != nil {
-		op.Ledger = rs.merged
-	}
 	return op
 }
 
-// publishMetrics refreshes the per-replica gauges. Every value is a
-// pure function of the replicated log and the kill schedule, keeping
-// the series inside the determinism contract.
+// publishMetrics refreshes the per-replica gauges from ReplicaStatuses.
+// Every value is a pure function of the replicated log and the kill
+// schedule, keeping the series inside the determinism contract.
 func (rs *ReplicaSet) publishMetrics() {
-	rs.mu.Lock()
-	leaderID := rs.leaderID
-	rs.mu.Unlock()
 	reg := obs.Default()
-	for _, n := range rs.nodes {
-		label := strconv.Itoa(n.id)
-		rs.mu.Lock()
-		isLeader := n.alive && n.id == leaderID
-		rs.mu.Unlock()
+	for _, r := range rs.ReplicaStatuses().Replicas {
+		label := strconv.Itoa(r.ID)
 		role := 0.0
-		if isLeader {
-			role = 1.0
+		if r.Role == "leader" {
+			role = 1
 		}
 		reg.Gauge(obs.MetricReplicaRole, obs.LabelReplica, label).Set(role)
-		reg.Gauge(obs.MetricReplicaTerm, obs.LabelReplica, label).Set(float64(n.log.Term()))
-		reg.Gauge(obs.MetricReplicaCommitLag, obs.LabelReplica, label).Set(float64(n.log.LastIndex() - n.log.Commit()))
+		reg.Gauge(obs.MetricReplicaTerm, obs.LabelReplica, label).Set(float64(r.Term))
+		reg.Gauge(obs.MetricReplicaCommitLag, obs.LabelReplica, label).Set(float64(r.CommitLag))
 	}
 }
 

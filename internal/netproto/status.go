@@ -20,10 +20,12 @@ type statusTable struct {
 	shards     []obs.ShardStatus
 }
 
-// operatorPlane is what a center and a cluster serve operators, the
-// same way: the status table, the audit ledger's tail, and the
-// federation and SLO engine when configured. Both embed it, so its
-// exported methods are theirs.
+// operatorPlane is what a center, a cluster and a replica set serve
+// operators, the same way: the status table, the audit ledger's tail,
+// and the federation and SLO engine when configured. Each embeds one, so
+// its exported methods are theirs; a replica set hands its plane to
+// every leader center it starts, so the table, federation and SLO
+// windows outlive a takeover.
 type operatorPlane struct {
 	stat   statusTable
 	ledger *Journal        // nil without an audit ledger
@@ -31,21 +33,22 @@ type operatorPlane struct {
 	slo    *obs.SLOEngine  // non-nil when SLO objectives are set
 }
 
-// start readies the plane for cfg, validating its SLO objectives.
-func (p *operatorPlane) start(cfg centerConfig) error {
+// newOperatorPlane builds the plane for cfg, validating its SLO
+// objectives.
+func newOperatorPlane(cfg centerConfig) (*operatorPlane, error) {
+	p := &operatorPlane{ledger: cfg.Ledger}
 	p.stat.day.Phase = "idle"
-	p.ledger = cfg.Ledger
 	if cfg.Reporting {
 		p.fed = obs.NewFederation(obs.Default())
 	}
 	if len(cfg.SLO) > 0 {
 		slo, err := obs.NewSLOEngine(obs.Default(), cfg.SLO)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		p.slo = slo
 	}
-	return nil
+	return p, nil
 }
 
 // Federation returns the federated metrics view, or nil when metrics

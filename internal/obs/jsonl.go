@@ -1,0 +1,54 @@
+package obs
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
+)
+
+// ReadJSONL loads a JSONL stream of T values, in order: the one
+// crash-tolerant reader behind the settlement journal, the audit ledger,
+// span traces and flight-recorder dumps. Blank lines are skipped. A
+// corrupt or truncated final line — the signature of a crash during
+// append — is skipped so the intact history stays readable, but
+// corruption followed by another line is an error. A line may be at
+// most 1 MiB. Errors name the stream (e.g. "obs: trace") and the line.
+func ReadJSONL[T any](r io.Reader, stream string) ([]T, error) {
+	var out []T
+	var pending error
+	scanner := bufio.NewScanner(r)
+	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	line := 0
+	for scanner.Scan() {
+		line++
+		if len(scanner.Bytes()) == 0 {
+			continue
+		}
+		if pending != nil {
+			return nil, pending
+		}
+		var v T
+		if err := json.Unmarshal(scanner.Bytes(), &v); err != nil {
+			pending = fmt.Errorf("%s line %d: %w", stream, line, err)
+			continue
+		}
+		out = append(out, v)
+	}
+	if err := scanner.Err(); err != nil {
+		return nil, fmt.Errorf("%s: %w", stream, err)
+	}
+	return out, nil
+}
+
+// writeJSONL writes vs as one JSON object per line, the format
+// ReadJSONL reads back.
+func writeJSONL[T any](w io.Writer, vs []T) error {
+	enc := json.NewEncoder(w)
+	for _, v := range vs {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -262,47 +260,8 @@ func (r *Recorder) Identities() []string {
 
 // WriteJSONL writes the retained events, one JSON object per line, in
 // capture order, without draining the ring.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (r *Recorder) WriteJSONL(w io.Writer) error { return writeJSONL(w, r.Events()) }
 
-// ReadEvents loads an event JSONL stream (the WriteJSONL format).
-// Blank lines are skipped; a corrupt or truncated final line — the
-// signature of a crash during capture — is skipped rather than failing
-// the dump, but corruption followed by further valid events is an
-// error (same recovery contract as ReadSpans and ReadJournal).
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	var pending error
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for scanner.Scan() {
-		line++
-		if len(scanner.Bytes()) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(scanner.Bytes(), &e); err != nil {
-			if pending != nil {
-				return nil, pending
-			}
-			pending = fmt.Errorf("obs: event line %d: %w", line, err)
-			continue
-		}
-		if pending != nil {
-			return nil, pending
-		}
-		out = append(out, e)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("obs: read events: %w", err)
-	}
-	return out, nil
-}
+// ReadEvents loads an event JSONL stream (the WriteJSONL format) under
+// ReadJSONL's crash-tolerance contract.
+func ReadEvents(r io.Reader) ([]Event, error) { return ReadJSONL[Event](r, "obs: event") }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -300,50 +298,11 @@ func (t *Tracer) Snapshot() []Span {
 }
 
 // WriteJSONL drains the tracer and writes one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, s := range t.Drain() {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (t *Tracer) WriteJSONL(w io.Writer) error { return writeJSONL(w, t.Drain()) }
 
-// ReadSpans loads a span-trace JSONL stream (the WriteJSONL format).
-// Blank lines are skipped; a corrupt or truncated final line — the
-// signature of a crash during export — is skipped rather than failing
-// the whole trace, but corruption followed by further valid spans is an
-// error.
-func ReadSpans(r io.Reader) ([]Span, error) {
-	var out []Span
-	var pending error
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for scanner.Scan() {
-		line++
-		if len(scanner.Bytes()) == 0 {
-			continue
-		}
-		var s Span
-		if err := json.Unmarshal(scanner.Bytes(), &s); err != nil {
-			if pending != nil {
-				return nil, pending
-			}
-			pending = fmt.Errorf("obs: trace line %d: %w", line, err)
-			continue
-		}
-		if pending != nil {
-			return nil, pending
-		}
-		out = append(out, s)
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("obs: read trace: %w", err)
-	}
-	return out, nil
-}
+// ReadSpans loads a span-trace JSONL stream (the WriteJSONL format)
+// under ReadJSONL's crash-tolerance contract.
+func ReadSpans(r io.Reader) ([]Span, error) { return ReadJSONL[Span](r, "obs: trace") }
 
 // Identities drains the tracer and returns the sorted timing-free span
 // identities — the replayable per-day trace the determinism tests

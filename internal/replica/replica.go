@@ -9,6 +9,7 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,13 +94,6 @@ func (l *Log) ObserveTerm(term uint64) bool {
 	return true
 }
 
-// NextIndex returns the index the next appended entry will take.
-func (l *Log) NextIndex() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return uint64(len(l.entries)) + 1
-}
-
 // LastIndex returns the highest index present (0 when empty).
 func (l *Log) LastIndex() uint64 {
 	l.mu.Lock()
@@ -142,7 +136,7 @@ func (l *Log) Insert(e Entry) error {
 	case e.Index >= 1 && e.Index <= uint64(len(l.entries)):
 		if e.Index <= l.commit {
 			have := l.entries[e.Index-1]
-			if have.Kind != e.Kind || have.Day != e.Day || have.Phase != e.Phase || !jsonEqual(have.Data, e.Data) {
+			if have.Kind != e.Kind || have.Day != e.Day || have.Phase != e.Phase || !bytes.Equal(have.Data, e.Data) {
 				return fmt.Errorf("index %d: %w", e.Index, ErrConflict)
 			}
 			return nil // idempotent re-delivery of a committed entry
@@ -223,18 +217,4 @@ func Elect(live []int) int {
 		}
 	}
 	return leader
-}
-
-// jsonEqual compares two raw JSON payloads byte-wise (both sides come
-// from the same marshaler, so semantic equality is byte equality).
-func jsonEqual(a, b json.RawMessage) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

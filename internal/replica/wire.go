@@ -7,10 +7,10 @@ import (
 	"io"
 )
 
-// Message kinds of the replica peer protocol. The framing is the same
-// length-prefixed shape the settlement wire uses — a 4-byte big-endian
-// length followed by JSON — so peer links and agent links share one
-// on-wire discipline.
+// Message kinds of the replica peer protocol. Peer links use this
+// package's own framing — a 4-byte big-endian length followed by one
+// JSON message (see WriteMessage) — not the settlement wire's batch
+// frames.
 const (
 	// MsgAppend carries one entry from the leader; the follower inserts
 	// it and answers MsgAck.

@@ -68,8 +68,8 @@ type (
 	Truthful = netproto.Truthful
 	// Misreporter widens its reported window to appear flexible.
 	Misreporter = netproto.Misreporter
-	// Option configures StartCenter, StartCenterListener, Connect, and
-	// NewAgent.
+	// Option configures StartCenter, StartCenterListener, StartCluster,
+	// StartReplicaSet, Connect, and NewAgent.
 	Option = netproto.Option
 	// DialFunc establishes one transport connection to the center.
 	DialFunc = netproto.DialFunc
@@ -225,13 +225,12 @@ var (
 	// snapshots onto the existing wire phases so the center or cluster
 	// federates them at /api/v1/federation.
 	WithMetricsReporting = netproto.WithMetricsReporting
-	// WithSLO installs burn-rate objectives on the center or cluster
-	// (defaults to obs.DefaultObjectives when called with none).
+	// WithSLO installs burn-rate objectives on the center, cluster or
+	// replica set (defaults to obs.DefaultObjectives when called with
+	// none).
 	WithSLO = netproto.WithSLO
 	// WithReplicas sets StartReplicaSet's replica count (odd, 2f+1).
 	WithReplicas = netproto.WithReplicas
-	// WithReplicaID picks the replica that leads first.
-	WithReplicaID = netproto.WithReplicaID
 	// WithQuorumTimeout bounds each append/commit round trip to one
 	// follower.
 	WithQuorumTimeout = netproto.WithQuorumTimeout
