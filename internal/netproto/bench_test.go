@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"context"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,25 +86,34 @@ func BenchmarkBatchDecode(b *testing.B) {
 // deltas BENCH_net.json is the baseline for: JSON vs binary, and
 // batched frames vs frame-per-message (batch=1). frames/op and
 // wireB/op come from the obs counters, so they gate the real framing
-// behavior rather than an estimate.
+// behavior rather than an estimate. The /ledger case adds the audit
+// ledger's encode and ordered append, into io.Discard.
 func BenchmarkClusterDay(b *testing.B) {
 	const households, shards = 2000, 16
 	cases := []struct {
-		codec string
-		batch int
+		codec  string
+		batch  int
+		ledger bool
 	}{
-		{CodecJSON, DefaultBatchSize},
-		{CodecBinary, DefaultBatchSize},
-		{CodecBinary, 1},
+		{CodecJSON, DefaultBatchSize, false},
+		{CodecBinary, DefaultBatchSize, false},
+		{CodecBinary, 1, false},
+		{CodecBinary, DefaultBatchSize, true},
 	}
 	for _, tc := range cases {
-		b.Run("codec="+tc.codec+"/batch="+strconv.Itoa(tc.batch), func(b *testing.B) {
-			cluster, err := StartCluster(context.Background(),
-				WithShards(shards),
-				WithCodec(tc.codec),
-				WithBatchSize(tc.batch),
-				WithShardRecords(false),
-			)
+		name := "codec=" + tc.codec + "/batch=" + strconv.Itoa(tc.batch)
+		opts := []Option{
+			WithShards(shards),
+			WithCodec(tc.codec),
+			WithBatchSize(tc.batch),
+			WithShardRecords(false),
+		}
+		if tc.ledger {
+			name += "/ledger"
+			opts = append(opts, WithLedger(NewJournal(io.Discard)))
+		}
+		b.Run(name, func(b *testing.B) {
+			cluster, err := StartCluster(context.Background(), opts...)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -11,7 +12,6 @@ import (
 
 	"enki/internal/core"
 	"enki/internal/dist"
-	"enki/internal/mechanism"
 	"enki/internal/obs"
 	"enki/internal/parallel"
 	"enki/internal/sched"
@@ -99,8 +99,8 @@ type shardState struct {
 // DayRecord byte, every ledger entry — is bit-identical for any worker
 // count and any Join order. Shard seeds derive from the trace seed and
 // the shard index, results land in pre-sized per-shard slots, and the
-// merged ledger is appended in shard-index order after the parallel
-// phase.
+// ledger streams in shard-index order: each worker encodes its shard's
+// line, and one writer appends it once every earlier shard is done.
 type Cluster struct {
 	center  centerConfig  // settlement parameters shared with the center
 	cfg     ClusterConfig // cluster-specific knobs
@@ -118,9 +118,9 @@ type Cluster struct {
 
 // StartCluster starts a sharded settlement service configured by
 // functional options; unset options take the paper's defaults plus one
-// shard — the single-neighborhood special case. The context only gates
-// ClusterDay cancellation; the cluster itself holds no sockets or
-// goroutines between days.
+// shard — the single-neighborhood special case. The cluster does not
+// keep ctx: it holds no sockets or goroutines between days, and each
+// ClusterDay takes its own context.
 func StartCluster(ctx context.Context, opts ...Option) (*Cluster, error) {
 	if ctx == nil {
 		return nil, errors.New("netproto: nil context")
@@ -297,8 +297,19 @@ type ClusterDayRecord struct {
 // outcomes. It is not safe for concurrent use with itself. Shard
 // failures (a shard whose protocol round breaks) are isolated into
 // their ShardDay.Err; the error return is reserved for cluster-level
-// problems — no members, cancellation, a closed cluster, or a ledger
-// write failure during the serial merge.
+// problems — no members, a closed cluster, a context already done at
+// the call, or a failed ledger write.
+//
+// Cancellation: ctx is checked once, before any shard starts. A started
+// day always settles and pays every household, so a day cancelled while
+// its shards run returns its record, with every settled shard's line in
+// the ledger.
+//
+// Ledger: each shard worker encodes its settled day's ledger line, and
+// one writer appends the lines in shard-index order while the shards
+// still run (see ledgerStream). The first failed write stops the
+// writer: the ledger keeps the lines before it, the day closes failed
+// on the operator plane, and the error wraps "netproto: audit ledger".
 func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, error) {
 	start := time.Now()
 	c.mu.Lock()
@@ -331,20 +342,24 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 	// ShardDay — its JSON stays bit-identical across worker counts.
 	days := make([]ShardDay, len(shards))
 	rows := make([]obs.ShardStatus, len(shards))
-	entries := make([]*mechanism.LedgerEntry, len(shards))
+	var ledger *ledgerStream
+	if c.center.Ledger != nil {
+		ledger = streamLedger(c.center.Ledger, len(shards))
+	}
 	_ = c.engine.ForEach(len(shards), func(s int) error {
 		t0 := time.Now()
-		days[s], rows[s], entries[s] = c.runShardDay(ctx, shards[s], s, day)
+		days[s], rows[s] = c.runShardDay(ctx, shards[s], s, day, ledger)
 		rows[s].LastSettleMS = sinceMS(t0)
 		return nil
 	})
-	if err := ctx.Err(); err != nil {
+	if err := ledger.wait(); err != nil {
+		err = fmt.Errorf("netproto: audit ledger: %w", err)
+		c.stat.closeDay(start, obs.ShardStatus{LastDay: day, Households: memberCount, Err: err.Error()}, 0, nil, "")
 		return nil, err
 	}
 
-	// Serial merge, in shard-index order: ledger entries append in a
-	// deterministic sequence no matter how the parallel phase
-	// interleaved, and the aggregates fold left-to-right.
+	// The merge folds the aggregates in shard-index order, so the float
+	// sums are the same for any worker count.
 	rec := &ClusterDayRecord{Day: day, Shards: days}
 	for s := range days {
 		d := &days[s]
@@ -360,11 +375,6 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 		rec.Revenue += d.Revenue
 		if d.Peak > rec.Peak {
 			rec.Peak = d.Peak
-		}
-		if c.center.Ledger != nil && entries[s] != nil {
-			if err := c.center.Ledger.AppendValue(entries[s]); err != nil {
-				return nil, fmt.Errorf("netproto: audit ledger: %w", err)
-			}
 		}
 	}
 	obs.Default().Counter(obs.MetricClusterDaysTotal).Inc()
@@ -392,10 +402,11 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 // batch-framed link. Message loss (injected faults) degrades the shard
 // the same way agent darkness degrades the TCP center: a household
 // whose preference never arrives is absent; one that reported and then
-// went dark is on the machine's dark set. It returns the shard's day,
-// its operator row and, when the cluster keeps a ledger, its ledger
-// entry.
-func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day int) (ShardDay, obs.ShardStatus, *mechanism.LedgerEntry) {
+// went dark is on the machine's dark set. It returns the shard's day
+// and its operator row. When the cluster keeps a ledger, it encodes a
+// settled day's ledger entry and hands the line to ledger; a failed or
+// empty shard hands none.
+func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day int, ledger *ledgerStream) (ShardDay, obs.ShardStatus) {
 	start := time.Now()
 	tid := obs.DeriveTraceID(c.center.TraceSeed, uint64(day), uint64(shard))
 	var span *obs.ActiveSpan
@@ -404,7 +415,7 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 	}
 	out := ShardDay{Shard: shard, TraceID: tid, Households: len(st.ids)}
 	row := obs.ShardStatus{Shard: shard, Healthy: true, TraceID: tid, LastDay: day}
-	var entry *mechanism.LedgerEntry
+	line := shardLine{shard: shard}
 	var err error
 	if len(st.ids) > 0 { // an empty shard (more shards than households) settles trivially
 		// A leg carries one message per member at most, plus the payment
@@ -419,6 +430,9 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 		settled, err = d.run(ctx, st.ids)
 		linkScratchPool.Put(ls)
 		if err == nil {
+			if ledger != nil {
+				line.data, line.err = json.Marshal(settled.LedgerEntry())
+			}
 			row = settled.Status
 			row.Shard = shard
 			r := settled.Record
@@ -427,12 +441,9 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 			if c.cfg.Records {
 				out.Record = r
 			}
-			if c.center.Ledger != nil {
-				e := settled.LedgerEntry()
-				entry = &e
-			}
 		}
 	}
+	ledger.hand(line)
 	if err != nil {
 		out.Err = err.Error()
 		row = obs.ShardStatus{Shard: shard, TraceID: tid, LastDay: day, Households: out.Households, Err: out.Err}
@@ -446,7 +457,78 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 		rec.Record(obs.Event{Kind: obs.EventShardDay, Day: day, Shard: shard, Action: dayAction(row),
 			N: out.Settled, TraceID: tid, Err: out.Err})
 	}
-	return out, row, entry
+	return out, row
+}
+
+// ledgerStream is one cluster day's ordered ledger writer. Workers hand
+// it each shard's line as the shard ends, over a channel with room for
+// every shard, so a worker never waits on the file; its goroutine
+// appends shard s's line as soon as shards 0..s have all handed theirs
+// in, and drops each line once written. The writes overlap the parallel
+// phase, and the ledger reads in shard-index order for any worker count.
+type ledgerStream struct {
+	lines chan shardLine
+	done  chan struct{} // closed when the writer has exited
+	err   error         // the first encode or write error; read after done
+}
+
+// shardLine is one shard's hand-in: its encoded ledger line, nil when
+// the shard writes none (failed or empty), or the encode error.
+type shardLine struct {
+	shard int
+	data  []byte
+	err   error
+}
+
+// streamLedger starts the writer that appends one day's lines, from
+// shards shards, to j.
+func streamLedger(j *Journal, shards int) *ledgerStream {
+	w := &ledgerStream{lines: make(chan shardLine, shards), done: make(chan struct{})}
+	go w.write(j, shards)
+	return w
+}
+
+// write appends the handed-in lines in shard order until the day's
+// stream ends. After the first error it writes nothing more, so the
+// ledger keeps the prefix before the failure.
+func (w *ledgerStream) write(j *Journal, shards int) {
+	defer close(w.done)
+	pending := make([]shardLine, shards)
+	arrived := make([]bool, shards)
+	next := 0
+	for in := range w.lines {
+		pending[in.shard], arrived[in.shard] = in, true
+		for ; next < shards && arrived[next]; next++ {
+			l := pending[next]
+			pending[next] = shardLine{}
+			if w.err == nil {
+				w.err = l.err
+			}
+			if w.err == nil && l.data != nil {
+				w.err = j.appendLine(l.data)
+			}
+		}
+	}
+}
+
+// hand gives the writer one shard's line; a nil stream (no ledger)
+// ignores it.
+func (w *ledgerStream) hand(l shardLine) {
+	if w != nil {
+		w.lines <- l
+	}
+}
+
+// wait ends the day's stream once every shard has handed in, and returns
+// the writer's first error after its goroutine has exited. A nil stream
+// returns nil.
+func (w *ledgerStream) wait() error {
+	if w == nil {
+		return nil
+	}
+	close(w.lines)
+	<-w.done
+	return w.err
 }
 
 // countSettledShard counts a settled shard day into reg: the default

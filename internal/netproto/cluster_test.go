@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"enki/internal/core"
 	"enki/internal/dist"
@@ -374,6 +377,132 @@ func TestClusterRejectsOffDayConsumption(t *testing.T) {
 	}
 }
 
+// failingWriter records every Write until its k-th, which fails with
+// errDiskFull, as does every Write after it.
+type failingWriter struct {
+	k, n int
+	buf  bytes.Buffer
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.n++
+	if w.n >= w.k {
+		return 0, errDiskFull
+	}
+	return w.buf.Write(p)
+}
+
+// TestClusterLedgerWriteFailure: a ledger write that fails after the
+// shards have started fails the cluster day. The ledger keeps exactly
+// the lines before the failed one, the operator plane reads the day
+// failed, and the day's ledger writer has exited by the time ClusterDay
+// returns.
+func TestClusterLedgerWriteFailure(t *testing.T) {
+	const k = 3
+	opts := []Option{WithShards(8), WithTraceSeed(7)}
+	var healthy bytes.Buffer
+	marshalDays(t, buildCluster(t, 40, append(opts, WithLedger(NewJournal(&healthy)))...), 1)
+	want := strings.SplitAfter(healthy.String(), "\n")[:k-1]
+
+	for _, workers := range []int{1, 3} {
+		w := &failingWriter{k: k}
+		cluster := buildCluster(t, 40, append(opts, WithWorkers(workers), WithLedger(NewJournal(w)))...)
+		before := runtime.NumGoroutine()
+		_, err := cluster.ClusterDay(context.Background(), 1)
+		if !errors.Is(err, errDiskFull) || !strings.Contains(err.Error(), "netproto: audit ledger") {
+			t.Fatalf("workers=%d: ClusterDay error %v, want the wrapped audit ledger write failure", workers, err)
+		}
+		if got := w.buf.String(); got != strings.Join(want, "") {
+			t.Errorf("workers=%d: ledger holds %d lines, want the first %d of the healthy ledger", workers, strings.Count(got, "\n"), k-1)
+		}
+		if w.n != k {
+			t.Errorf("workers=%d: %d writes, want none after the failed write %d", workers, w.n, k)
+		}
+		if phase := cluster.DayStatus().Phase; phase != "failed" {
+			t.Errorf("workers=%d: phase %q after a ledger failure, want failed", workers, phase)
+		}
+		// The writer exits before ClusterDay returns, but the pool's
+		// workers may still be unwinding: poll briefly.
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("workers=%d: goroutines %d before the day, %d after", workers, before, after)
+		}
+	}
+}
+
+// cancelOnFeedback is a truthful household that cancels a context when
+// its payment notice arrives.
+type cancelOnFeedback struct {
+	Truthful
+	cancel context.CancelFunc
+}
+
+func (p *cancelOnFeedback) Feedback(int, PaymentDetail) { p.cancel() }
+
+// TestClusterCancelledMidDayCompletes pins the cancellation contract. A
+// started day settles and pays every household, so a context cancelled
+// by a shard 0 household's payment notice still returns the day's
+// record, and its record and ledger bytes equal those of an uncancelled
+// twin. A context done before the call settles nothing.
+func TestClusterCancelledMidDayCompletes(t *testing.T) {
+	run := func(ctx context.Context, cancel context.CancelFunc) (*Cluster, *bytes.Buffer, []byte) {
+		var ledger bytes.Buffer
+		cluster := buildCluster(t, 0, WithShards(4), WithWorkers(2), WithTraceSeed(7), WithLedger(NewJournal(&ledger)))
+		gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+		if err != nil {
+			t.Fatalf("generator: %v", err)
+		}
+		for i := 0; i < 40; i++ {
+			typ := gen.Draw().TypeWide()
+			var p Policy = &Truthful{Type: typ}
+			if i == 0 { // the lowest ID settles in shard 0
+				p = &cancelOnFeedback{Truthful{Type: typ}, cancel}
+			}
+			if err := cluster.Join(core.HouseholdID(i), p); err != nil {
+				t.Fatalf("join %d: %v", i, err)
+			}
+		}
+		rec, err := cluster.ClusterDay(ctx, 1)
+		if err != nil {
+			t.Fatalf("ClusterDay: %v", err)
+		}
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cluster, &ledger, data
+	}
+	_, twinLedger, twin := run(context.Background(), func() {})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cluster, ledger, got := run(ctx, cancel)
+	if ctx.Err() == nil {
+		t.Fatal("the shard 0 household's feedback did not cancel the context")
+	}
+	if !bytes.Equal(got, twin) {
+		t.Error("cancelled day's record differs from its uncancelled twin's")
+	}
+	if !bytes.Equal(ledger.Bytes(), twinLedger.Bytes()) {
+		t.Error("cancelled day's ledger differs from its uncancelled twin's")
+	}
+
+	status, lines := cluster.DayStatus(), ledger.Len()
+	if _, err := cluster.ClusterDay(ctx, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("ClusterDay with a done context: error %v, want context.Canceled", err)
+	}
+	if ledger.Len() != lines {
+		t.Error("a day refused for a done context wrote to the ledger")
+	}
+	if got := cluster.DayStatus(); got != status {
+		t.Errorf("a day refused for a done context moved the status from %+v to %+v", status, got)
+	}
+}
+
 // TestClusterEmptyAndErrorPaths covers the service's refusals: no
 // members, bad codec, bad shard count, double-join, joining after
 // close.
@@ -395,8 +524,6 @@ func TestClusterEmptyAndErrorPaths(t *testing.T) {
 	if _, err := cluster.ClusterDay(ctx, 1); err == nil {
 		t.Error("empty cluster settled a day")
 	}
-	typ := profile.Profile{}
-	_ = typ
 	p := &Truthful{}
 	if err := cluster.Join(1, p); err != nil {
 		t.Fatalf("join: %v", err)

@@ -61,7 +61,8 @@ type dayRun struct {
 	root *obs.ActiveSpan
 	legs legs
 	// commit receives the phase inputs and the settled day; nil on a
-	// shard, whose cluster merges the ledger in shard order itself.
+	// shard, whose worker encodes its ledger line once the day, payments
+	// included, has settled, and streams it to the cluster's writer.
 	commit committer
 	// log is a takeover log's committed phase inputs, replayed into the
 	// machine instead of exchanging those legs again; nil on a shard.

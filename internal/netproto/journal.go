@@ -39,6 +39,13 @@ func (j *Journal) AppendValue(v any) error {
 	if err != nil {
 		return fmt.Errorf("netproto: encode journal record: %w", err)
 	}
+	return j.appendLine(data)
+}
+
+// appendLine writes one encoded JSON value as a line. A cluster's shard
+// workers encode their ledger entries themselves and append the lines
+// here in shard order.
+func (j *Journal) appendLine(data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, err := j.w.Write(append(data, '\n')); err != nil {
