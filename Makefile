@@ -78,11 +78,14 @@ bench-net-check:
 # machine's phase inputs (FuzzDayMachine). The race pass runs
 # the cluster suite repeatedly because every worker borrows the shard
 # links' pooled message slots, so a slot shared between two running
-# shard days would show up there.
+# shard days would show up there; it runs the replica kill matrix
+# repeatedly because a takeover replays a day on peer-connection and
+# agent goroutines that a dead leader may still be closing.
 chaos:
 	$(GO) test ./internal/netproto -count=1 \
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
-	$(GO) test ./internal/netproto -race -count=10 -run 'TestCluster|TestChaosFederatedSnapshotDegradedShard'
+	$(GO) test ./internal/netproto -race -count=10 \
+		-run 'TestCluster|TestChaosFederatedSnapshotDegradedShard|TestChaosReplica|TestDifferentialTopologies'
 	$(GO) test ./cmd/enkitrace -count=1 -run 'Degraded|SurvivingReplica'
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s

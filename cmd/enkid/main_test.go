@@ -82,7 +82,9 @@ func TestFreshDaemonMetricsPage(t *testing.T) {
 	obs.Default().Reset()
 	preregisterMetrics("enki-greedy")
 
-	srv, err := obs.ServeDebug("127.0.0.1:0", obs.Default())
+	op := obs.NewOperator(obs.Default())
+	op.SetReady(true)
+	srv, err := obs.ServeOperator("127.0.0.1:0", op)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,6 +144,27 @@ func TestRunDayEmpty(t *testing.T) {
 	}
 }
 
+// TestRunDayRejectsOffDayConsumption: a consumption that runs past the
+// end of the day fails the day instead of settling with its off-day
+// hour dropped from κ(ω).
+func TestRunDayRejectsOffDayConsumption(t *testing.T) {
+	n, err := NewNeighborhood()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := Type{True: MustPreference(20, 24, 2), ValuationFactor: 5}
+	households := []Household{{ID: 0, Type: typ, Reported: typ.True}, {ID: 1, Type: typ, Reported: typ.True}}
+	consume := func(h Household, _ Interval) Interval {
+		if h.ID == 1 {
+			return Interval{Begin: 23, End: 25}
+		}
+		return Interval{Begin: 20, End: 22}
+	}
+	if out, err := n.RunDay(households, consume); err == nil {
+		t.Errorf("consumption [23, 25) settled with κ(ω) = %g, want the day rejected", out.Settlement.Cost)
+	}
+}
+
 func TestProfileGeneratorFacade(t *testing.T) {
 	gen, err := NewProfileGenerator(NewRNG(3))
 	if err != nil {

@@ -63,6 +63,9 @@ func (d Day) Validate() error {
 			return fmt.Errorf("household %d: assignment %v not admitted by report %v",
 				i, d.Assignments[i], h.Reported)
 		}
+		if err := d.Consumptions[i].Validate(); err != nil {
+			return fmt.Errorf("household %d consumption: %w", i, err)
+		}
 		if d.Consumptions[i].Len() != h.Reported.Duration {
 			return fmt.Errorf("household %d: consumption %v has duration %d, want %d",
 				i, d.Consumptions[i], d.Consumptions[i].Len(), h.Reported.Duration)

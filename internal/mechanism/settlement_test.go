@@ -70,6 +70,12 @@ func TestDayValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("assignment outside the reported window should be rejected")
 	}
+	bad = buildDay(t, 1, 5)
+	// The reported duration, ending one hour past the day.
+	bad.Consumptions[0] = core.Interval{Begin: core.HoursPerDay + 1 - bad.Households[0].Reported.Duration, End: core.HoursPerDay + 1}
+	if err := bad.Validate(); err == nil {
+		t.Errorf("consumption %v past the end of the day should be rejected", bad.Consumptions[0])
+	}
 	empty := mechanism.Day{}
 	if err := empty.Validate(); err == nil {
 		t.Error("empty day should be rejected")

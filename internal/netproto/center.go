@@ -187,9 +187,9 @@ type Center struct {
 	epoch    uint64                // bumped per fresh registration; invalidates old tokens
 	joined   chan struct{}         // signaled (best effort) on each registration
 
-	// committed holds the phase inputs of a takeover log: a failover
-	// leader replays them into a fresh machine instead of collecting
-	// those phases again.
+	// committed holds the phase inputs and day entries of a takeover
+	// log: a failover leader replays them into a fresh machine instead of
+	// collecting those phases again, and commits no day it holds.
 	committed map[phaseKey]json.RawMessage
 
 	inbox chan inbound
@@ -242,8 +242,8 @@ func StartCenterListener(ln net.Listener, opts ...Option) (*Center, error) {
 // commit. log is the committed log a failover leader takes over (nil for
 // a fresh center): its member entries rebuild the session table — each
 // committed household starts dark and resumes with the token the old
-// leader issued — and its phase entries are the inputs RunDayContext
-// replays.
+// leader issued — and its phase and day entries are the inputs and the
+// settled days RunDayContext replays.
 func newCenter(ln net.Listener, cfg centerConfig, plane *operatorPlane, commit committer, log []replica.Entry) (*Center, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -271,7 +271,7 @@ func newCenter(ln net.Listener, cfg centerConfig, plane *operatorPlane, commit c
 			}
 			c.sessions[p.ID] = &session{id: p.ID, token: p.Token}
 			c.epoch = max(c.epoch, p.Epoch)
-		case replica.KindPhase:
+		case replica.KindPhase, replica.KindDay:
 			if c.committed == nil {
 				c.committed = make(map[phaseKey]json.RawMessage)
 			}
@@ -548,7 +548,8 @@ func (c *Center) clearLastOut(id core.HouseholdID) {
 //
 // A failover leader replays the day's committed phase inputs into the
 // machine instead of collecting those phases again, so the day settles
-// from exactly the inputs a majority can reproduce.
+// from exactly the inputs a majority can reproduce; a day the takeover
+// log holds as settled is not committed again, only paid.
 //
 // The whole day is one trace: a root day span (trace ID derived from
 // TraceSeed and the day number) with one child span per protocol phase,
@@ -575,13 +576,7 @@ func (c *Center) RunDayContext(ctx context.Context, day int) (*DayRecord, error)
 		c.stat.closeDay(start, obs.ShardStatus{TraceID: tid, LastDay: day, Households: len(members), Err: err.Error()}, 0, nil, tid)
 		return nil, err
 	}
-	return c.settled(start, out.Record, out.Status), nil
-}
-
-// settled closes a settled day on the operator plane from its record and
-// status row: the day counters, then closeDay. A day settled here and a
-// committed day a failover leader redelivers close the same way.
-func (c *Center) settled(start time.Time, record *DayRecord, row obs.ShardStatus) *DayRecord {
+	row := out.Status
 	obs.Default().Counter(obs.MetricNetDaysTotal).Inc()
 	if row.Absent+row.Substituted > 0 {
 		obs.Default().Counter(obs.MetricNetDegradedDaysTotal).Inc()
@@ -589,8 +584,8 @@ func (c *Center) settled(start time.Time, record *DayRecord, row obs.ShardStatus
 			obs.Default().Counter(obs.MetricNetSubstitutionsTotal).Add(uint64(row.Substituted))
 		}
 	}
-	c.stat.closeDay(start, row, record.Peak, nil, record.TraceID)
-	return record
+	c.stat.closeDay(start, row, out.Record.Peak, nil, tid)
+	return out.Record, nil
 }
 
 // tcpLegs are a center's legs: each household's message goes over its
@@ -644,18 +639,15 @@ func (l tcpLegs) exchange(ctx context.Context, span *obs.ActiveSpan, members []c
 	return got, err
 }
 
-// deliver never fails: a dark household's payment waits on its session.
+// deliver sends every household its payment notice. It never fails: a
+// dark household's payment waits on its session.
 func (l tcpLegs) deliver(span *obs.ActiveSpan, out *settle.Outcome) error {
-	l.c.deliverPayments(out.Record, wireTrace(l.tid, span))
-	return nil
-}
-
-// deliverPayments sends every household its payment notice.
-func (c *Center) deliverPayments(record *DayRecord, tc *obs.TraceContext) {
-	for i, r := range record.Reports {
-		notice := record.Notice(i)
-		c.deliverPayment(&Message{Kind: KindPayment, ID: r.ID, Day: record.Day, Payment: &notice, Trace: tc})
+	tc := wireTrace(l.tid, span)
+	for i, r := range out.Record.Reports {
+		notice := out.Record.Notice(i)
+		l.c.deliverPayment(&Message{Kind: KindPayment, ID: r.ID, Day: l.day, Payment: &notice, Trace: tc})
 	}
+	return nil
 }
 
 // deliverPayment sends a settlement best-effort: a dark household's
@@ -692,18 +684,6 @@ func (c *Center) deliverPayment(m *Message) {
 // being recorded.
 func wireTrace(tid string, span *obs.ActiveSpan) *obs.TraceContext {
 	return &obs.TraceContext{TraceID: tid, SpanID: span.ID()}
-}
-
-// redeliverDay re-issues payment notices for a day that was already committed
-// to the replicated journal. Delivery is best-effort, exactly like the normal
-// payment phase: agents that are connected receive the notice immediately,
-// dark sessions have it queued for resume, and agents dedupe by day. The day
-// then closes like any settled day, from the committed record's status row.
-func (c *Center) redeliverDay(record *DayRecord) *DayRecord {
-	start := time.Now()
-	c.stat.setPhase("payment")
-	c.deliverPayments(record, &obs.TraceContext{TraceID: record.TraceID})
-	return c.settled(start, record, settle.StatusRow(record, c.cfg.Mechanism.Xi))
 }
 
 // memberIDs returns every neighborhood member — live or dark — sorted

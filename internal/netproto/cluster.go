@@ -755,15 +755,7 @@ func (l *shardLink) transfer(ls *linkScratch) ([]*Message, error) {
 			action := l.plan.ActionAt(l.next)
 			l.next++
 			if action != FaultNone {
-				obs.Default().Counter(obs.MetricNetFaultsTotal, obs.LabelAction, action.String()).Inc()
-				if rec := obs.DefaultRecorder(); rec.Enabled() {
-					rec.Record(obs.Event{
-						Kind:   obs.EventFault,
-						Shard:  l.shard,
-						Action: action.String(),
-						N:      l.next - 1, // the message index the fault struck
-					})
-				}
+				countFault(action, l.shard, l.next-1)
 			}
 			switch action {
 			case FaultDrop:

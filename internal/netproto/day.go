@@ -38,13 +38,16 @@ type consPhasePayload struct {
 	Substituted  []bool             `json:"substituted,omitempty"`
 }
 
-// Committed phase names, the Phase of their log entries.
+// Committed phase names, the Phase of their log entries: the two phase
+// inputs, and the settled day's ledger line.
 const (
 	phasePreference  = "preference"
 	phaseConsumption = "consumption"
+	phaseDay         = "day"
 )
 
-// phaseKey names one committed phase input in a takeover log.
+// phaseKey names one committed phase input, or a settled day, in a
+// takeover log.
 type phaseKey struct {
 	day   int
 	phase string
@@ -65,7 +68,8 @@ type dayRun struct {
 	// included, has settled, and streams it to the cluster's writer.
 	commit committer
 	// log is a takeover log's committed phase inputs, replayed into the
-	// machine instead of exchanging those legs again; nil on a shard.
+	// machine instead of exchanging those legs again, and its settled
+	// days, which are not committed again; nil on a shard.
 	log map[phaseKey]json.RawMessage
 }
 
@@ -74,7 +78,12 @@ type dayRun struct {
 // payments. A household whose reply is lost or dark is absent when it
 // never reported and settled dark when it reported; a reply without its
 // payload, an input the machine rejects, a leg's error and a commit
-// error fail the day. The outcome is valid only when the error is nil.
+// error fail the day. A day the log holds as settled replays to the
+// identical outcome (the machine is pure, and the committed consumption
+// input carries its imputations), skips the commit and redelivers the
+// payments. The settlement metrics count a day once its payments are
+// out, so the run that returns the day is the one that counts it. The
+// outcome is valid only when the error is nil.
 func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Outcome, error) {
 	m := settle.New(d.cfg, d.day, d.traceID)
 
@@ -152,10 +161,9 @@ func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Ou
 			return settle.Outcome{}, err
 		}
 	}
-	mechanism.RecordSettlementMetrics(r.Flexibility, r.Defection, r.SocialCost, r.Payments, r.Cost, d.cfg.Mechanism.Xi, out.PAR)
 	// A replica set's leader blocks here until a majority holds the day;
 	// a standalone center appends it to its ledger.
-	if d.commit != nil {
+	if _, settled := d.log[phaseKey{d.day, phaseDay}]; !settled && d.commit != nil {
 		if err := d.commit.commitDay(&out); err != nil {
 			return settle.Outcome{}, err
 		}
@@ -163,7 +171,11 @@ func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Ou
 	span = d.span(KindPayment)
 	err = d.legs.deliver(span, &out)
 	span.End()
-	return out, err
+	if err != nil {
+		return settle.Outcome{}, err
+	}
+	mechanism.RecordSettlementMetrics(r.Flexibility, r.Defection, r.SocialCost, r.Payments, r.Cost, d.cfg.Mechanism.Xi, out.PAR)
+	return out, nil
 }
 
 // span opens the root's child span of one leg, or of the settlement for

@@ -283,6 +283,8 @@ func bitEqual(a, b []float64) bool {
 // goes silent after reporting, both past the phase deadline; on a
 // 1-shard cluster the link losing the first's preference and the
 // second's consumption — settle to byte-identical records and ledgers.
+// A replica set whose leader dies once the degraded day committed
+// replays that day on the next leader to the center's record and ledger.
 func TestDifferentialDegradedDay(t *testing.T) {
 	const absent, dark = 1, 3
 	greedy := &sched.Greedy{Pricer: diffPricer, Rating: 2}
@@ -316,31 +318,55 @@ func TestDifferentialDegradedDay(t *testing.T) {
 		t.Fatalf("shard failed: %s", crec.Shards[0].Err)
 	}
 
-	// Center: the two households are raw connections that fall silent.
+	// settleDegraded registers the neighbourhood at addr — the absent and
+	// dark households as raw connections that fall silent, the rest as
+	// agents with opts — and settles day 1 on r.
+	settleDegraded := func(r dayRunner, addr string, opts ...netproto.Option) *netproto.DayRecord {
+		t.Helper()
+		for i, p := range policies {
+			if i == absent || i == dark {
+				silentHousehold(t, addr, core.HouseholdID(i), i == dark, p)
+				continue
+			}
+			a, err := netproto.Connect(context.Background(), addr, core.HouseholdID(i), p, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { a.Close() })
+		}
+		if err := r.WaitForAgentsContext(context.Background(), n); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := r.RunDayContext(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+
 	var centerLedger bytes.Buffer
 	c, err := netproto.StartCenter("127.0.0.1:0", append(settleOpts(greedy, &centerLedger),
 		netproto.WithPhaseDeadline(300*time.Millisecond))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	for i, p := range policies {
-		if i == absent || i == dark {
-			silentHousehold(t, c.Addr(), core.HouseholdID(i), i == dark, p)
-			continue
-		}
-		a, err := netproto.Connect(context.Background(), c.Addr(), core.HouseholdID(i), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-	}
-	if err := c.WaitForAgentsContext(context.Background(), n); err != nil {
-		t.Fatal(err)
-	}
-	centerDay, err := c.RunDayContext(context.Background(), 1)
+	t.Cleanup(func() { c.Close() })
+	centerDay := settleDegraded(c, c.Addr())
+
+	// Replica set: the leader is killed after the day's entry committed,
+	// so the next leader replays the day from the committed inputs and
+	// only redelivers its payments.
+	var replicaLedger bytes.Buffer
+	rs, err := netproto.StartReplicaSet(context.Background(), append(settleOpts(greedy, &replicaLedger),
+		netproto.WithReplicas(3), netproto.WithPhaseDeadline(300*time.Millisecond))...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	netproto.KillLeaderOnce(rs, 1, "payment")
+	replicaDay := settleDegraded(rs, rs.Addr(), netproto.WithDialer(rs.Dialer()), netproto.WithRetryPolicy(diffRetry))
+	if got := rs.Failovers(); got != 1 {
+		t.Errorf("replica set failovers = %d, want 1", got)
 	}
 
 	if len(centerDay.Absent) != 1 || centerDay.Absent[0] != absent {
@@ -354,6 +380,12 @@ func TestDifferentialDegradedDay(t *testing.T) {
 	}
 	if g, w := blankLedger(clusterLedger.Bytes()), blankLedger(centerLedger.Bytes()); !bytes.Equal(g, w) {
 		t.Errorf("degraded ledgers differ:\ncluster %s\n center %s", g, w)
+	}
+	if g, w := blankRecord(t, replicaDay), blankRecord(t, centerDay); !bytes.Equal(g, w) {
+		t.Errorf("replayed degraded record differs:\nreplica %s\n center %s", g, w)
+	}
+	if g, w := blankLedger(replicaLedger.Bytes()), blankLedger(centerLedger.Bytes()); !bytes.Equal(g, w) {
+		t.Errorf("replayed degraded ledger differs:\nreplica %s\n center %s", g, w)
 	}
 }
 

@@ -259,7 +259,7 @@ func (f *faultInjector) send(conn net.Conn, c Codec, m *Message) error {
 	idx := int(f.next.Add(1) - 1)
 	action := f.plan.ActionAt(idx)
 	if action != FaultNone {
-		obs.Default().Counter(obs.MetricNetFaultsTotal, obs.LabelAction, action.String()).Inc()
+		countFault(action, -1, idx)
 	}
 	switch action {
 	case FaultDrop:
@@ -277,6 +277,16 @@ func (f *faultInjector) send(conn net.Conn, c Codec, m *Message) error {
 		return writeGarbled(conn, c, msgs)
 	default:
 		return WriteBatch(conn, c, msgs)
+	}
+}
+
+// countFault counts one injected fault and records it on the flight
+// recorder, for a TCP connection (shard -1) and a shard link alike: idx
+// is the zero-based message index the fault struck.
+func countFault(action FaultAction, shard, idx int) {
+	obs.Default().Counter(obs.MetricNetFaultsTotal, obs.LabelAction, action.String()).Inc()
+	if rec := obs.DefaultRecorder(); rec.Enabled() {
+		rec.Record(obs.Event{Kind: obs.EventFault, Shard: shard, Action: action.String(), N: idx})
 	}
 }
 

@@ -14,11 +14,13 @@ import (
 // the same bound the HTTP surface enforces with a 400 on overlarge n.
 const journalTailCap = obs.MaxLedgerTail
 
-// Journal persists DayRecords as JSON Lines — one settlement per line —
-// so a neighborhood's history survives restarts and can be replayed for
-// billing audits. Writes are serialized; a Journal may be shared by a
-// Center and ad-hoc writers. The most recent lines are retained in a
-// bounded ring, which is what makes a Journal an obs.LedgerTailer.
+// Journal persists JSON Lines — one value per line — so a
+// neighborhood's history survives restarts and can be replayed for
+// billing audits: the audit ledger (one mechanism.LedgerEntry per
+// settled day, see WithLedger) or DayRecords written with Append. Writes
+// are serialized; a Journal may be shared by a Center and ad-hoc
+// writers. The most recent lines are retained in a bounded ring, which
+// is what makes a Journal an obs.LedgerTailer.
 type Journal struct {
 	mu   sync.Mutex
 	w    io.Writer

@@ -40,7 +40,9 @@ func TestMetricsScrapeAfterDayCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(obs.DebugHandler(obs.Default()))
+	op := obs.NewOperator(obs.Default())
+	op.SetReady(true)
+	srv := httptest.NewServer(op.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

@@ -110,3 +110,45 @@ func TestRecorderCapturesFaultAndDegradation(t *testing.T) {
 		t.Error("no wire-frame events captured")
 	}
 }
+
+// TestRecorderCapturesTCPFault: a fault injected on a TCP connection
+// reaches the flight recorder as a shard link's does, tagged shard -1
+// with the message index it struck, so an incident timeline shows the
+// fault behind the resume it causes.
+func TestRecorderCapturesTCPFault(t *testing.T) {
+	rec := obs.DefaultRecorder()
+	rec.Reset()
+	rec.Enable()
+	defer func() {
+		rec.Disable()
+		rec.Reset()
+	}()
+	// Agent 0's message index 2 is its day-1 consumption reply.
+	plan, err := ParseFaultPlan("drop@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runChaosDays(t, 1, func(i int) []Option {
+		if i != 0 {
+			return nil
+		}
+		return []Option{WithFaultPlan(plan), WithRetryPolicy(fastRetry)}
+	})
+
+	var faults []obs.Event
+	resumes := 0
+	for _, e := range rec.Events() {
+		switch e.Kind {
+		case obs.EventFault:
+			faults = append(faults, e)
+		case obs.EventResume:
+			resumes++
+		}
+	}
+	if len(faults) != 1 || faults[0].Action != "drop" || faults[0].N != 2 || faults[0].Shard != -1 {
+		t.Errorf("fault events %+v, want one drop at message 2 on shard -1", faults)
+	}
+	if resumes == 0 {
+		t.Error("no resume event: the dropped reply should have cut the link")
+	}
+}

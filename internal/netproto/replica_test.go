@@ -187,6 +187,39 @@ func TestChaosReplicaLeaderKilledEveryPhase(t *testing.T) {
 	}
 }
 
+// TestChaosReplicaSettlementCountedOnce pins that a failover never
+// counts a day twice: over three days, with the leader killed on day 2
+// at each kill point or never, the settlement and day counters each rise
+// by exactly three. Only the run that returns a day counts it, and a day
+// a new leader replays from its committed entries is returned once.
+func TestChaosReplicaSettlementCountedOnce(t *testing.T) {
+	for _, point := range []string{"", "preference", "consumption", "settle", "beforeCommit", "payment"} {
+		name := point
+		if name == "" {
+			name = "no-kill"
+		}
+		t.Run(name, func(t *testing.T) {
+			settlements := obs.Default().Counter(obs.MetricMechSettlementsTotal)
+			days := obs.Default().Counter(obs.MetricNetDaysTotal)
+			settled0, days0 := settlements.Value(), days.Value()
+
+			var buf bytes.Buffer
+			rs := startReplicaSet(t, &buf)
+			if point != "" {
+				rs.killAt = killOnce(2, point)
+			}
+			runReplicaDays(t, rs, 3)
+
+			if got := settlements.Value() - settled0; got != 3 {
+				t.Errorf("%s rose by %d over 3 days, want 3", obs.MetricMechSettlementsTotal, got)
+			}
+			if got := days.Value() - days0; got != 3 {
+				t.Errorf("%s rose by %d over 3 days, want 3", obs.MetricNetDaysTotal, got)
+			}
+		})
+	}
+}
+
 // TestChaosReplicaFollowerDeathHarmless pins that losing a follower
 // costs nothing: the leader still reaches a 2/3 quorum and the merged
 // ledger is unchanged.

@@ -1,7 +1,6 @@
 package netproto
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,48 +20,19 @@ import (
 // instead of surfacing it.
 var errReplicaKilled = errors.New("netproto: leader replica killed")
 
-// dayPayload is the replicated record of one settled day: the full day
-// record for redelivery plus the audit-ledger entry bytes every replica
-// appends at commit.
-type dayPayload struct {
-	Record *DayRecord      `json:"record"`
-	Ledger json.RawMessage `json:"ledger,omitempty"`
-}
-
-// lockedBuffer is a mutex-guarded bytes.Buffer: follower apply paths
-// run on peer-connection goroutines, so each replica's local ledger
-// needs a thread-safe sink.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf.Bytes()...)
-}
-
-// replicaNode is one member of the quorum set: its copy of the log, its
-// local audit ledger, and its peer listener. Exactly one live node also
-// runs the agent-facing Center; followers hold no agent state at all —
-// failover rebuilds it from the committed log.
+// replicaNode is one member of the quorum set: its copy of the log and
+// its peer listener. The log is all a replica holds: its committed day
+// entries are its audit ledger (see ReplicaSet.ReplicaLedger). Exactly
+// one live node also runs the agent-facing Center; followers hold no
+// agent state at all — failover rebuilds it from the committed log.
 type replicaNode struct {
-	id        int
-	log       *replica.Log
-	ledgerBuf *lockedBuffer
-	ledger    *Journal
-	peerLn    net.Listener
-	peerAddr  string
-	peerConn  net.Conn // leader-side client conn; guarded by ReplicaSet.repMu
-	alive     bool     // guarded by ReplicaSet.mu
-	center    *Center  // non-nil only while this node leads; guarded by ReplicaSet.mu
+	id       int
+	log      *replica.Log
+	peerLn   net.Listener
+	peerAddr string
+	peerConn net.Conn // leader-side client conn; guarded by ReplicaSet.repMu
+	alive    bool     // guarded by ReplicaSet.mu
+	center   *Center  // non-nil only while this node leads; guarded by ReplicaSet.mu
 }
 
 // ReplicaSet is a settlement center replicated across 2f+1 nodes with a
@@ -74,7 +44,8 @@ type replicaNode struct {
 // adopts the longest log among the survivors, re-replicates the
 // uncommitted tail, and hands the committed log to a new Center, which
 // rebuilds its session table from the member entries and replays the
-// in-flight day's committed phase inputs into a fresh day machine.
+// in-flight day's committed inputs through the day driver; a day whose
+// day entry committed is settled again only to redeliver its payments.
 // Agents reconnect with their session tokens exactly as after a link
 // cut, so the failover run settles to the same ledger bytes as a
 // fault-free one.
@@ -96,9 +67,11 @@ type ReplicaSet struct {
 	leaderID  int
 	term      uint64
 	failovers uint64
-	days      map[int]*DayRecord // committed days: journaled once, redelivered after failover
 
 	repMu sync.Mutex // serializes replication rounds and takeovers
+	// applied is the highest log index applied to the plane's ledger;
+	// guarded by repMu.
+	applied uint64
 
 	// killAt is the chaos hook: called at every named kill point; a
 	// true return kills the current leader at that point.
@@ -128,8 +101,8 @@ func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replicas journal at commit, and the plane's ledger is written once
-	// per committed day; the leader center itself never appends.
+	// The plane's ledger is written once per committed day, from the day
+	// entry's ledger line; the leader center itself never appends.
 	cfg.Ledger = nil
 	rs := &ReplicaSet{
 		n:             rc.n,
@@ -137,18 +110,10 @@ func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 		baseCfg:       cfg,
 		operatorPlane: plane,
 		term:          1,
-		days:          make(map[int]*DayRecord),
 	}
 
 	for id := 0; id < rc.n; id++ {
-		buf := &lockedBuffer{}
-		n := &replicaNode{
-			id:        id,
-			log:       replica.NewLog(),
-			ledgerBuf: buf,
-			ledger:    NewJournal(buf),
-			alive:     true,
-		}
+		n := &replicaNode{id: id, log: replica.NewLog(), alive: true}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			rs.Close()
@@ -245,36 +210,13 @@ func (n *replicaNode) handle(m *replica.Message) *replica.Message {
 		if !n.log.ObserveTerm(m.Term) {
 			return &replica.Message{Kind: replica.MsgAck, From: n.id, Reason: "not leader", LastIndex: n.log.LastIndex()}
 		}
-		newly := n.log.CommitTo(m.Commit)
-		n.applyLocal(newly)
+		n.log.CommitTo(m.Commit)
 		return &replica.Message{Kind: replica.MsgAck, From: n.id, OK: true, Commit: n.log.Commit()}
 	case replica.MsgSync:
 		return &replica.Message{Kind: replica.MsgLog, From: n.id, Commit: n.log.Commit(), Entries: n.log.Entries()}
 	default:
 		return &replica.Message{Kind: replica.MsgAck, From: n.id, Reason: "unknown kind " + m.Kind}
 	}
-}
-
-// applyLocal applies newly committed entries to this replica's local
-// audit ledger and returns their decoded day payloads. Day entries carry
-// the leader's exact ledger bytes, so every replica's journal is
-// byte-identical over the committed prefix.
-func (n *replicaNode) applyLocal(newly []replica.Entry) []dayPayload {
-	var days []dayPayload
-	for _, e := range newly {
-		if e.Kind != replica.KindDay {
-			continue
-		}
-		var p dayPayload
-		if err := json.Unmarshal(e.Data, &p); err != nil {
-			continue
-		}
-		if p.Ledger != nil {
-			_ = n.ledger.AppendValue(p.Ledger)
-		}
-		days = append(days, p)
-	}
-	return days
 }
 
 // The committer implementation: every leader Center this set starts
@@ -305,15 +247,13 @@ func (rs *ReplicaSet) commitDay(out *settle.Outcome) error {
 	if rs.fireKill("settle", day, "settle") {
 		return errReplicaKilled
 	}
+	// The entry is the day's ledger line: the bytes every ledger writes,
+	// and all a takeover needs to know the day settled.
 	ledger, err := json.Marshal(out.LedgerEntry())
 	if err != nil {
 		return fmt.Errorf("netproto: encode ledger entry: %w", err)
 	}
-	data, err := json.Marshal(dayPayload{Record: out.Record, Ledger: ledger})
-	if err != nil {
-		return err
-	}
-	if err := rs.replicate(replica.KindDay, day, "", data, "beforeCommit"); err != nil {
+	if err := rs.replicate(replica.KindDay, day, phaseDay, ledger, "beforeCommit"); err != nil {
 		return err
 	}
 	if rs.fireKill("payment", day, "payment") {
@@ -361,10 +301,11 @@ func (rs *ReplicaSet) replicate(kind string, day int, phase string, data json.Ra
 // round is the one quorum round, for a new entry and for a takeover's
 // uncommitted tail alike: ask each live follower once to append e,
 // count the acks (the leader's own included), fire killPoint, and —
-// once a majority holds e — commit and apply it everywhere. killPoint
-// "beforeCommit" is the chaos window between a full quorum of acks and
-// the leader's commit: the entry survives on the followers and the next
-// leader finishes the job. Callers hold repMu.
+// once a majority holds e — commit and apply it on the leader and raise
+// every follower's commit watermark. killPoint "beforeCommit" is the
+// chaos window between a full quorum of acks and the leader's commit:
+// the entry survives on the followers and the next leader finishes the
+// job. Callers hold repMu.
 func (rs *ReplicaSet) round(leader *replicaNode, term uint64, e replica.Entry, killPoint string) error {
 	acks := 1
 	for _, f := range rs.livePeers(leader.id) {
@@ -378,7 +319,7 @@ func (rs *ReplicaSet) round(leader *replicaNode, term uint64, e replica.Entry, k
 	if acks < replica.Majority(rs.n) {
 		return fmt.Errorf("netproto: replicate %s day %d: %d/%d acks: %w", e.Kind, e.Day, acks, rs.n, ErrQuorumLost)
 	}
-	rs.applyCommitted(leader, leader.log.CommitTo(e.Index))
+	rs.applyCommitted(leader.log.CommitTo(e.Index))
 	for _, f := range rs.livePeers(leader.id) {
 		// Best-effort: a missed commit is repaired by the next round's
 		// cumulative watermark or by the next takeover's sync.
@@ -433,23 +374,22 @@ func (rs *ReplicaSet) call(f *replicaNode, m *replica.Message) (*replica.Message
 	return nil, fmt.Errorf("netproto: replica %d unreachable", f.id)
 }
 
-// applyCommitted applies newly committed entries on the leader: day
-// entries land in the leader's local ledger and — exactly once per day,
-// however many takeovers intervene — in the committed-day table and the
-// plane's ledger.
-func (rs *ReplicaSet) applyCommitted(leader *replicaNode, newly []replica.Entry) {
-	for _, p := range leader.applyLocal(newly) {
-		if p.Record == nil {
+// applyCommitted appends the ledger line of each newly committed day
+// entry to the plane's ledger, exactly once however many takeovers
+// intervene: every replica's committed prefix holds the same entries at
+// the same indices, so an entry at or below the applied watermark — one
+// a new leader commits again on its own log — was applied already.
+// Callers hold repMu.
+func (rs *ReplicaSet) applyCommitted(newly []replica.Entry) {
+	for _, e := range newly {
+		if e.Index <= rs.applied {
 			continue
 		}
-		rs.mu.Lock()
-		first := rs.days[p.Record.Day] == nil
-		if first {
-			rs.days[p.Record.Day] = p.Record
-		}
-		rs.mu.Unlock()
-		if first && rs.ledger != nil && p.Ledger != nil {
-			_ = rs.ledger.AppendValue(p.Ledger)
+		rs.applied = e.Index
+		if e.Kind == replica.KindDay && rs.ledger != nil {
+			// The day has committed, so a failed write cannot fail it;
+			// every replica's ledger still holds the line.
+			_ = rs.ledger.appendLine(e.Data)
 		}
 	}
 }
@@ -563,7 +503,7 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 			}
 		}
 	}
-	rs.applyCommitted(leader, leader.log.CommitTo(maxCommit))
+	rs.applyCommitted(leader.log.CommitTo(maxCommit))
 
 	// Finish what the dead leader started: any entry a quorum acked but
 	// never committed is re-replicated (original terms) and committed.
@@ -591,19 +531,14 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 	return c, nil
 }
 
-// committedDay returns the committed record for day, or nil.
-func (rs *ReplicaSet) committedDay(day int) *DayRecord {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.days[day]
-}
-
-// RunDayContext runs one settlement day against the replica set. A day
-// interrupted by a leader death is re-run on the next leader, which
-// replays the day's committed phase inputs; a day that already
-// committed before the death is not re-settled — the new leader only
-// redelivers its payments (agents dedupe by day), keeping settlement
-// exactly-once.
+// RunDayContext runs one settlement day against the replica set. Like
+// Center.RunDayContext it runs each day once: exactly-once settlement is
+// a guarantee across failovers, not across calls. A day interrupted by a
+// leader death is re-run on the next leader through the one day driver,
+// which replays the day's committed phase inputs; a day whose day entry
+// already committed settles again from those inputs to the identical
+// record, commits nothing, and only redelivers its payments (agents
+// dedupe by day).
 func (rs *ReplicaSet) RunDayContext(ctx context.Context, day int) (*DayRecord, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -612,9 +547,6 @@ func (rs *ReplicaSet) RunDayContext(ctx context.Context, day int) (*DayRecord, e
 		c, err := rs.leaderCenter()
 		if err != nil {
 			return nil, err
-		}
-		if rec := rs.committedDay(day); rec != nil {
-			return c.redeliverDay(rec), nil
 		}
 		rec, err := c.RunDayContext(ctx, day)
 		if err != nil {
@@ -706,13 +638,23 @@ func (rs *ReplicaSet) Failovers() uint64 {
 	return rs.failovers
 }
 
-// ReplicaLedger returns a copy of one replica's local audit-ledger
-// bytes — the committed day entries as that replica journaled them.
+// ReplicaLedger returns replica id's audit ledger: the ledger line of
+// every day entry in its committed prefix, one per line — the bytes the
+// set's WithLedger journal holds for the same days.
 func (rs *ReplicaSet) ReplicaLedger(id int) []byte {
 	if id < 0 || id >= rs.n {
 		return nil
 	}
-	return rs.nodes[id].ledgerBuf.Bytes()
+	log := rs.nodes[id].log
+	// The watermark first: entries never shrink, so the copy holds it.
+	commit := log.Commit()
+	var out []byte
+	for _, e := range log.Entries()[:commit] {
+		if e.Kind == replica.KindDay {
+			out = append(append(out, e.Data...), '\n')
+		}
+	}
+	return out
 }
 
 // ReplicaStatuses implements obs.ReplicaSource for /api/v1/replicas.

@@ -13,9 +13,8 @@ import (
 // RetryPolicy bounds an agent's reconnect behaviour after a link
 // failure: up to MaxAttempts redials per outage, spaced by exponential
 // backoff with deterministic, seedable jitter. The zero value disables
-// reconnection entirely (one failure is terminal), which is the
-// pre-fault-tolerance behaviour and the default for the deprecated
-// Dial/NewAgent constructors.
+// reconnection entirely (one failure is terminal); it is what Connect
+// and NewAgent use without WithRetryPolicy.
 type RetryPolicy struct {
 	// MaxAttempts is the number of redials per outage; 0 disables
 	// reconnection.

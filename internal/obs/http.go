@@ -13,9 +13,10 @@ import (
 )
 
 // DayStatus is the operator view of the current settlement day — what
-// /api/v1/day serves. Phase names follow the protocol kinds
-// ("preference", "consumption", "payment") plus "settling", "settled"
-// or "failed" once a day ends, and "idle" before the first day.
+// /api/v1/day serves. Phase names follow the collection phases
+// ("preference", "consumption"), then "settling" while the day settles
+// and pays, "settled" or "failed" once it ends, and "idle" before the
+// first day.
 type DayStatus struct {
 	Day                 int     `json:"day"`
 	Phase               string  `json:"phase"`
@@ -290,16 +291,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// DebugHandler builds the historical daemon introspection mux:
-// Prometheus-text /metrics, liveness /healthz, and the net/http/pprof
-// endpoints — an Operator with no status sources, reporting ready
-// (a bare debug surface has no start-up to gate on).
-func DebugHandler(reg *Registry) http.Handler {
-	op := NewOperator(reg)
-	op.SetReady(true)
-	return op.Handler()
-}
-
 // DebugServer is a running debug/operator listener; Close shuts it
 // down.
 type DebugServer struct {
@@ -312,12 +303,6 @@ func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server and its listener.
 func (s *DebugServer) Close() error { return s.srv.Close() }
-
-// ServeDebug starts the debug handler on addr (e.g. "127.0.0.1:0")
-// in a background goroutine and returns the running server.
-func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
-	return serveHandler(addr, DebugHandler(reg))
-}
 
 // ServeOperator starts the full operator plane on addr in a background
 // goroutine and returns the running server.

@@ -8,10 +8,18 @@ import (
 	"testing"
 )
 
-func TestDebugHandlerEndpoints(t *testing.T) {
+// bareOperator is an operator plane with no status sources, ready from
+// the start: the daemon's /metrics, /healthz and pprof surface.
+func bareOperator(reg *Registry) *Operator {
+	op := NewOperator(reg)
+	op.SetReady(true)
+	return op
+}
+
+func TestBareOperatorEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(MetricNetDaysTotal).Add(2)
-	srv := httptest.NewServer(DebugHandler(reg))
+	srv := httptest.NewServer(bareOperator(reg).Handler())
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -43,8 +51,8 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	}
 }
 
-func TestServeDebugBindsEphemeralPort(t *testing.T) {
-	srv, err := ServeDebug("127.0.0.1:0", NewRegistry())
+func TestServeOperatorBindsEphemeralPort(t *testing.T) {
+	srv, err := ServeOperator("127.0.0.1:0", bareOperator(NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +63,6 @@ func TestServeDebugBindsEphemeralPort(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz over ServeDebug = %d", resp.StatusCode)
+		t.Errorf("healthz over ServeOperator = %d", resp.StatusCode)
 	}
 }

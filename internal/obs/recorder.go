@@ -19,8 +19,9 @@ const (
 	// the traffic direction, Codec the negotiated codec, N the messages
 	// in the frame, Bytes the on-wire frame size).
 	EventWireFrame = "wire.frame"
-	// EventFault is one fault-plan hit on a shard link (Action is the
-	// injected FaultAction, N the zero-based message index it struck).
+	// EventFault is one fault-plan hit on a shard link or a TCP
+	// connection (Action is the injected FaultAction, N the zero-based
+	// message index it struck; Shard is -1 on TCP).
 	EventFault = "fault"
 	// EventPhase is a protocol phase edge on the center (Action "start"
 	// with N = members polled, or "deadline" with N = households still

@@ -28,16 +28,18 @@ const (
 	// absentees) after the preference round, the consumptions (and
 	// substitutions) after the consumption round.
 	KindPhase = "phase"
-	// KindDay records a settled day: the DayRecord plus the marshaled
-	// audit-ledger entry, applied to every replica's local ledger at
-	// commit.
+	// KindDay records a settled day: its marshaled audit-ledger entry,
+	// the one line the day adds to every ledger. A replica's committed
+	// day entries are its ledger, and a new leader that holds a day's
+	// entry replays the day from its committed phases without
+	// committing it again.
 	KindDay = "day"
 )
 
 // Entry is one replicated log record. Index is 1-based and dense; Term
 // is the leadership term that appended the entry. Data is the kind-
-// specific payload, kept as raw JSON so replicas apply the leader's
-// exact bytes.
+// specific payload, kept as raw JSON so every replica holds the
+// leader's exact bytes.
 type Entry struct {
 	Term  uint64          `json:"term"`
 	Index uint64          `json:"index"`

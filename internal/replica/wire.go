@@ -16,7 +16,7 @@ const (
 	// it and answers MsgAck.
 	MsgAppend = "append"
 	// MsgCommit raises the follower's commit watermark; the follower
-	// applies the newly committed entries and answers MsgAck.
+	// answers MsgAck.
 	MsgCommit = "commit"
 	// MsgAck acknowledges an append or commit. OK false carries a
 	// Reason ("not leader", "gap") and, for gaps, the follower's
@@ -43,8 +43,9 @@ type Message struct {
 	Entries   []Entry `json:"entries,omitempty"`
 }
 
-// MaxFrameSize bounds one peer frame. Day entries carry a full
-// DayRecord plus ledger entry, so the bound is generous.
+// MaxFrameSize bounds one peer frame. A day entry carries one ledger
+// line, but a takeover's MsgLog carries a replica's whole log, which is
+// never compacted, so the bound is generous.
 const MaxFrameSize = 1 << 24
 
 // WriteMessage frames and writes one peer message: a 4-byte big-endian

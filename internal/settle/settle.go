@@ -215,7 +215,7 @@ func (m *Machine) Settle(consumptions []core.Consumption, dark []bool) (Outcome,
 		assigned:  assigned,
 		consumed:  consumed,
 	}
-	out.Status = StatusRow(record, m.cfg.Mechanism.Xi)
+	out.Status = statusRow(record, m.cfg.Mechanism.Xi)
 	return out, nil
 }
 
@@ -234,9 +234,9 @@ func checkConsumption(r core.Report, c core.Consumption) error {
 	return nil
 }
 
-// StatusRow is the operator view of a settled record: who settled, and
+// statusRow is the operator view of a settled record: who settled, and
 // the Theorem 1 residual Σp − ξ·κ.
-func StatusRow(r *DayRecord, xi float64) obs.ShardStatus {
+func statusRow(r *DayRecord, xi float64) obs.ShardStatus {
 	var revenue float64
 	for _, p := range r.Payments {
 		revenue += p

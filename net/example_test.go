@@ -170,16 +170,22 @@ func ExampleWithFaultPlan() {
 		fmt.Println(err)
 		return
 	}
-	records, err := enkinet.ReadJournal(bytes.NewReader(ledger.Bytes()))
+	entries, err := enkinet.ReadLedger(bytes.NewReader(ledger.Bytes()))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("day completed despite fault: %v\n", len(records) == 1)
+	audited := true
+	for _, e := range entries {
+		audited = audited && len(e.Audit()) == 0
+	}
+	fmt.Printf("day completed despite fault: %v\n", len(entries) == 1)
+	fmt.Printf("ledger audits clean: %v\n", audited)
 	fmt.Printf("households settled: %d\n", len(record.Payments))
 	fmt.Printf("degraded: %v\n", record.Substituted != nil || record.Absent != nil)
 	// Output:
 	// day completed despite fault: true
+	// ledger audits clean: true
 	// households settled: 3
 	// degraded: false
 }
@@ -239,18 +245,24 @@ func ExampleStartReplicaSet() {
 		revenue += p
 	}
 	residual := revenue - enki.DefaultXi*record.Cost
-	records, err := enkinet.ReadJournal(bytes.NewReader(ledger.Bytes()))
+	entries, err := enkinet.ReadLedger(bytes.NewReader(ledger.Bytes()))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
+	audited := true
+	for _, e := range entries {
+		audited = audited && len(e.Audit()) == 0
+	}
 	fmt.Printf("leader after failover: %d\n", rs.Leader())
-	fmt.Printf("days in merged ledger: %d\n", len(records))
+	fmt.Printf("days in merged ledger: %d\n", len(entries))
+	fmt.Printf("ledger audits clean: %v\n", audited)
 	fmt.Printf("budget balanced: %v\n", math.Abs(residual) < 1e-9)
 	fmt.Printf("degraded: %v\n", record.Substituted != nil || record.Absent != nil)
 	// Output:
 	// leader after failover: 1
 	// days in merged ledger: 2
+	// ledger audits clean: true
 	// budget balanced: true
 	// degraded: false
 }

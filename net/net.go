@@ -52,6 +52,7 @@ import (
 	stdnet "net"
 
 	"enki/internal/core"
+	"enki/internal/mechanism"
 	"enki/internal/netproto"
 )
 
@@ -80,8 +81,13 @@ type (
 	FaultPlan = netproto.FaultPlan
 	// FaultAction is one scheduled fault: drop, delay, dup, or garble.
 	FaultAction = netproto.FaultAction
-	// Journal persists per-day DayRecords as JSONL.
+	// Journal is an append-only JSONL writer: WithLedger's audit ledger
+	// (one LedgerEntry per settled day), or DayRecords appended with
+	// Append.
 	Journal = netproto.Journal
+	// LedgerEntry is one settled day's audit-ledger line: every Eq. 4–7
+	// intermediate, which its Audit method re-derives.
+	LedgerEntry = mechanism.LedgerEntry
 	// DayRecord is a completed settlement day, including any degraded
 	// households (Substituted, Absent).
 	DayRecord = netproto.DayRecord
@@ -260,11 +266,17 @@ func GenerateFaultPlan(seed uint64, msgs int, drop, delay, dup, garble float64) 
 	return netproto.GenerateFaultPlan(seed, msgs, drop, delay, dup, garble)
 }
 
-// NewJournal returns a journal writing day records to w.
+// NewJournal returns a journal writing JSON lines to w. Passed to
+// WithLedger it receives the audit ledger; read that back with
+// ReadLedger.
 func NewJournal(w io.Writer) *Journal { return netproto.NewJournal(w) }
 
-// ReadJournal decodes the day records persisted by a Journal,
-// tolerating a truncated trailing line from a crash.
+// ReadLedger decodes the audit-ledger entries a WithLedger journal
+// wrote, tolerating a truncated trailing line from a crash.
+func ReadLedger(r io.Reader) ([]LedgerEntry, error) { return mechanism.ReadLedger(r) }
+
+// ReadJournal decodes the day records appended to a Journal with
+// Append, tolerating a truncated trailing line from a crash.
 func ReadJournal(r io.Reader) ([]DayRecord, error) { return netproto.ReadJournal(r) }
 
 // ReplayJournal summarizes persisted records for crash recovery.
