@@ -74,8 +74,9 @@ bench-net-check:
 # jitter, and the replica center-kill matrix — TestChaosReplica* kills
 # the leader in every settlement phase including between ledger append
 # and commit) plus a short fuzz pass over the wire codec, which is the
-# surface every injected fault ultimately exercises, and over the day
-# machine's phase inputs (FuzzDayMachine). The race pass runs
+# surface every injected fault ultimately exercises, over the audit
+# ledger's encoder against json.Marshal (FuzzLedgerEntryAppendJSON), and
+# over the day machine's phase inputs (FuzzDayMachine). The race pass runs
 # the cluster suite repeatedly because every worker borrows the shard
 # links' pooled message slots, so a slot shared between two running
 # shard days would show up there; it runs the replica kill matrix
@@ -91,6 +92,7 @@ chaos:
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 10s
+	$(GO) test ./internal/mechanism -run '^$$' -fuzz FuzzLedgerEntryAppendJSON -fuzztime 10s
 	$(GO) test ./internal/settle -run '^$$' -fuzz FuzzDayMachine -fuzztime 10s
 
 # The differential suites: the day machine settling bit-identically in

@@ -1,9 +1,13 @@
 package mechanism
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"strconv"
+	"unicode/utf8"
 
 	"enki/internal/core"
 	"enki/internal/obs"
@@ -107,6 +111,152 @@ func BuildLedgerEntry(traceID string, day int, cfg Config, rating float64,
 	}
 	entry.BudgetResidual = entry.Revenue - cost
 	return entry
+}
+
+// AppendJSON appends the entry's JSON encoding to dst and returns the
+// extended slice: exactly the bytes json.Marshal writes for the entry,
+// without reflection. Like json.Marshal it fails on a NaN or infinite
+// float, with the same error, and then returns nil. LedgerEntry has no
+// MarshalJSON method, so json.Marshal stays an independent check of
+// these bytes (TestLedgerEntryAppendJSON).
+func (e *LedgerEntry) AppendJSON(dst []byte) ([]byte, error) {
+	w := jsonBuf{b: dst}
+	w.int(`{"schema":`, e.Schema)
+	w.b = append(w.b, `,"traceId":`...)
+	w.b = appendJSONString(w.b, e.TraceID)
+	w.int(`,"day":`, e.Day)
+	w.float(`,"k":`, e.K)
+	w.float(`,"xi":`, e.Xi)
+	w.float(`,"rating":`, e.Rating)
+	w.float(`,"cost":`, e.Cost)
+	w.float(`,"revenue":`, e.Revenue)
+	w.float(`,"budgetResidual":`, e.BudgetResidual)
+	w.float(`,"peak":`, e.Peak)
+	if e.Households == nil {
+		w.b = append(w.b, `,"households":null}`...)
+	} else {
+		w.b = append(w.b, `,"households":[`...)
+		for i := range e.Households {
+			h := &e.Households[i]
+			if i > 0 {
+				w.b = append(w.b, ',')
+			}
+			w.int(`{"id":`, int(h.ID))
+			w.interval(`,"reported":{"window":`, h.Reported.Window)
+			w.int(`,"duration":`, h.Reported.Duration)
+			w.b = append(w.b, '}')
+			w.interval(`,"assigned":`, h.Assigned)
+			w.interval(`,"consumed":`, h.Consumed)
+			w.int(`,"defermentSlots":`, h.DefermentSlots)
+			if h.Substituted {
+				w.b = append(w.b, `,"substituted":true`...)
+			}
+			w.b = append(w.b, `,"defected":`...)
+			w.b = strconv.AppendBool(w.b, h.Defected)
+			w.float(`,"predictedFlexibility":`, h.PredictedFlexibility)
+			w.float(`,"flexibility":`, h.Flexibility)
+			w.float(`,"defection":`, h.Defection)
+			w.float(`,"socialCost":`, h.SocialCost)
+			w.float(`,"payment":`, h.Payment)
+			w.b = append(w.b, '}')
+		}
+		w.b = append(w.b, "]}"...)
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.b, nil
+}
+
+// jsonBuf is AppendJSON's output and its first error. Each writer
+// appends a literal key (with any punctuation before it) and a value.
+type jsonBuf struct {
+	b   []byte
+	err error
+}
+
+func (w *jsonBuf) int(key string, v int) {
+	w.b = strconv.AppendInt(append(w.b, key...), int64(v), 10)
+}
+
+func (w *jsonBuf) interval(key string, iv core.Interval) {
+	w.b = append(w.b, key...)
+	w.int(`{"begin":`, iv.Begin)
+	w.int(`,"end":`, iv.End)
+	w.b = append(w.b, '}')
+}
+
+// float writes f by encoding/json's rule: the shortest representation
+// that round-trips, in 'f' form, or in 'e' form below 1e-6 and from
+// 1e21 on with a one-digit negative exponent unpadded (e-7, not e-07).
+func (w *jsonBuf) float(key string, f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if w.err == nil {
+			w.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return
+	}
+	w.b = append(w.b, key...)
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
+	if n := len(w.b); format == 'e' && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+		w.b[n-2] = w.b[n-1]
+		w.b = w.b[:n-1]
+	}
+}
+
+// appendJSONString appends s as a JSON string escaped the way
+// json.Marshal escapes it: quote, backslash and control bytes escaped,
+// <, > and & as \u003c, \u003e and \u0026, invalid UTF-8 as \ufffd, and
+// U+2028 and U+2029 as \u2028 and \u2029.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // ReadLedger loads an audit ledger from a JSONL stream, in order. Like

@@ -73,3 +73,42 @@ func TestDecodeBatchAllocatesByDecodedMessages(t *testing.T) {
 		t.Errorf("rejecting the frame allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
+
+// TestDecodeMetricsReportAllocatesByDecodedSeries: every count in a
+// binary metrics report is untrusted. A report that claims a million
+// counters, gauges, histograms, bounds, buckets or exemplars in a few
+// bytes must be rejected without sizing any allocation by the claim.
+func TestDecodeMetricsReportAllocatesByDecodedSeries(t *testing.T) {
+	c, _ := LookupCodec(CodecBinary)
+	head, err := c.Append(nil, &Message{Kind: KindMetricsReport, Metrics: &obs.MetricsReport{Source: "shard/0001"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head = head[:len(head)-3] // the three nil series maps
+	claim := binary.AppendUvarint(nil, 1_000_001)
+	hist := []byte{0, 0, 2, 1, 'h'} // no counters or gauges, one histogram "h"
+	sum := make([]byte, 8)
+	for _, tc := range []struct {
+		name   string
+		before []byte
+	}{
+		{"counters", nil},
+		{"gauges", []byte{0}},
+		{"histograms", []byte{0, 0}},
+		{"bounds", hist},
+		{"buckets", append(hist, 0)},
+		{"exemplars", append(append(append(hist, 0, 0), 0), sum...)},
+	} {
+		payload := append(append(append(append([]byte{}, head...), tc.before...), claim...), make([]byte, 16)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.Decode(payload, new(slot))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a claim of a million in %d bytes decoded", tc.name, len(payload))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<16 {
+			t.Errorf("%s: rejecting the report allocated %d bytes, want under 64 KiB", tc.name, alloc)
+		}
+	}
+}

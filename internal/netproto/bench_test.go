@@ -87,18 +87,22 @@ func BenchmarkBatchDecode(b *testing.B) {
 // batched frames vs frame-per-message (batch=1). frames/op and
 // wireB/op come from the obs counters, so they gate the real framing
 // behavior rather than an estimate. The /ledger case adds the audit
-// ledger's encode and ordered append, into io.Discard.
+// ledger's encode and ordered append, into io.Discard, and the
+// /ledger+reporting case adds each shard's metrics report on its
+// payment batch as well.
 func BenchmarkClusterDay(b *testing.B) {
 	const households, shards = 2000, 16
 	cases := []struct {
-		codec  string
-		batch  int
-		ledger bool
+		codec     string
+		batch     int
+		ledger    bool
+		reporting bool
 	}{
-		{CodecJSON, DefaultBatchSize, false},
-		{CodecBinary, DefaultBatchSize, false},
-		{CodecBinary, 1, false},
-		{CodecBinary, DefaultBatchSize, true},
+		{CodecJSON, DefaultBatchSize, false, false},
+		{CodecBinary, DefaultBatchSize, false, false},
+		{CodecBinary, 1, false, false},
+		{CodecBinary, DefaultBatchSize, true, false},
+		{CodecBinary, DefaultBatchSize, true, true},
 	}
 	for _, tc := range cases {
 		name := "codec=" + tc.codec + "/batch=" + strconv.Itoa(tc.batch)
@@ -111,6 +115,10 @@ func BenchmarkClusterDay(b *testing.B) {
 		if tc.ledger {
 			name += "/ledger"
 			opts = append(opts, WithLedger(NewJournal(io.Discard)))
+		}
+		if tc.reporting {
+			name += "+reporting"
+			opts = append(opts, WithMetricsReporting(true))
 		}
 		b.Run(name, func(b *testing.B) {
 			cluster, err := StartCluster(context.Background(), opts...)

@@ -88,7 +88,11 @@ func (l ledgerCommitter) commitDay(out *settle.Outcome) error {
 	if l.ledger == nil {
 		return nil
 	}
-	if err := l.ledger.AppendValue(out.LedgerEntry()); err != nil {
+	line, err := ledgerLine(out)
+	if err == nil {
+		err = l.ledger.appendLine(line)
+	}
+	if err != nil {
 		return fmt.Errorf("netproto: audit ledger: %w", err)
 	}
 	return nil

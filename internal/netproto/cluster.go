@@ -2,7 +2,6 @@ package netproto
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -100,7 +99,7 @@ type shardState struct {
 // count and any Join order. Shard seeds derive from the trace seed and
 // the shard index, results land in pre-sized per-shard slots, and the
 // ledger streams in shard-index order: each worker encodes its shard's
-// line, and one writer appends it once every earlier shard is done.
+// line, and the worker that completes the in-order prefix appends it.
 type Cluster struct {
 	center  centerConfig  // settlement parameters shared with the center
 	cfg     ClusterConfig // cluster-specific knobs
@@ -306,10 +305,11 @@ type ClusterDayRecord struct {
 // the ledger.
 //
 // Ledger: each shard worker encodes its settled day's ledger line, and
-// one writer appends the lines in shard-index order while the shards
-// still run (see ledgerStream). The first failed write stops the
-// writer: the ledger keeps the lines before it, the day closes failed
-// on the operator plane, and the error wraps "netproto: audit ledger".
+// the workers append the lines in shard-index order while the shards
+// still run (see ledgerStream). The first failed write stops every
+// later one: the ledger keeps the lines before it, the day closes
+// failed on the operator plane, and the error wraps "netproto: audit
+// ledger".
 func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, error) {
 	start := time.Now()
 	c.mu.Lock()
@@ -344,7 +344,7 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 	rows := make([]obs.ShardStatus, len(shards))
 	var ledger *ledgerStream
 	if c.center.Ledger != nil {
-		ledger = streamLedger(c.center.Ledger, len(shards))
+		ledger = &ledgerStream{j: c.center.Ledger, lines: make([]shardLine, len(shards))}
 	}
 	_ = c.engine.ForEach(len(shards), func(s int) error {
 		t0 := time.Now()
@@ -352,7 +352,7 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 		rows[s].LastSettleMS = sinceMS(t0)
 		return nil
 	})
-	if err := ledger.wait(); err != nil {
+	if err := ledger.writeErr(); err != nil {
 		err = fmt.Errorf("netproto: audit ledger: %w", err)
 		c.stat.closeDay(start, obs.ShardStatus{LastDay: day, Households: memberCount, Err: err.Error()}, 0, nil, "")
 		return nil, err
@@ -405,7 +405,7 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 // went dark is on the machine's dark set. It returns the shard's day
 // and its operator row. When the cluster keeps a ledger, it encodes a
 // settled day's ledger entry and hands the line to ledger; a failed or
-// empty shard hands none.
+// empty shard hands in no line.
 func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day int, ledger *ledgerStream) (ShardDay, obs.ShardStatus) {
 	start := time.Now()
 	tid := obs.DeriveTraceID(c.center.TraceSeed, uint64(day), uint64(shard))
@@ -415,7 +415,7 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 	}
 	out := ShardDay{Shard: shard, TraceID: tid, Households: len(st.ids)}
 	row := obs.ShardStatus{Shard: shard, Healthy: true, TraceID: tid, LastDay: day}
-	line := shardLine{shard: shard}
+	var line shardLine
 	var err error
 	if len(st.ids) > 0 { // an empty shard (more shards than households) settles trivially
 		// A leg carries one message per member at most, plus the payment
@@ -431,7 +431,7 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 		linkScratchPool.Put(ls)
 		if err == nil {
 			if ledger != nil {
-				line.data, line.err = json.Marshal(settled.LedgerEntry())
+				line.data, line.err = ledgerLine(&settled)
 			}
 			row = settled.Status
 			row.Shard = shard
@@ -443,7 +443,7 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 			}
 		}
 	}
-	ledger.hand(line)
+	ledger.hand(shard, line)
 	if err != nil {
 		out.Err = err.Error()
 		row = obs.ShardStatus{Shard: shard, TraceID: tid, LastDay: day, Households: out.Households, Err: out.Err}
@@ -460,74 +460,61 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 	return out, row
 }
 
-// ledgerStream is one cluster day's ordered ledger writer. Workers hand
-// it each shard's line as the shard ends, over a channel with room for
-// every shard, so a worker never waits on the file; its goroutine
-// appends shard s's line as soon as shards 0..s have all handed theirs
-// in, and drops each line once written. The writes overlap the parallel
-// phase, and the ledger reads in shard-index order for any worker count.
+// ledgerStream is one cluster day's ordered ledger. The worker that
+// hands in shard s's line takes the mutex and appends every line that
+// is now in order: shard s's once shards 0..s-1 are written, then any
+// later lines already waiting on it. A worker never waits for a slower
+// shard, only for an append in progress; the writes overlap the
+// parallel phase, each line is dropped once written, and the ledger
+// reads in shard-index order for any worker count. After the first
+// encode or write error nothing more is written, so the ledger keeps
+// the prefix before the failure.
 type ledgerStream struct {
-	lines chan shardLine
-	done  chan struct{} // closed when the writer has exited
-	err   error         // the first encode or write error; read after done
+	j     *Journal
+	mu    sync.Mutex
+	lines []shardLine // by shard; cleared once written
+	next  int         // the first shard not yet written
+	err   error       // the first encode or write error
 }
 
 // shardLine is one shard's hand-in: its encoded ledger line, nil when
 // the shard writes none (failed or empty), or the encode error.
 type shardLine struct {
-	shard int
-	data  []byte
-	err   error
+	data   []byte
+	err    error
+	handed bool
 }
 
-// streamLedger starts the writer that appends one day's lines, from
-// shards shards, to j.
-func streamLedger(j *Journal, shards int) *ledgerStream {
-	w := &ledgerStream{lines: make(chan shardLine, shards), done: make(chan struct{})}
-	go w.write(j, shards)
-	return w
-}
-
-// write appends the handed-in lines in shard order until the day's
-// stream ends. After the first error it writes nothing more, so the
-// ledger keeps the prefix before the failure.
-func (w *ledgerStream) write(j *Journal, shards int) {
-	defer close(w.done)
-	pending := make([]shardLine, shards)
-	arrived := make([]bool, shards)
-	next := 0
-	for in := range w.lines {
-		pending[in.shard], arrived[in.shard] = in, true
-		for ; next < shards && arrived[next]; next++ {
-			l := pending[next]
-			pending[next] = shardLine{}
-			if w.err == nil {
-				w.err = l.err
-			}
-			if w.err == nil && l.data != nil {
-				w.err = j.appendLine(l.data)
-			}
+// hand records shard's line and appends every line now in order; a nil
+// stream (no ledger) ignores it.
+func (w *ledgerStream) hand(shard int, l shardLine) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	l.handed = true
+	w.lines[shard] = l
+	for ; w.next < len(w.lines) && w.lines[w.next].handed; w.next++ {
+		in := w.lines[w.next]
+		w.lines[w.next] = shardLine{handed: true}
+		if w.err == nil {
+			w.err = in.err
+		}
+		if w.err == nil && in.data != nil {
+			w.err = w.j.appendLine(in.data)
 		}
 	}
 }
 
-// hand gives the writer one shard's line; a nil stream (no ledger)
-// ignores it.
-func (w *ledgerStream) hand(l shardLine) {
-	if w != nil {
-		w.lines <- l
-	}
-}
-
-// wait ends the day's stream once every shard has handed in, and returns
-// the writer's first error after its goroutine has exited. A nil stream
+// writeErr returns the day's first encode or write error; a nil stream
 // returns nil.
-func (w *ledgerStream) wait() error {
+func (w *ledgerStream) writeErr() error {
 	if w == nil {
 		return nil
 	}
-	close(w.lines)
-	<-w.done
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.err
 }
 

@@ -396,9 +396,8 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 
 // TestClusterLedgerWriteFailure: a ledger write that fails after the
 // shards have started fails the cluster day. The ledger keeps exactly
-// the lines before the failed one, the operator plane reads the day
-// failed, and the day's ledger writer has exited by the time ClusterDay
-// returns.
+// the lines before the failed one, no write follows it, the operator
+// plane reads the day failed, and the day leaves no goroutine behind.
 func TestClusterLedgerWriteFailure(t *testing.T) {
 	const k = 3
 	opts := []Option{WithShards(8), WithTraceSeed(7)}
@@ -423,8 +422,8 @@ func TestClusterLedgerWriteFailure(t *testing.T) {
 		if phase := cluster.DayStatus().Phase; phase != "failed" {
 			t.Errorf("workers=%d: phase %q after a ledger failure, want failed", workers, phase)
 		}
-		// The writer exits before ClusterDay returns, but the pool's
-		// workers may still be unwinding: poll briefly.
+		// The pool's workers may still be unwinding after ClusterDay
+		// returns: poll briefly.
 		deadline := time.Now().Add(time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)

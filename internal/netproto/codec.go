@@ -139,10 +139,21 @@ func (jsonCodec) Decode(data []byte, s *slot) (*Message, error) {
 //	  err      = str
 //	  codecs   = uvarint count, count × str
 //	  codec    = str
-//	  metrics  = str (JSON-encoded obs.MetricsReport)
+//	  metrics  = str source, counters, gauges, histograms
 //
 // str = uvarint length + raw bytes. The mask is a uvarint, so every
-// day-cycle message's mask still fits one byte.
+// day-cycle message's mask still fits one byte. A metrics report's
+// three series maps are each map(uvarint value), map(f64) and
+// map(histogram), where map(v) = uvarint n+1 (0 for a nil map) followed
+// by n × (str key, v) in sorted-key order, so a report encodes to the
+// same bytes however its maps were built, and
+//
+//	histogram = list(f64) bounds, list(uvarint) buckets, uvarint count,
+//	            f64 sum, uvarint n, n × (varint bucket, f64 value, str traceID)
+//
+// with list(v) = uvarint n+1 (0 for a nil slice) followed by n × v. Nil
+// and empty exemplars both decode to nil, as they do from JSON, where
+// they are omitted.
 type binaryCodec struct{}
 
 func (binaryCodec) Name() string { return CodecBinary }
@@ -222,13 +233,7 @@ func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
 	if m.Codec != "" {
 		mask |= binCodec
 	}
-	var metricsJSON []byte
 	if m.Metrics != nil {
-		var err error
-		metricsJSON, err = json.Marshal(m.Metrics)
-		if err != nil {
-			return nil, fmt.Errorf("netproto: encode %s metrics: %w", m.Kind, err)
-		}
 		mask |= binMetrics
 	}
 	dst = appendUvarint(dst, mask)
@@ -254,7 +259,7 @@ func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
 			m.Payment.Amount, m.Payment.Flexibility, m.Payment.Defection,
 			m.Payment.SocialCost, m.Payment.TotalCost, m.Payment.PeakLoad,
 		} {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+			dst = appendFloat64(dst, f)
 		}
 	}
 	if m.Err != "" {
@@ -269,11 +274,65 @@ func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
 	if m.Codec != "" {
 		dst = appendString(dst, m.Codec)
 	}
-	if metricsJSON != nil {
-		dst = appendUvarint(dst, uint64(len(metricsJSON)))
-		dst = append(dst, metricsJSON...)
+	if m.Metrics != nil {
+		dst = appendMetrics(dst, m.Metrics)
 	}
 	return dst, nil
+}
+
+// appendMetrics appends a metrics report's fields (see the layout
+// above).
+func appendMetrics(dst []byte, rep *obs.MetricsReport) []byte {
+	snap := &rep.Snapshot
+	dst = appendString(dst, rep.Source)
+	dst = appendCount(dst, len(snap.Counters), snap.Counters == nil)
+	for _, k := range sortedKeys(snap.Counters) {
+		dst = appendUvarint(appendString(dst, k), snap.Counters[k])
+	}
+	dst = appendCount(dst, len(snap.Gauges), snap.Gauges == nil)
+	for _, k := range sortedKeys(snap.Gauges) {
+		dst = appendFloat64(appendString(dst, k), snap.Gauges[k])
+	}
+	dst = appendCount(dst, len(snap.Histograms), snap.Histograms == nil)
+	for _, k := range sortedKeys(snap.Histograms) {
+		h := snap.Histograms[k]
+		dst = appendCount(appendString(dst, k), len(h.Bounds), h.Bounds == nil)
+		for _, b := range h.Bounds {
+			dst = appendFloat64(dst, b)
+		}
+		dst = appendCount(dst, len(h.Buckets), h.Buckets == nil)
+		for _, n := range h.Buckets {
+			dst = appendUvarint(dst, n)
+		}
+		dst = appendFloat64(appendUvarint(dst, h.Count), h.Sum)
+		dst = appendUvarint(dst, uint64(len(h.Exemplars)))
+		for _, e := range h.Exemplars {
+			dst = appendString(appendFloat64(appendVarint(dst, int64(e.Bucket)), e.Value), e.TraceID)
+		}
+	}
+	return dst
+}
+
+// appendCount appends a nilable count: 0 for nil, n+1 otherwise.
+func appendCount(dst []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(dst, 0)
+	}
+	return appendUvarint(dst, uint64(n)+1)
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func appendFloat64(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
 // binReader walks a binary-codec payload with saturating error state.
@@ -338,6 +397,27 @@ func (r *binReader) string() string {
 	return s
 }
 
+// items reads a count of items at least min bytes long each, and fails
+// when the bytes left cannot hold them, so no allocation is ever sized
+// by an untrusted count. A nilable count is written as n+1, with 0 for
+// nil, which items reports as -1, as it does a failure.
+func (r *binReader) items(min int, nilable bool) int {
+	n := r.uvarint()
+	if nilable {
+		if n == 0 {
+			return -1
+		}
+		n--
+	}
+	if r.err == nil && n > uint64(len(r.data)/min) {
+		r.fail()
+	}
+	if r.err != nil {
+		return -1
+	}
+	return int(n)
+}
+
 func (r *binReader) float64() float64 {
 	if r.err != nil || len(r.data) < 8 {
 		r.fail()
@@ -393,13 +473,9 @@ func (binaryCodec) Decode(data []byte, s *slot) (*Message, error) {
 		m.Err = r.string()
 	}
 	if mask&binCodecs != 0 {
-		n := r.uvarint()
-		if r.err == nil && n > uint64(len(r.data)) {
-			r.fail() // each offer needs at least its length byte
-		}
-		if r.err == nil {
+		if n := r.items(1, false); n >= 0 { // each offer needs at least its length byte
 			m.Codecs = make([]string, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
+			for i := 0; i < n && r.err == nil; i++ {
 				m.Codecs = append(m.Codecs, r.string())
 			}
 		}
@@ -408,13 +484,7 @@ func (binaryCodec) Decode(data []byte, s *slot) (*Message, error) {
 		m.Codec = r.string()
 	}
 	if mask&binMetrics != 0 {
-		blob := r.string()
-		if r.err == nil {
-			m.Metrics = &obs.MetricsReport{}
-			if err := json.Unmarshal([]byte(blob), m.Metrics); err != nil {
-				return nil, fmt.Errorf("netproto: decode metrics report: %w", err)
-			}
-		}
+		m.Metrics = r.metrics()
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -423,6 +493,58 @@ func (binaryCodec) Decode(data []byte, s *slot) (*Message, error) {
 		return nil, fmt.Errorf("netproto: decode frame: %d trailing bytes", len(r.data))
 	}
 	return m, nil
+}
+
+// metrics reads a metrics report appendMetrics wrote. The minimum entry
+// sizes bound each count: a counter is at least a key length and a
+// value byte, a gauge a key length and 8 bytes, a histogram a key
+// length, three count bytes and its 8-byte sum, and an exemplar a
+// bucket byte, 8 bytes and a trace ID length.
+func (r *binReader) metrics() *obs.MetricsReport {
+	rep := &obs.MetricsReport{Source: r.string()}
+	snap := &rep.Snapshot
+	if n := r.items(2, true); n >= 0 {
+		snap.Counters = make(map[string]uint64, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			k := r.string()
+			snap.Counters[k] = r.uvarint()
+		}
+	}
+	if n := r.items(9, true); n >= 0 {
+		snap.Gauges = make(map[string]float64, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			k := r.string()
+			snap.Gauges[k] = r.float64()
+		}
+	}
+	if n := r.items(13, true); n >= 0 {
+		snap.Histograms = make(map[string]obs.HistogramSnapshot, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			k := r.string()
+			var h obs.HistogramSnapshot
+			if n := r.items(8, true); n >= 0 {
+				h.Bounds = make([]float64, n)
+				for j := range h.Bounds {
+					h.Bounds[j] = r.float64()
+				}
+			}
+			if n := r.items(1, true); n >= 0 {
+				h.Buckets = make([]uint64, n)
+				for j := range h.Buckets {
+					h.Buckets[j] = r.uvarint()
+				}
+			}
+			h.Count, h.Sum = r.uvarint(), r.float64()
+			if n := r.items(10, false); n > 0 {
+				h.Exemplars = make([]obs.Exemplar, n)
+				for j := range h.Exemplars {
+					h.Exemplars[j] = obs.Exemplar{Bucket: int(r.varint()), Value: r.float64(), TraceID: r.string()}
+				}
+			}
+			snap.Histograms[k] = h
+		}
+	}
+	return rep
 }
 
 // selectCodec is the center's half of codec negotiation: its configured

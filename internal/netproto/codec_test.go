@@ -45,6 +45,25 @@ func fullMessage() *Message {
 	}
 }
 
+// testReport is a metrics report with every series kind: counters,
+// gauges, and histograms with and without exemplars, one of them with
+// empty (non-nil) bounds.
+func testReport() *obs.MetricsReport {
+	rep := &obs.MetricsReport{Source: "shard/0003", Snapshot: obs.Snapshot{
+		Counters: map[string]uint64{},
+		Gauges:   map[string]float64{"enki_theorem1": -0.25, "enki_big": 1e21},
+		Histograms: map[string]obs.HistogramSnapshot{
+			"enki_settle_ms": {Bounds: []float64{1, 5, 25}, Buckets: []uint64{3, 0, 2, 1}, Count: 6, Sum: 40.5,
+				Exemplars: []obs.Exemplar{{Bucket: 3, Value: 31.5, TraceID: "f0117ac2bf13f98a"}}},
+			"enki_empty_ms": {Bounds: []float64{}, Buckets: []uint64{0}},
+		},
+	}}
+	for i := 0; i < 8; i++ {
+		rep.Snapshot.Counters[fmt.Sprintf(`enki_c%d_total{shard="%d"}`, i, i)] = uint64(i) << (8 * i)
+	}
+	return rep
+}
+
 // TestCodecRoundTrip: every registered codec must reproduce a
 // fully-populated message exactly, and each protocol kind must survive
 // with its sparse field set.
@@ -54,6 +73,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Kind: KindWelcome, ID: 1, Token: "t", Codec: "json"},
 		{Kind: KindRequest, ID: 2, Day: 1},
 		{Kind: KindError, Err: "boom"},
+		{Kind: KindMetricsReport, Day: 3, Metrics: testReport()},
 		fullMessage(),
 	}
 	for _, name := range CodecNames() {
@@ -74,6 +94,38 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Errorf("%s %s round trip:\n in  %+v\n out %+v", name, in.Kind, in, out)
 			}
 		}
+	}
+}
+
+// TestBinaryMetricsReportDeterministic: the binary codec writes a
+// report's series in sorted-key order, so the same report, built from
+// fresh maps each time (whose iteration order is random), encodes to the
+// same bytes, and decodes to what the JSON codec decodes.
+func TestBinaryMetricsReportDeterministic(t *testing.T) {
+	encode := func(name string) []byte {
+		c, _ := LookupCodec(name)
+		enc, err := c.Append(nil, &Message{Kind: KindMetricsReport, Day: 3, Metrics: testReport()})
+		if err != nil {
+			t.Fatalf("%s encode: %v", name, err)
+		}
+		return enc
+	}
+	want := encode(CodecBinary)
+	for i := 0; i < 20; i++ {
+		if got := encode(CodecBinary); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d differs:\n got %x\nwant %x", i, got, want)
+		}
+	}
+	jd, err := jsonCodec{}.Decode(encode(CodecJSON), new(slot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, err := binaryCodec{}.Decode(want, new(slot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(jd, bd) {
+		t.Errorf("codecs disagree:\n json   %+v\n binary %+v", jd.Metrics, bd.Metrics)
 	}
 }
 
@@ -163,7 +215,8 @@ func TestBatchRoundTripBothCodecs(t *testing.T) {
 // loudly, never panic or return phantom messages.
 func TestDecodeBatchRejectsCorruption(t *testing.T) {
 	c, _ := LookupCodec(CodecBinary)
-	frame, err := AppendBatch(nil, c, []*Message{fullMessage(), fullMessage()})
+	frame, err := AppendBatch(nil, c, []*Message{fullMessage(), fullMessage(),
+		{Kind: KindMetricsReport, Metrics: testReport()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,8 @@ type dayRun struct {
 	legs legs
 	// commit receives the phase inputs and the settled day; nil on a
 	// shard, whose worker encodes its ledger line once the day, payments
-	// included, has settled, and streams it to the cluster's writer.
+	// included, has settled, and appends it through the cluster's
+	// ledger stream.
 	commit committer
 	// log is a takeover log's committed phase inputs, replayed into the
 	// machine instead of exchanging those legs again, and its settled

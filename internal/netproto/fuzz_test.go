@@ -125,6 +125,19 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// A small report with one series of each kind keeps the fuzzer's
+	// minimization of inputs derived from it short.
+	frame, err := AppendBatch(nil, binaryCodec{}, []*Message{{Kind: KindMetricsReport, Day: 2,
+		Metrics: &obs.MetricsReport{Source: "s", Snapshot: obs.Snapshot{
+			Counters: map[string]uint64{"c": 1},
+			Gauges:   map[string]float64{"g": 0.5},
+			Histograms: map[string]obs.HistogramSnapshot{"h": {Bounds: []float64{1}, Buckets: []uint64{1, 0},
+				Count: 1, Sum: 0.5, Exemplars: []obs.Exemplar{{Value: 0.5, TraceID: "t"}}}},
+		}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame[4:])
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		msgs, err := DecodeBatch(payload)
@@ -141,17 +154,79 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// fuzzReport builds a metrics report from fuzzed values. shape picks,
+// two bits per field, a nil (0), empty (1) or populated counters,
+// gauges and histograms map and histogram bounds, buckets and
+// exemplars; bit 12 leaves the report off the message (nil).
+func fuzzReport(shape uint16, source, key string, n uint64, value, sum float64, traceID string) *obs.MetricsReport {
+	if shape&(1<<12) != 0 {
+		return nil
+	}
+	pick := func(field int) int { return int(shape>>(2*field)) & 3 }
+	rep := &obs.MetricsReport{Source: source}
+	snap := &rep.Snapshot
+	if p := pick(0); p > 0 {
+		snap.Counters = map[string]uint64{}
+		if p > 1 {
+			snap.Counters[key], snap.Counters[key+"_total"] = n, n/3
+		}
+	}
+	if p := pick(1); p > 0 {
+		snap.Gauges = map[string]float64{}
+		if p > 1 {
+			snap.Gauges[key] = value
+		}
+	}
+	if p := pick(2); p > 0 {
+		snap.Histograms = map[string]obs.HistogramSnapshot{}
+		if p > 1 {
+			h := obs.HistogramSnapshot{Count: n, Sum: sum}
+			if p := pick(3); p > 0 {
+				h.Bounds = []float64{}
+				if p > 1 {
+					h.Bounds = append(h.Bounds, value, sum)
+				}
+			}
+			if p := pick(4); p > 0 {
+				h.Buckets = []uint64{}
+				if p > 1 {
+					h.Buckets = append(h.Buckets, n, 0, 1)
+				}
+			}
+			if p := pick(5); p > 0 {
+				h.Exemplars = []obs.Exemplar{}
+				if p > 1 {
+					h.Exemplars = append(h.Exemplars, obs.Exemplar{Bucket: int(n%5) - 1, Value: value, TraceID: traceID})
+				}
+			}
+			snap.Histograms[key] = h
+		}
+	}
+	return rep
+}
+
 // FuzzCodecDifferential is the cross-codec oracle: the same message
 // encoded by the JSON codec and by the binary codec must decode to the
 // same value — any divergence is a bug in one of them. The message is
-// assembled from fuzzed fields including the optional structs.
+// assembled from fuzzed fields including the optional structs and a
+// metrics report (see fuzzReport).
 func FuzzCodecDifferential(f *testing.F) {
-	f.Add("preference", int64(1), 2, "tok", int64(18), int64(22), 2, 1.5, true, "trace", "span")
-	f.Add("payment", int64(0), 0, "", int64(0), int64(0), 0, -3.25, false, "", "")
+	f.Add("preference", int64(1), 2, "tok", int64(18), int64(22), 2, 1.5, true, "trace", "span",
+		uint16(1<<12), "", "", uint64(0), 0.0)
+	f.Add("payment", int64(0), 0, "", int64(0), int64(0), 0, -3.25, false, "", "",
+		uint16(1<<12), "", "", uint64(0), 0.0)
+	f.Add("metricsReport", int64(0), 3, "", int64(0), int64(0), 0, 0.75, false, "f0117ac2bf13f98a", "",
+		uint16(0b10_10_10_10_10_10), "shard/0003", "enki_x", uint64(12), 40.5)
+	f.Add("metricsReport", int64(0), 3, "", int64(0), int64(0), 0, 0.0, false, "", "",
+		uint16(0b01_01_01_10_01_01), "", "", uint64(0), 0.0)
+	f.Add("metricsReport", int64(0), 3, "", int64(0), int64(0), 0, 0.0, false, "", "",
+		uint16(0), "", "", uint64(0), 0.0)
 	f.Fuzz(func(t *testing.T, kind string, id int64, day int, token string,
-		begin, end int64, duration int, amount float64, withPayment bool, traceID, spanID string) {
+		begin, end int64, duration int, amount float64, withPayment bool, traceID, spanID string,
+		shape uint16, source, key string, n uint64, sum float64) {
 		if !utf8.ValidString(kind) || !utf8.ValidString(token) ||
-			!utf8.ValidString(traceID) || !utf8.ValidString(spanID) {
+			!utf8.ValidString(traceID) || !utf8.ValidString(spanID) ||
+			!utf8.ValidString(source) || !utf8.ValidString(key) {
 			t.Skip() // JSON cannot round-trip invalid UTF-8; binary can, so skip the comparison
 		}
 		in := &Message{Kind: Kind(kind), ID: core.HouseholdID(id), Day: day, Token: token}
@@ -170,6 +245,7 @@ func FuzzCodecDifferential(f *testing.F) {
 		if traceID != "" || spanID != "" {
 			in.Trace = &obs.TraceContext{TraceID: traceID, SpanID: spanID}
 		}
+		in.Metrics = fuzzReport(shape, source, key, n, amount, sum, traceID)
 
 		jsonC, _ := LookupCodec(CodecJSON)
 		binC, _ := LookupCodec(CodecBinary)

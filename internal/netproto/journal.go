@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"enki/internal/obs"
+	"enki/internal/settle"
 )
 
 // journalTailCap bounds the in-memory ring of recent lines the operator
@@ -16,7 +17,7 @@ const journalTailCap = obs.MaxLedgerTail
 
 // Journal persists JSON Lines — one value per line — so a
 // neighborhood's history survives restarts and can be replayed for
-// billing audits: the audit ledger (one mechanism.LedgerEntry per
+// billing audits: the audit ledger (one mechanism.LedgerEntry line per
 // settled day, see WithLedger) or DayRecords written with Append. Writes
 // are serialized; a Journal may be shared by a Center and ad-hoc
 // writers. The most recent lines are retained in a bounded ring, which
@@ -32,10 +33,13 @@ type Journal struct {
 // NewJournal wraps a writer (typically an os.File opened with append).
 func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 
-// AppendValue writes any JSON-marshalable record as one line. Day
-// settlements (Append) and the mechanism audit ledger share this path,
-// so both histories get the same serialization, locking, and
-// crash-recovery semantics.
+// AppendValue writes any JSON-marshalable record as one line, encoded by
+// json.Marshal, with the same locking and crash-recovery semantics as
+// every other line. Day records (Append) go through it; the audit
+// ledger does not: a center, a replica set and a cluster's shard
+// workers encode each ledger entry with mechanism.LedgerEntry.AppendJSON,
+// which writes the bytes json.Marshal would, and append the line
+// directly.
 func (j *Journal) AppendValue(v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -44,9 +48,27 @@ func (j *Journal) AppendValue(v any) error {
 	return j.appendLine(data)
 }
 
-// appendLine writes one encoded JSON value as a line. A cluster's shard
-// workers encode their ledger entries themselves and append the lines
-// here in shard order.
+// ledgerScratch holds the buffers ledgerLine encodes into, so a line's
+// growth happens once per worker rather than once per line.
+var ledgerScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// ledgerLine encodes a settled day's audit-ledger entry as one journal
+// line. The line is copied out of a pooled scratch buffer at its exact
+// length plus one spare byte of capacity, so the newline appendLine adds
+// never copies it.
+func ledgerLine(out *settle.Outcome) ([]byte, error) {
+	e := out.LedgerEntry()
+	scratch := ledgerScratch.Get().(*[]byte)
+	defer ledgerScratch.Put(scratch)
+	enc, err := e.AppendJSON((*scratch)[:0])
+	if err != nil {
+		return nil, fmt.Errorf("netproto: encode ledger entry: %w", err)
+	}
+	*scratch = enc
+	return append(make([]byte, 0, len(enc)+1), enc...), nil
+}
+
+// appendLine writes one encoded JSON value as a line.
 func (j *Journal) appendLine(data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

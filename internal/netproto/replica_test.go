@@ -276,6 +276,60 @@ func TestChaosReplicaQuorumLossFailsDay(t *testing.T) {
 	}
 }
 
+// TestChaosReplicaLedgerWriteFailure: a replica set keeps the cluster's
+// write-error contract for its WithLedger journal. When the write of day
+// 2's line fails, day 2 fails with the wrapped error, the operator plane
+// reads the day failed, and the ledger keeps exactly day 1's line with
+// no write after the failed one, while the quorum log still holds both
+// days. With the leader killed between the day entry's acks and its
+// commit, the takeover writes the line, and its failure fails the day
+// the same way.
+func TestChaosReplicaLedgerWriteFailure(t *testing.T) {
+	clean := runChaosDays(t, 2, nil)
+	want := strings.SplitAfter(string(clean), "\n")[0]
+	for _, point := range []string{"", "beforeCommit"} {
+		name := point
+		if name == "" {
+			name = "no-kill"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := &failingWriter{k: 2}
+			rs := startReplicaSet(t, new(bytes.Buffer), WithLedger(NewJournal(w)))
+			rs.killAt = killOnce(2, point)
+			for i, typ := range traceTestTypes {
+				a, err := Connect(context.Background(), rs.Addr(), core.HouseholdID(i), &Truthful{Type: typ},
+					WithDialer(rs.Dialer()), WithRetryPolicy(replicaRetry))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer a.Close()
+			}
+			if err := rs.WaitForAgentsContext(context.Background(), len(traceTestTypes)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rs.RunDayContext(context.Background(), 1); err != nil {
+				t.Fatalf("day 1: %v", err)
+			}
+			_, err := rs.RunDayContext(context.Background(), 2)
+			if !errors.Is(err, errDiskFull) || !strings.Contains(err.Error(), "netproto: audit ledger") {
+				t.Fatalf("day 2 error %v, want the wrapped audit ledger write failure", err)
+			}
+			if got := w.buf.String(); got != want {
+				t.Errorf("ledger holds %d lines, want day 1's line only:\n got: %s\nwant: %s", strings.Count(got, "\n"), got, want)
+			}
+			if w.n != w.k {
+				t.Errorf("%d writes, want none after the failed write %d", w.n, w.k)
+			}
+			if phase := rs.DayStatus().Phase; phase != "failed" {
+				t.Errorf("phase %q after a ledger failure, want failed", phase)
+			}
+			if got := rs.ReplicaLedger(1); !bytes.Equal(got, clean) {
+				t.Errorf("replica 1's log lost a day:\n got: %s\nwant: %s", got, clean)
+			}
+		})
+	}
+}
+
 // TestChaosReplicaStatusEndpoint pins the /api/v1/replicas surface:
 // roles, term, quorum, and failover count before and after a leader
 // kill.

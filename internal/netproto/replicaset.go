@@ -249,9 +249,9 @@ func (rs *ReplicaSet) commitDay(out *settle.Outcome) error {
 	}
 	// The entry is the day's ledger line: the bytes every ledger writes,
 	// and all a takeover needs to know the day settled.
-	ledger, err := json.Marshal(out.LedgerEntry())
+	ledger, err := ledgerLine(out)
 	if err != nil {
-		return fmt.Errorf("netproto: encode ledger entry: %w", err)
+		return err
 	}
 	if err := rs.replicate(replica.KindDay, day, phaseDay, ledger, "beforeCommit"); err != nil {
 		return err
@@ -319,13 +319,13 @@ func (rs *ReplicaSet) round(leader *replicaNode, term uint64, e replica.Entry, k
 	if acks < replica.Majority(rs.n) {
 		return fmt.Errorf("netproto: replicate %s day %d: %d/%d acks: %w", e.Kind, e.Day, acks, rs.n, ErrQuorumLost)
 	}
-	rs.applyCommitted(leader.log.CommitTo(e.Index))
+	err := rs.applyCommitted(leader.log.CommitTo(e.Index))
 	for _, f := range rs.livePeers(leader.id) {
 		// Best-effort: a missed commit is repaired by the next round's
 		// cumulative watermark or by the next takeover's sync.
 		_, _ = rs.call(f, &replica.Message{Kind: replica.MsgCommit, Term: term, Commit: e.Index})
 	}
-	return nil
+	return err
 }
 
 // appendTo pushes one entry from leader to follower f, repairing log
@@ -379,19 +379,25 @@ func (rs *ReplicaSet) call(f *replicaNode, m *replica.Message) (*replica.Message
 // intervene: every replica's committed prefix holds the same entries at
 // the same indices, so an entry at or below the applied watermark — one
 // a new leader commits again on its own log — was applied already.
-// Callers hold repMu.
-func (rs *ReplicaSet) applyCommitted(newly []replica.Entry) {
+//
+// A failed write fails the day, as it does a center's and a cluster's:
+// the error wraps "netproto: audit ledger", and nothing after the
+// failed line is applied, so the ledger keeps the lines before it.
+// Every replica's log still holds the day (see ReplicaLedger). Callers
+// hold repMu.
+func (rs *ReplicaSet) applyCommitted(newly []replica.Entry) error {
 	for _, e := range newly {
 		if e.Index <= rs.applied {
 			continue
 		}
 		rs.applied = e.Index
 		if e.Kind == replica.KindDay && rs.ledger != nil {
-			// The day has committed, so a failed write cannot fail it;
-			// every replica's ledger still holds the line.
-			_ = rs.ledger.appendLine(e.Data)
+			if err := rs.ledger.appendLine(e.Data); err != nil {
+				return fmt.Errorf("netproto: audit ledger: %w", err)
+			}
 		}
 	}
+	return nil
 }
 
 func (rs *ReplicaSet) livePeers(leaderID int) []*replicaNode {
@@ -503,7 +509,9 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 			}
 		}
 	}
-	rs.applyCommitted(leader.log.CommitTo(maxCommit))
+	if err := rs.applyCommitted(leader.log.CommitTo(maxCommit)); err != nil {
+		return nil, err
+	}
 
 	// Finish what the dead leader started: any entry a quorum acked but
 	// never committed is re-replicated (original terms) and committed.

@@ -252,11 +252,12 @@ func TestChaosFederatedSnapshotDegradedShard(t *testing.T) {
 		shards []obs.ShardStatus
 		day    obs.DayStatus
 	}
-	run := func(workers int) result {
+	run := func(workers int, codec string) result {
 		plan := &FaultPlan{Actions: map[int]FaultAction{24: FaultDrop}}
 		cluster := buildCluster(t, 64,
 			WithShards(8),
 			WithWorkers(workers),
+			WithCodec(codec),
 			WithTraceSeed(5),
 			WithMetricsReporting(true),
 			WithShardFaultPlan(3, plan),
@@ -287,7 +288,7 @@ func TestChaosFederatedSnapshotDegradedShard(t *testing.T) {
 		return result{buf.Bytes(), cluster.Federation().Snapshot(), cluster.ShardStatuses(), cluster.DayStatus()}
 	}
 
-	serial := run(1)
+	serial := run(1, CodecJSON)
 	if len(serial.fed.Sources) != 8 {
 		t.Fatalf("federated sources = %d, want 8", len(serial.fed.Sources))
 	}
@@ -314,16 +315,25 @@ func TestChaosFederatedSnapshotDegradedShard(t *testing.T) {
 		t.Errorf("merged shards settled = %d, want 16", got)
 	}
 
-	parallel := run(4)
-	if !bytes.Equal(serial.bytes, parallel.bytes) {
-		t.Error("settled bytes differ between Workers:1 and Workers:4 with reporting on")
-	}
-	if diffs := serial.fed.Merged.DiffDeterministic(parallel.fed.Merged); len(diffs) > 0 {
-		t.Errorf("federated merge not deterministic across worker counts: %v", diffs)
-	}
-	for name, src := range serial.fed.Sources {
-		if diffs := src.DiffDeterministic(parallel.fed.Sources[name]); len(diffs) > 0 {
-			t.Errorf("source %s not deterministic across worker counts: %v", name, diffs)
+	// Workers:4 must match, and so must the binary codec, which carries
+	// the reports in its own fields rather than as JSON.
+	for _, other := range []struct {
+		name string
+		res  result
+	}{
+		{"Workers:4", run(4, CodecJSON)},
+		{"Workers:4 over the binary codec", run(4, CodecBinary)},
+	} {
+		if !bytes.Equal(serial.bytes, other.res.bytes) {
+			t.Errorf("settled bytes differ between Workers:1 and %s with reporting on", other.name)
+		}
+		if diffs := serial.fed.Merged.DiffDeterministic(other.res.fed.Merged); len(diffs) > 0 {
+			t.Errorf("federated merge differs between Workers:1 and %s: %v", other.name, diffs)
+		}
+		for name, src := range serial.fed.Sources {
+			if diffs := src.DiffDeterministic(other.res.fed.Sources[name]); len(diffs) > 0 {
+				t.Errorf("source %s differs between Workers:1 and %s: %v", name, other.name, diffs)
+			}
 		}
 	}
 }
