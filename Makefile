@@ -81,12 +81,15 @@ bench-net-check:
 # links' pooled message slots, so a slot shared between two running
 # shard days would show up there; it runs the replica kill matrix
 # repeatedly because a takeover replays a day on peer-connection and
-# agent goroutines that a dead leader may still be closing.
+# agent goroutines that a dead leader may still be closing. It runs the
+# trace and ledger determinism tests repeatedly because they read an
+# agent's spans once its History() shows the day's payment, which holds
+# only while the agent publishes the payment last.
 chaos:
 	$(GO) test ./internal/netproto -count=1 \
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
 	$(GO) test ./internal/netproto -race -count=10 \
-		-run 'TestCluster|TestChaosFederatedSnapshotDegradedShard|TestChaosReplica|TestDifferentialTopologies'
+		-run 'TestCluster|TestChaosFederatedSnapshotDegradedShard|TestChaosReplica|TestDifferentialTopologies|TestTrace|TestLedgerDeterministic'
 	$(GO) test ./cmd/enkitrace -count=1 -run 'Degraded|SurvivingReplica'
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s

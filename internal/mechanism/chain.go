@@ -30,6 +30,15 @@ type Chain struct {
 // RecordSettlementMetrics) and makes one allocation: the five score
 // slices share a single backing array.
 func SettleChain(p pricing.Pricer, cfg Config, rating float64, prefs []core.Preference, assigned, consumed []core.Interval, forfeit []bool) (Chain, error) {
+	return SettleChainInto(nil, p, cfg, rating, prefs, assigned, consumed, forfeit)
+}
+
+// SettleChainInto is SettleChain over a caller's score array: the five
+// score slices share scores' backing array when it holds 5·n floats,
+// and a fresh one otherwise, so a caller that reuses the array settles
+// without allocating. The array is cleared first, so whatever it held
+// never reaches the chain.
+func SettleChainInto(scores []float64, p pricing.Pricer, cfg Config, rating float64, prefs []core.Preference, assigned, consumed []core.Interval, forfeit []bool) (Chain, error) {
 	n := len(prefs)
 	if len(assigned) != n || len(consumed) != n || (forfeit != nil && len(forfeit) != n) {
 		return Chain{}, fmt.Errorf("mechanism: %d preferences, %d assignments, %d consumptions, %d forfeits",
@@ -38,7 +47,13 @@ func SettleChain(p pricing.Pricer, cfg Config, rating float64, prefs []core.Pref
 	if cfg.K <= 0 {
 		return Chain{}, fmt.Errorf("mechanism: scaling factor k = %g must be positive", cfg.K)
 	}
-	buf := make([]float64, 5*n)
+	buf := scores
+	if cap(buf) < 5*n {
+		buf = make([]float64, 5*n)
+	} else {
+		buf = buf[:5*n]
+		clear(buf)
+	}
 	c := Chain{
 		Predicted:   buf[0*n : 1*n : 1*n],
 		Flexibility: buf[1*n : 2*n : 2*n],

@@ -112,16 +112,12 @@ func (s Settlement) CenterUtility() float64 { return s.Revenue() - s.Cost }
 func RecordSettlementMetrics(flex, defect, psi, payments []float64, cost, xi, par float64) {
 	reg := obs.Default()
 	reg.Counter(obs.MetricMechSettlementsTotal).Inc()
-	flexH := reg.Histogram(obs.MetricMechFlexibilityScore, obs.ScoreBuckets)
-	defectH := reg.Histogram(obs.MetricMechDefectionScore, obs.ScoreBuckets)
-	psiH := reg.Histogram(obs.MetricMechSocialCostScore, obs.ScoreBuckets)
-	payH := reg.Histogram(obs.MetricMechPaymentDollars, obs.DollarBuckets)
+	reg.Histogram(obs.MetricMechFlexibilityScore, obs.ScoreBuckets).ObserveBatch(flex)
+	reg.Histogram(obs.MetricMechDefectionScore, obs.ScoreBuckets).ObserveBatch(defect)
+	reg.Histogram(obs.MetricMechSocialCostScore, obs.ScoreBuckets).ObserveBatch(psi)
+	reg.Histogram(obs.MetricMechPaymentDollars, obs.DollarBuckets).ObserveBatch(payments)
 	var revenue, minP, maxP float64
 	for i := range payments {
-		flexH.Observe(flex[i])
-		defectH.Observe(defect[i])
-		psiH.Observe(psi[i])
-		payH.Observe(payments[i])
 		revenue += payments[i]
 		if i == 0 || payments[i] < minP {
 			minP = payments[i]

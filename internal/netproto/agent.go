@@ -398,21 +398,25 @@ func (a *Agent) handle(m *Message) (fatal bool, err error) {
 		if m.Payment == nil {
 			return false, nil
 		}
+		// The day is marked paid first, so a duplicated frame is
+		// dropped, and shows in History() last: whoever sees the
+		// payment there also sees its span, counter and feedback.
 		a.mu.Lock()
 		dup := a.paid[m.Day]
-		if !dup {
-			a.paid[m.Day] = true
-			a.history = append(a.history, *m.Payment)
-		}
+		a.paid[m.Day] = true
 		a.mu.Unlock()
-		if !dup {
-			if a.reg != nil {
-				a.reg.Counter(obs.MetricAgentDaysSettled).Inc()
-			}
-			span := a.phaseSpan(m, KindPayment)
-			a.policy.Feedback(m.Day, *m.Payment)
-			span.End()
+		if dup {
+			return false, nil
 		}
+		if a.reg != nil {
+			a.reg.Counter(obs.MetricAgentDaysSettled).Inc()
+		}
+		span := a.phaseSpan(m, KindPayment)
+		a.policy.Feedback(m.Day, *m.Payment)
+		span.End()
+		a.mu.Lock()
+		a.history = append(a.history, *m.Payment)
+		a.mu.Unlock()
 		return false, nil
 	case KindError:
 		return true, fmt.Errorf("netproto: center error: %s", m.Err)

@@ -1,0 +1,30 @@
+//go:build !race
+
+package netproto
+
+import (
+	"runtime"
+	"testing"
+)
+
+// checkDayBytes is TestClusterDaySteadyStateAllocs' bytes gate: a warm
+// day allocates under 16 bytes per household, because every shard day
+// settles in its pooled link and settle scratch and leaves only
+// per-shard bookkeeping behind. The race build skips it: its sync.Pool
+// drops a quarter of Puts by design, so pooled storage is reallocated
+// at random there.
+func checkDayBytes(t *testing.T, households int, settle func()) {
+	t.Helper()
+	const days = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range days {
+		settle()
+	}
+	runtime.ReadMemStats(&after)
+	perHousehold := float64(after.TotalAlloc-before.TotalAlloc) / days / float64(households)
+	t.Logf("%.1f bytes per household per day", perHousehold)
+	if perHousehold >= 16 {
+		t.Errorf("ClusterDay allocated %.1f bytes per household, want under 16", perHousehold)
+	}
+}

@@ -9,11 +9,13 @@ import (
 	"enki/internal/obs"
 )
 
-// TestClusterDaySteadyStateAllocs is the shard link's zero-allocation
-// contract: on a warm binary cluster every household's five messages
-// are built, framed, decoded and delivered in pooled slots, so a day
-// allocates only per-shard settlement state — well under one allocation
-// per household.
+// TestClusterDaySteadyStateAllocs is the shard day's zero-allocation
+// contract: on a warm binary cluster that keeps no records, every
+// household's five messages are built, framed, decoded and delivered in
+// pooled slots, and its shard's day settles in a pooled settle scratch,
+// so a day allocates only per-shard bookkeeping — well under one
+// allocation per household, and, outside the race build, under 16 bytes
+// (checkDayBytes).
 func TestClusterDaySteadyStateAllocs(t *testing.T) {
 	const households, shards = 2000, 16
 	cluster := buildCluster(t, households,
@@ -35,6 +37,7 @@ func TestClusterDaySteadyStateAllocs(t *testing.T) {
 	if perHousehold := allocs / households; perHousehold >= 1 {
 		t.Errorf("ClusterDay made %.0f allocations, %.2f per household; want under 1", allocs, perHousehold)
 	}
+	checkDayBytes(t, households, settle)
 }
 
 // TestObserveBatchAllocs: wire telemetry resolves its handles once per

@@ -426,9 +426,14 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 		cfg.Scheduler = st.scheduler
 		d := dayRun{cfg: cfg, day: day, traceID: tid, root: span,
 			legs: &shardLegs{st: st, ls: ls, fed: c.fed, day: day, tid: tid, start: start}}
+		if !c.cfg.Records {
+			// The day settles in the pooled scratch, so everything below
+			// that reads the outcome runs before the scratch goes back.
+			// A kept record must not alias it.
+			d.scratch = &ls.settle
+		}
 		var settled settle.Outcome
 		settled, err = d.run(ctx, st.ids)
-		linkScratchPool.Put(ls)
 		if err == nil {
 			if ledger != nil {
 				line.data, line.err = ledgerLine(&settled)
@@ -442,6 +447,7 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 				out.Record = r
 			}
 		}
+		linkScratchPool.Put(ls)
 	}
 	ledger.hand(shard, line)
 	if err != nil {
@@ -548,13 +554,13 @@ func (l *shardLegs) exchange(_ context.Context, _ *obs.ActiveSpan, members []cor
 	ids := members
 	if assignments == nil {
 		for _, id := range members {
-			ls.add(Message{Kind: KindRequest, ID: id, Day: day})
+			ls.add(KindRequest, id, day)
 		}
 	} else {
 		ids = ls.ids[:0]
 		for _, a := range assignments {
 			ids = append(ids, a.ID)
-			ls.add(Message{Kind: KindAllocation, ID: a.ID, Day: day}).setInterval(a.Interval)
+			ls.add(KindAllocation, a.ID, day).setInterval(a.Interval)
 		}
 		ls.ids = ids
 	}
@@ -566,9 +572,9 @@ func (l *shardLegs) exchange(_ context.Context, _ *obs.ActiveSpan, members []cor
 	// leaves its reply nil.
 	forEachDelivered(st.ids, delivered, func(i int, msg *Message) {
 		if assignments == nil {
-			ls.add(Message{Kind: KindPreference, ID: st.ids[i], Day: day}).setPref(st.policies[i].Report(day))
+			ls.add(KindPreference, st.ids[i], day).setPref(st.policies[i].Report(day))
 		} else {
-			ls.add(Message{Kind: KindConsumption, ID: st.ids[i], Day: day}).setInterval(st.policies[i].Consume(day, *msg.Interval))
+			ls.add(KindConsumption, st.ids[i], day).setInterval(st.policies[i].Consume(day, *msg.Interval))
 		}
 	})
 	if delivered, err = st.link.transfer(ls); err != nil {
@@ -594,14 +600,13 @@ func (l *shardLegs) exchange(_ context.Context, _ *obs.ActiveSpan, members []cor
 func (l *shardLegs) deliver(_ *obs.ActiveSpan, out *settle.Outcome) error {
 	st, ls, day, record := l.st, l.ls, l.day, out.Record
 	for i, r := range record.Reports {
-		ls.add(Message{Kind: KindPayment, ID: r.ID, Day: day}).setPayment(record.Notice(i))
+		ls.add(KindPayment, r.ID, day).setPayment(record.Notice(i))
 	}
 	if st.reg != nil {
 		countSettledShard(st.reg, out.Status)
 		st.reg.Gauge(obs.MetricMechTheorem1Deviation).Set(out.Status.Residual)
 		st.reg.Histogram(obs.MetricClusterShardSettleMS, obs.LatencyBucketsMS).ObserveExemplar(sinceMS(l.start), l.tid)
-		ls.add(Message{Kind: KindMetricsReport, Day: day,
-			Metrics: &obs.MetricsReport{Source: st.src, Snapshot: st.reg.Snapshot()}})
+		ls.add(KindMetricsReport, 0, day).msg.Metrics = &obs.MetricsReport{Source: st.src, Snapshot: st.reg.Snapshot()}
 	}
 	delivered, err := st.link.transfer(ls)
 	if err != nil {
@@ -667,16 +672,19 @@ type shardLink struct {
 	next  int // fault-plan message index, cumulative across days
 }
 
-// linkScratch is the message storage of one running shard day: the leg
-// being built and sent, the leg just delivered, and the frame between
-// them. A shard day takes one from linkScratchPool and returns it when
-// it ends, so storage scales with the shards settling at once, never
-// with the shard count.
+// linkScratch is the storage of one running shard day: the leg being
+// built and sent, the leg just delivered, the frame between them, and
+// the settle.Scratch the day's machine settles in. A shard day takes
+// one from linkScratchPool and returns it when it ends, so storage
+// scales with the shards settling at once, never with the shard count.
 //
 // Ownership contract: the delivered messages transfer returns point
 // into recv and are valid only until the next transfer. Callers copy
 // values out — policies, reports, DayRecords and ledger entries never
-// hold a pointer into a slot.
+// hold a pointer into a slot. A day settled in settle aliases it until
+// the shard day returns the scratch, so the shard day encodes its
+// ledger line first, and a cluster that keeps records never settles in
+// it.
 type linkScratch struct {
 	send      []slot             // the leg being built; capacity fixed by reset
 	recv      []slot             // decode slots of the delivered leg
@@ -685,6 +693,7 @@ type linkScratch struct {
 	ids       []core.HouseholdID // the allocation leg's households
 	batch     []*Message         // one frame's messages, duplicates included
 	frame     []byte             // one encoded frame
+	settle    settle.Scratch     // the day machine's storage
 }
 
 var linkScratchPool = sync.Pool{New: func() any { return new(linkScratch) }}
@@ -699,12 +708,13 @@ func (ls *linkScratch) reset(n int) {
 	ls.send = ls.send[:0]
 }
 
-// add appends msg to the leg being built and returns its slot, whose
-// setters store the message's payload inline.
-func (ls *linkScratch) add(msg Message) *slot {
+// add appends a message of kind for household id on day to the leg
+// being built and returns its slot, whose setters store the message's
+// payload inline.
+func (ls *linkScratch) add(kind Kind, id core.HouseholdID, day int) *slot {
 	ls.send = ls.send[:len(ls.send)+1]
 	s := &ls.send[len(ls.send)-1]
-	s.msg = msg
+	s.msg = Message{Kind: kind, ID: id, Day: day}
 	return s
 }
 

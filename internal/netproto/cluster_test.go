@@ -171,7 +171,7 @@ func TestClusterMatchesSim(t *testing.T) {
 		Pricer:    defaultTestPricer(),
 		Mechanism: mechanism.DefaultConfig(),
 		Rating:    2,
-	}, 1, "")
+	}, 1, "", nil)
 	assignments, err := m.Allocate(reports, nil)
 	if err != nil {
 		t.Fatalf("allocate: %v", err)
@@ -240,6 +240,76 @@ func TestClusterShardRecordsOff(t *testing.T) {
 		if shard.Settled == 0 || shard.Cost <= 0 {
 			t.Errorf("shard %d summary empty: %+v", shard.Shard, shard)
 		}
+	}
+}
+
+// TestClusterKeptRecordsSurviveLaterDays: a cluster that keeps shard
+// records settles them in fresh storage, never in a shard day's pooled
+// scratch, so day 1's record reads the same after days 2 and 3 have
+// settled, at one worker and at three.
+func TestClusterKeptRecordsSurviveLaterDays(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		cluster := buildCluster(t, 300, WithShards(4), WithWorkers(workers),
+			WithCodec(CodecBinary), WithShardRecords(true))
+		rec, err := cluster.ClusterDay(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for day := 2; day <= 3; day++ {
+			if _, err := cluster.ClusterDay(context.Background(), day); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after, _ := json.Marshal(rec); !bytes.Equal(before, after) {
+			t.Errorf("workers %d: day 1's record changed once days 2-3 settled:\n%s\n%s", workers, before, after)
+		}
+	}
+}
+
+// TestClusterPooledScratchSettlesLikeFreshStorage: without records,
+// every shard day settles in a pooled scratch that last served another
+// shard, of another size, or the same shard on the day before; one
+// worker makes the reuse all but certain. Under fault plans that leave
+// households absent and dark on two shards, the ledger and the shard
+// summaries must be byte-identical to a run that keeps records, which
+// settles in fresh storage.
+func TestClusterPooledScratchSettlesLikeFreshStorage(t *testing.T) {
+	run := func(records bool) (ledger, summaries []byte) {
+		var buf bytes.Buffer
+		cluster := buildCluster(t, 1003, WithShards(8), WithWorkers(1), WithCodec(CodecBinary),
+			WithLedger(NewJournal(&buf)), WithShardRecords(records),
+			WithShardFaultPlan(2, GenerateFaultPlan(17, 2000, 0.02, 0, 0.02, 0.004)),
+			WithShardFaultPlan(5, GenerateFaultPlan(18, 2000, 0.03, 0, 0, 0)))
+		for day := 1; day <= 3; day++ {
+			rec, err := cluster.ClusterDay(context.Background(), day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range rec.Shards {
+				rec.Shards[i].Record = nil
+			}
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			summaries = append(append(summaries, line...), '\n')
+		}
+		return buf.Bytes(), summaries
+	}
+	freshLedger, freshSummaries := run(true)
+	pooledLedger, pooledSummaries := run(false)
+	if !bytes.Contains(freshSummaries, []byte(`"absent"`)) || !bytes.Contains(freshSummaries, []byte(`"substituted"`)) {
+		t.Fatalf("the fault plan left no household absent and dark:\n%s", freshSummaries)
+	}
+	if !bytes.Equal(freshLedger, pooledLedger) {
+		t.Error("ledgers differ between fresh and pooled settle storage")
+	}
+	if !bytes.Equal(freshSummaries, pooledSummaries) {
+		t.Errorf("summaries differ between fresh and pooled settle storage:\n%s\n%s", freshSummaries, pooledSummaries)
 	}
 }
 

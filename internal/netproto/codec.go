@@ -27,10 +27,10 @@ type Codec interface {
 	ID() byte
 	// Append appends m's encoding to dst and returns the extended slice.
 	Append(dst []byte, m *Message) ([]byte, error)
-	// Decode parses one message into s, which it fully resets first,
-	// and returns s's message. The message's payloads may point into
-	// s, so it is valid until s is decoded into again. Decode must not
-	// retain data.
+	// Decode parses one message into s and returns s's message;
+	// nothing s held before reaches it. The message's payloads may
+	// point into s, so it is valid until s is decoded into again.
+	// Decode must not retain data.
 	Decode(data []byte, s *slot) (*Message, error)
 }
 
@@ -167,6 +167,35 @@ var wireKinds = []Kind{
 	KindMetricsReport,
 }
 
+// kindCode is a kind's one-byte code: its wireKinds index+1, or 0 for a
+// kind outside the table. It is wireKinds as a switch, which the
+// compiler turns into a few length and content comparisons instead of a
+// walk over the table; TestKindCodeMatchesWireKinds pins the two
+// together.
+func kindCode(k Kind) byte {
+	switch k {
+	case KindHello:
+		return 1
+	case KindWelcome:
+		return 2
+	case KindRequest:
+		return 3
+	case KindPreference:
+		return 4
+	case KindAllocation:
+		return 5
+	case KindConsumption:
+		return 6
+	case KindPayment:
+		return 7
+	case KindError:
+		return 8
+	case KindMetricsReport:
+		return 9
+	}
+	return 0
+}
+
 // Presence bits of the binary codec's optional fields.
 const (
 	binTrace = 1 << iota
@@ -194,13 +223,7 @@ func appendString(dst []byte, s string) []byte {
 }
 
 func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
-	code := byte(0)
-	for i, k := range wireKinds {
-		if m.Kind == k {
-			code = byte(i + 1)
-			break
-		}
-	}
+	code := kindCode(m.Kind)
 	dst = append(dst, code)
 	if code == 0 {
 		dst = appendString(dst, string(m.Kind))
@@ -227,7 +250,7 @@ func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
 	if m.Err != "" {
 		mask |= binErr
 	}
-	if m.Codecs != nil {
+	if len(m.Codecs) > 0 { // JSON omits an empty offer too: both decode it as nil
 		mask |= binCodecs
 	}
 	if m.Codec != "" {
@@ -265,7 +288,7 @@ func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
 	if m.Err != "" {
 		dst = appendString(dst, m.Err)
 	}
-	if m.Codecs != nil {
+	if mask&binCodecs != 0 {
 		dst = appendUvarint(dst, uint64(len(m.Codecs)))
 		for _, name := range m.Codecs {
 			dst = appendString(dst, name)
@@ -357,9 +380,16 @@ func (r *binReader) byte() byte {
 	return b
 }
 
+// uvarint reads a uvarint; a one-byte one, such as a day-cycle
+// message's presence mask, is read inline.
 func (r *binReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	if len(r.data) > 0 && r.data[0] < 0x80 {
+		v := uint64(r.data[0])
+		r.data = r.data[1:]
+		return v
 	}
 	v, n := binary.Uvarint(r.data)
 	if n <= 0 {
@@ -370,9 +400,21 @@ func (r *binReader) uvarint() uint64 {
 	return v
 }
 
+// varint reads a zigzag varint; a one-byte one (every hour and
+// duration, and IDs and days below 64) is read inline and unzigzagged
+// as binary.Varint does.
 func (r *binReader) varint() int64 {
 	if r.err != nil {
 		return 0
+	}
+	if len(r.data) > 0 && r.data[0] < 0x80 {
+		ux := uint64(r.data[0])
+		r.data = r.data[1:]
+		x := int64(ux >> 1)
+		if ux&1 != 0 {
+			x = ^x
+		}
+		return x
 	}
 	v, n := binary.Varint(r.data)
 	if n <= 0 {
@@ -428,8 +470,10 @@ func (r *binReader) float64() float64 {
 	return f
 }
 
+// Decode resets only s's message: the inline payloads are reachable only
+// through the pointers it sets, so stale ones are never read.
 func (binaryCodec) Decode(data []byte, s *slot) (*Message, error) {
-	*s = slot{}
+	s.msg = Message{}
 	m := &s.msg
 	r := &binReader{data: data}
 	code := r.byte()

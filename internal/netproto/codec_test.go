@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -45,6 +46,104 @@ func fullMessage() *Message {
 	}
 }
 
+// messageFiller sets every exported field under a Message, nested
+// fields included, as TestLedgerEntryAppendJSON's fill does for a
+// ledger entry: a pointer gets a value, a slice or map two entries, a
+// number or string a value drawn from next. With sparse set, next also
+// decides for each pointer, slice and map whether it stays nil, is
+// empty, or holds one or two entries, a float takes any bit pattern,
+// and a string any valid UTF-8, so FuzzCodecDifferential reaches every
+// presence combination and value. A field of a kind it has no rule for
+// fails the test, so a new Message field is covered from the day it is
+// added.
+type messageFiller struct {
+	next   func() uint64
+	sparse bool
+}
+
+// filledMessage returns a Message whose every field is set, to values
+// that differ from field to field. Its Kind is outside wireKinds.
+func filledMessage(t testing.TB) *Message {
+	var n uint64
+	m := new(Message)
+	f := messageFiller{next: func() uint64 { n++; return n }}
+	f.fill(t, reflect.ValueOf(m).Elem())
+	return m
+}
+
+// entries is how many entries the next pointer, slice or map gets: two,
+// or when sparse -1 (nil), 0, 1 or 2.
+func (f *messageFiller) entries() int {
+	if !f.sparse {
+		return 2
+	}
+	return int(f.next()%4) - 1
+}
+
+func (f *messageFiller) fill(t testing.TB, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if f.entries() < 0 {
+			return
+		}
+		v.Set(reflect.New(v.Type().Elem()))
+		f.fill(t, v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if field := v.Field(i); field.CanSet() {
+				f.fill(t, field)
+			}
+		}
+	case reflect.Slice:
+		n := f.entries()
+		if n < 0 {
+			return
+		}
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+		for i := 0; i < n; i++ {
+			f.fill(t, v.Index(i))
+		}
+	case reflect.Map:
+		n := f.entries()
+		if n < 0 {
+			return
+		}
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < n; i++ {
+			key, elem := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			f.fill(t, key)
+			f.fill(t, elem)
+			v.SetMapIndex(key, elem)
+		}
+	case reflect.Int, reflect.Int64:
+		x := int64(f.next())
+		if x&1 != 0 {
+			x = -x
+		}
+		v.SetInt(x)
+	case reflect.Uint64:
+		v.SetUint(f.next())
+	case reflect.Float64:
+		if f.sparse {
+			v.SetFloat(math.Float64frombits(f.next())) // JSON refuses NaN and ±Inf
+		} else {
+			v.SetFloat(float64(int64(f.next())) / 8)
+		}
+	case reflect.String: // valid UTF-8 only, which JSON round-trips
+		if !f.sparse {
+			v.SetString(fmt.Sprintf("s%d <&>\"\\ \u2028é", f.next())) // characters JSON escapes
+			break
+		}
+		var b strings.Builder
+		for n := f.next() % 8; n > 0; n-- {
+			b.WriteRune(rune(f.next())) // an invalid code point writes U+FFFD
+		}
+		v.SetString(b.String())
+	default:
+		t.Fatalf("messageFiller: no rule for a %s field; teach it, and both codecs, about it", v.Type())
+	}
+}
+
 // testReport is a metrics report with every series kind: counters,
 // gauges, and histograms with and without exemplars, one of them with
 // empty (non-nil) bounds.
@@ -76,6 +175,15 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Kind: KindMetricsReport, Day: 3, Metrics: testReport()},
 		fullMessage(),
 	}
+	// A message with every field set fails here when a codec drops a
+	// field. It rides under a kind outside wireKinds and under each one.
+	for _, kind := range append([]Kind{""}, wireKinds...) {
+		m := filledMessage(t)
+		if kind != "" {
+			m.Kind = kind
+		}
+		kinds = append(kinds, m)
+	}
 	for _, name := range CodecNames() {
 		c, ok := LookupCodec(name)
 		if !ok {
@@ -93,6 +201,40 @@ func TestCodecRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(in, out) {
 				t.Errorf("%s %s round trip:\n in  %+v\n out %+v", name, in.Kind, in, out)
 			}
+		}
+	}
+}
+
+// TestCodecsDecodeEmptyOfferAsNil: JSON omits an empty codec offer, so
+// the binary codec must not carry one either: both decode it as nil.
+func TestCodecsDecodeEmptyOfferAsNil(t *testing.T) {
+	for _, c := range codecs {
+		enc, err := c.Append(nil, &Message{Kind: KindHello, ID: 1, Codecs: []string{}})
+		if err != nil {
+			t.Fatalf("%s encode: %v", c.Name(), err)
+		}
+		out, err := c.Decode(enc, new(slot))
+		if err != nil {
+			t.Fatalf("%s decode: %v", c.Name(), err)
+		}
+		if out.Codecs != nil {
+			t.Errorf("%s decoded an empty offer as %#v, want nil", c.Name(), out.Codecs)
+		}
+	}
+}
+
+// TestKindCodeMatchesWireKinds pins the binary codec's kind switch to
+// the wireKinds table: each kind's code is its index+1, and a kind
+// outside the table codes 0.
+func TestKindCodeMatchesWireKinds(t *testing.T) {
+	for i, k := range wireKinds {
+		if got := kindCode(k); got != byte(i+1) {
+			t.Errorf("kindCode(%s) = %d, want %d", k, got, i+1)
+		}
+	}
+	for _, k := range []Kind{"", "Payment", "payment ", "metricsreport"} {
+		if got := kindCode(k); got != 0 {
+			t.Errorf("kindCode(%q) = %d, want 0", k, got)
 		}
 	}
 }

@@ -72,6 +72,10 @@ type dayRun struct {
 	// machine instead of exchanging those legs again, and its settled
 	// days, which are not committed again; nil on a shard.
 	log map[phaseKey]json.RawMessage
+	// scratch is the day's settlement storage: a shard day's pooled one
+	// when the cluster keeps no records, nil (fresh storage) otherwise.
+	// The outcome aliases it until the next day starts on it.
+	scratch *settle.Scratch
 }
 
 // run drives the Figure 1 day of a fresh settle.Machine over the sorted
@@ -86,7 +90,7 @@ type dayRun struct {
 // out, so the run that returns the day is the one that counts it. The
 // outcome is valid only when the error is nil.
 func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Outcome, error) {
-	m := settle.New(d.cfg, d.day, d.traceID)
+	m := settle.New(d.cfg, d.day, d.traceID, d.scratch)
 
 	pref, replayed, err := fromLog[prefPhasePayload](d.log, d.day, phasePreference)
 	if err != nil {
@@ -99,7 +103,7 @@ func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Ou
 		if err != nil {
 			return settle.Outcome{}, err
 		}
-		pref.Reports = make([]core.Report, 0, len(members))
+		pref.Reports, pref.Absent = d.scratch.Preferences(len(members))
 		for i, msg := range got {
 			switch {
 			case msg == nil: // lost or dark: absent for the day
@@ -132,12 +136,12 @@ func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Ou
 		if err != nil {
 			return settle.Outcome{}, err
 		}
-		cons.Consumptions = make([]core.Consumption, len(assignments))
+		cons.Consumptions = d.scratch.Consumptions(len(assignments))
 		for i, msg := range got {
 			switch {
 			case msg == nil: // reported, then lost or dark: settled dark
 				if cons.Substituted == nil {
-					cons.Substituted = make([]bool, len(assignments))
+					cons.Substituted = d.scratch.Dark(len(assignments))
 				}
 				cons.Substituted[i] = true
 			case msg.Interval == nil:

@@ -82,14 +82,12 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // requireDirtySlotDecode decodes enc again, into a slot that last held a
-// message with every optional field set, and requires the result to
-// equal the fresh-slot decode: nothing the slot held before may leak
+// message with every field set (filledMessage), and requires the result
+// to equal the fresh-slot decode: nothing the slot held before may leak
 // into the new message.
 func requireDirtySlotDecode(t *testing.T, c Codec, enc []byte, fresh *Message) {
 	t.Helper()
-	full := fullMessage()
-	full.Metrics = &obs.MetricsReport{Source: "shard/0001", Snapshot: obs.NewRegistry().Snapshot()}
-	fullEnc, err := c.Append(nil, full)
+	fullEnc, err := c.Append(nil, filledMessage(t))
 	if err != nil {
 		t.Fatalf("%s encode full message: %v", c.Name(), err)
 	}
@@ -154,104 +152,52 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// fuzzReport builds a metrics report from fuzzed values. shape picks,
-// two bits per field, a nil (0), empty (1) or populated counters,
-// gauges and histograms map and histogram bounds, buckets and
-// exemplars; bit 12 leaves the report off the message (nil).
-func fuzzReport(shape uint16, source, key string, n uint64, value, sum float64, traceID string) *obs.MetricsReport {
-	if shape&(1<<12) != 0 {
-		return nil
+// fuzzNumbers doles fuzz bytes out as uvarints, a byte at a time where
+// they do not form one, and zeros once they run out.
+type fuzzNumbers []byte
+
+func (d *fuzzNumbers) next() uint64 {
+	if len(*d) == 0 {
+		return 0
 	}
-	pick := func(field int) int { return int(shape>>(2*field)) & 3 }
-	rep := &obs.MetricsReport{Source: source}
-	snap := &rep.Snapshot
-	if p := pick(0); p > 0 {
-		snap.Counters = map[string]uint64{}
-		if p > 1 {
-			snap.Counters[key], snap.Counters[key+"_total"] = n, n/3
-		}
+	v, n := binary.Uvarint(*d)
+	if n <= 0 {
+		v, n = uint64((*d)[0]), 1
 	}
-	if p := pick(1); p > 0 {
-		snap.Gauges = map[string]float64{}
-		if p > 1 {
-			snap.Gauges[key] = value
-		}
-	}
-	if p := pick(2); p > 0 {
-		snap.Histograms = map[string]obs.HistogramSnapshot{}
-		if p > 1 {
-			h := obs.HistogramSnapshot{Count: n, Sum: sum}
-			if p := pick(3); p > 0 {
-				h.Bounds = []float64{}
-				if p > 1 {
-					h.Bounds = append(h.Bounds, value, sum)
-				}
-			}
-			if p := pick(4); p > 0 {
-				h.Buckets = []uint64{}
-				if p > 1 {
-					h.Buckets = append(h.Buckets, n, 0, 1)
-				}
-			}
-			if p := pick(5); p > 0 {
-				h.Exemplars = []obs.Exemplar{}
-				if p > 1 {
-					h.Exemplars = append(h.Exemplars, obs.Exemplar{Bucket: int(n%5) - 1, Value: value, TraceID: traceID})
-				}
-			}
-			snap.Histograms[key] = h
-		}
-	}
-	return rep
+	*d = (*d)[n:]
+	return v
 }
 
 // FuzzCodecDifferential is the cross-codec oracle: the same message
 // encoded by the JSON codec and by the binary codec must decode to the
-// same value — any divergence is a bug in one of them. The message is
-// assembled from fuzzed fields including the optional structs and a
-// metrics report (see fuzzReport).
+// same value — any divergence is a bug in one of them. Every field of
+// the message but its kind is set by a sparse messageFiller from the
+// fuzzed bytes, so each pointer, slice and map is nil, empty or
+// populated, nested fields included, and a field one codec drops or
+// shapes differently fails here.
 func FuzzCodecDifferential(f *testing.F) {
-	f.Add("preference", int64(1), 2, "tok", int64(18), int64(22), 2, 1.5, true, "trace", "span",
-		uint16(1<<12), "", "", uint64(0), 0.0)
-	f.Add("payment", int64(0), 0, "", int64(0), int64(0), 0, -3.25, false, "", "",
-		uint16(1<<12), "", "", uint64(0), 0.0)
-	f.Add("metricsReport", int64(0), 3, "", int64(0), int64(0), 0, 0.75, false, "f0117ac2bf13f98a", "",
-		uint16(0b10_10_10_10_10_10), "shard/0003", "enki_x", uint64(12), 40.5)
-	f.Add("metricsReport", int64(0), 3, "", int64(0), int64(0), 0, 0.0, false, "", "",
-		uint16(0b01_01_01_10_01_01), "", "", uint64(0), 0.0)
-	f.Add("metricsReport", int64(0), 3, "", int64(0), int64(0), 0, 0.0, false, "", "",
-		uint16(0), "", "", uint64(0), 0.0)
-	f.Fuzz(func(t *testing.T, kind string, id int64, day int, token string,
-		begin, end int64, duration int, amount float64, withPayment bool, traceID, spanID string,
-		shape uint16, source, key string, n uint64, sum float64) {
-		if !utf8.ValidString(kind) || !utf8.ValidString(token) ||
-			!utf8.ValidString(traceID) || !utf8.ValidString(spanID) ||
-			!utf8.ValidString(source) || !utf8.ValidString(key) {
+	dense := bytes.Repeat([]byte{3}, 256) // every pointer, slice and map populated
+	for _, kind := range []string{"preference", "payment", "metricsReport", "hello", "no such kind"} {
+		f.Add(kind, dense)
+	}
+	f.Add("hello", []byte{})                 // every field nil or zero
+	f.Add("hello", []byte{0, 0, 0, 0, 0, 1}) // an empty codec offer: the sixth field
+	f.Add("metricsReport", bytes.Repeat([]byte{1, 3, 2}, 40))
+	f.Fuzz(func(t *testing.T, kind string, fields []byte) {
+		if !utf8.ValidString(kind) {
 			t.Skip() // JSON cannot round-trip invalid UTF-8; binary can, so skip the comparison
 		}
-		in := &Message{Kind: Kind(kind), ID: core.HouseholdID(id), Day: day, Token: token}
-		if begin != 0 || end != 0 {
-			in.Interval = &core.Interval{Begin: core.Hour(begin), End: core.Hour(end)}
-		}
-		if duration > 0 {
-			in.Pref = &core.Preference{
-				Window:   core.Interval{Begin: core.Hour(begin), End: core.Hour(end)},
-				Duration: duration,
-			}
-		}
-		if withPayment {
-			in.Payment = &PaymentDetail{Amount: amount, TotalCost: amount * 2}
-		}
-		if traceID != "" || spanID != "" {
-			in.Trace = &obs.TraceContext{TraceID: traceID, SpanID: spanID}
-		}
-		in.Metrics = fuzzReport(shape, source, key, n, amount, sum, traceID)
+		in := new(Message)
+		numbers := fuzzNumbers(fields)
+		filler := messageFiller{next: numbers.next, sparse: true}
+		filler.fill(t, reflect.ValueOf(in).Elem())
+		in.Kind = Kind(kind)
 
 		jsonC, _ := LookupCodec(CodecJSON)
 		binC, _ := LookupCodec(CodecBinary)
 		je, err := jsonC.Append(nil, in)
 		if err != nil {
-			t.Skip() // unencodable by contract (e.g. NaN payment in JSON)
+			t.Skip() // unencodable by contract (e.g. a NaN payment in JSON)
 		}
 		be, err := binC.Append(nil, in)
 		if err != nil {

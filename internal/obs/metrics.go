@@ -117,6 +117,40 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
+// batchBuckets is the most buckets ObserveBatch counts on the stack;
+// every layout in names.go fits.
+const batchBuckets = 32
+
+// ObserveBatch records every value in vs as Observe would, one by one:
+// the same bucket counts, and the same sum up to the order of its float
+// additions. It counts the buckets on the stack and then makes one
+// atomic add per non-empty bucket and one for the sum, so recording a
+// neighbourhood's scores contends once per bucket, not once per
+// household. The batch is allocation-free.
+func (h *Histogram) ObserveBatch(vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
+	var counts [batchBuckets]uint64
+	if len(h.counts) > len(counts) {
+		for _, v := range vs {
+			h.Observe(v)
+		}
+		return
+	}
+	var sum float64
+	for _, v := range vs {
+		counts[sort.SearchFloat64s(h.bounds, v)]++
+		sum += v
+	}
+	for i, n := range counts[:len(h.counts)] {
+		if n != 0 {
+			h.counts[i].Add(n)
+		}
+	}
+	h.sum.Add(sum)
+}
+
 // ObserveExemplar records one value and, when traceID is non-empty,
 // keeps it as the bucket's exemplar if it is the slowest observation the
 // bucket has seen. Exemplars ride on Snapshot (JSON only, never the

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +77,51 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	wantSum := 0.0 + 0.5 + 1 + 1.0000001 + 2 + 3.7 + 99
 	if math.Abs(h.Sum()-wantSum) > 1e-9 {
 		t.Errorf("sum = %g, want %g", h.Sum(), wantSum)
+	}
+}
+
+// TestHistogramObserveBatchMatchesObserve: a batch counts every value
+// into the bucket Observe would, and its sum stays within
+// DiffDeterministic's tolerance of Observe's, on random values, values
+// on the bounds and on both sides of the outermost ones, ±Inf and NaN —
+// for the mechanism's layouts and for one too wide for the batch's
+// stack counts. Two batches into one histogram stand for two shards.
+func TestHistogramObserveBatchMatchesObserve(t *testing.T) {
+	wide := make([]float64, batchBuckets+8)
+	for i := range wide {
+		wide[i] = float64(i) / 4
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, bounds := range [][]float64{ScoreBuckets, DollarBuckets, wide} {
+		top := bounds[len(bounds)-1]
+		values := append([]float64{-1, 0, math.Nextafter(top, math.Inf(1)), 10 * top}, bounds...)
+		for range 1000 {
+			values = append(values, rng.Float64()*1.2*top)
+		}
+		for _, special := range [][]float64{nil, {math.Inf(1)}, {math.Inf(-1)}, {math.NaN()}, {math.Inf(1), math.Inf(-1)}} {
+			vs := append(slices.Clone(values), special...)
+			one, batch := NewHistogram(bounds), NewHistogram(bounds)
+			for _, v := range vs {
+				one.Observe(v)
+			}
+			batch.ObserveBatch(vs[:len(vs)/2])
+			batch.ObserveBatch(vs[len(vs)/2:])
+			if a, b := one.BucketCounts(), batch.BucketCounts(); !slices.Equal(a, b) {
+				t.Errorf("%d bounds, %v: batch buckets %v, Observe's %v", len(bounds), special, b, a)
+			}
+			if a, b := one.Sum(), batch.Sum(); !almostEqual(a, b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+				t.Errorf("%d bounds, %v: batch sum %g, Observe's %g", len(bounds), special, b, a)
+			}
+		}
+	}
+}
+
+// TestHistogramObserveBatchAllocs: a batch counts on the stack.
+func TestHistogramObserveBatchAllocs(t *testing.T) {
+	h := NewHistogram(ScoreBuckets)
+	vs := []float64{0.01, 0.2, 0.4, 1, 1.7, 2.5, 99}
+	if allocs := testing.AllocsPerRun(100, func() { h.ObserveBatch(vs) }); allocs != 0 {
+		t.Errorf("ObserveBatch made %.1f allocations, want 0", allocs)
 	}
 }
 

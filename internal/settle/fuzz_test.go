@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"enki/internal/core"
@@ -81,17 +82,26 @@ func decodeDay(data []byte) dayInput {
 	return in
 }
 
-// settleOnce runs one fresh machine over in and renders its outcome:
-// the record and ledger entry JSON, or the error that failed the day.
-func settleOnce(t *testing.T, in dayInput) (settled []byte, out *Outcome) {
+// settleOnce runs one machine on scratch over in, gathering the phase
+// inputs into the scratch's buffers as a driver does, and renders its
+// outcome: the record and ledger entry JSON, or the error that failed
+// the day.
+func settleOnce(t *testing.T, in dayInput, scratch *Scratch) (settled []byte, out *Outcome) {
 	t.Helper()
 	quad := pricing.Quadratic{Sigma: pricing.DefaultSigma}
 	m := New(Config{Scheduler: &sched.Greedy{Pricer: quad, Rating: 2}, Pricer: quad,
-		Mechanism: mechanism.DefaultConfig(), Rating: 2}, 1, "fuzz")
-	if _, err := m.Allocate(in.reports, in.absent); err != nil {
+		Mechanism: mechanism.DefaultConfig(), Rating: 2}, 1, "fuzz", scratch)
+	reports, absent := scratch.Preferences(len(in.reports) + len(in.absent))
+	reports, absent = append(reports, in.reports...), append(absent, in.absent...)
+	if _, err := m.Allocate(reports, absent); err != nil {
 		return []byte("allocate: " + err.Error()), nil
 	}
-	o, err := m.Settle(in.consumptions, in.dark)
+	consumptions := append(scratch.Consumptions(len(in.consumptions))[:0], in.consumptions...)
+	var dark []bool
+	if in.dark != nil {
+		dark = append(scratch.Dark(len(in.dark))[:0], in.dark...)
+	}
+	o, err := m.Settle(consumptions, dark)
 	if err != nil {
 		return []byte("settle: " + err.Error()), nil
 	}
@@ -106,12 +116,39 @@ func settleOnce(t *testing.T, in dayInput) (settled []byte, out *Outcome) {
 	return append(append(record, '\n'), entry...), &o
 }
 
+// dirtyScratch returns a scratch that has settled two valid days unlike
+// any fuzzed one: twelve households with absentees, dark reporters and
+// defectors, then two, so its buffers hold stale entries both within
+// and past a fuzzed day's length.
+func dirtyScratch(t *testing.T) *Scratch {
+	t.Helper()
+	scratch := new(Scratch)
+	for _, n := range []int{12, 2} {
+		var in dayInput
+		in.dark = make([]bool, n)
+		for i := 0; i < n; i++ {
+			id := core.HouseholdID(3 * i)
+			begin := i % 7
+			in.reports = append(in.reports, core.Report{ID: id, Pref: core.MustPreference(begin, begin+4+i%5, 1+i%3)})
+			in.absent = append(in.absent, id+1)
+			in.consumptions = append(in.consumptions, core.Consumption{ID: id, Interval: in.reports[i].Pref.IntervalAt(0)})
+			in.dark[i] = i%3 == 1
+		}
+		if _, out := settleOnce(t, in, scratch); out == nil {
+			t.Fatalf("the %d-household dirtying day failed to settle", n)
+		}
+	}
+	return scratch
+}
+
 // FuzzDayMachine feeds the day machine arbitrary phase inputs — invalid
 // windows, off-day and wrong-length consumptions, duplicate and
 // unsorted IDs, misaligned slices — and requires that it never panics,
 // that every day it settles keeps Theorem 1 (Σp = ξ·κ(ω) within the
 // 1e-9 relative band) and audits clean, and that the same input settles
-// to the same bytes twice.
+// to the same bytes twice: on a fresh scratch and on one that settled
+// other days before (see dirtyScratch), whose outcomes must also be
+// deeply equal and encode to the same ledger line.
 func FuzzDayMachine(f *testing.F) {
 	// Per report: ID step, window begin, width, duration; then the
 	// absentee count and IDs, the flags byte (1: dark set, 2: drop the
@@ -121,12 +158,20 @@ func FuzzDayMachine(f *testing.F) {
 	f.Add([]byte{3, 2, 18, 6, 2, 1, 20, 4, 2, 2, 19, 7, 3, 0, 0, 1, 0, 1, 0, 1, 0})     // a duplicate ID
 	f.Add([]byte{3, 2, 18, 6, 2, 2, 20, 4, 2, 2, 19, 7, 3, 1, 15, 1, 3, 0, 1, 1, 1, 0}) // an absentee and a dark reporter
 	f.Fuzz(func(t *testing.T, data []byte) {
-		first, out := settleOnce(t, decodeDay(data))
-		if second, _ := settleOnce(t, decodeDay(data)); !bytes.Equal(first, second) {
-			t.Fatalf("same input settled differently:\n%s\n%s", first, second)
+		first, out := settleOnce(t, decodeDay(data), new(Scratch))
+		second, reused := settleOnce(t, decodeDay(data), dirtyScratch(t))
+		if !bytes.Equal(first, second) {
+			t.Fatalf("same input settled differently on a reused scratch:\n%s\n%s", first, second)
 		}
 		if out == nil {
 			return
+		}
+		if !reflect.DeepEqual(out, reused) {
+			t.Fatalf("outcomes differ on a reused scratch:\n%+v\n%+v", out, reused)
+		}
+		line := appendLedgerLine(t, out)
+		if again := appendLedgerLine(t, reused); !bytes.Equal(line, again) {
+			t.Fatalf("ledger lines differ on a reused scratch:\n%s\n%s", line, again)
 		}
 		r := out.Record
 		var revenue float64
@@ -141,4 +186,15 @@ func FuzzDayMachine(f *testing.F) {
 			t.Fatalf("settled day audits dirty: %v\n%s", bad, first)
 		}
 	})
+}
+
+// appendLedgerLine encodes out's ledger entry as a ledger line.
+func appendLedgerLine(t *testing.T, out *Outcome) []byte {
+	t.Helper()
+	e := out.LedgerEntry()
+	line, err := e.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
 }

@@ -13,8 +13,9 @@
 // with those reports, plus the dark set (reporters that went dark before
 // confirming), validates them, imputes DarkConsumption for the dark
 // households and runs the Eq. 4–7 chain once through
-// mechanism.SettleChain. Invalid input fails the day; degradation is for
-// darkness, not for misbehaviour.
+// mechanism.SettleChainInto. Invalid input fails the day; degradation is
+// for darkness, not for misbehaviour. A driver may lend the machine a
+// Scratch, so a day settles in reused storage.
 package settle
 
 import (
@@ -66,15 +67,19 @@ type Machine struct {
 	day         int
 	traceID     string
 	phase       phase
+	s           *Scratch
 	reports     []core.Report
 	absent      []core.HouseholdID
 	assignments []core.Assignment
 }
 
-// New starts day's machine; traceID names the day in its record and
-// ledger entry.
-func New(cfg Config, day int, traceID string) Machine {
-	return Machine{cfg: cfg, day: day, traceID: traceID}
+// New starts day's machine on the caller's scratch; traceID names the
+// day in its record and ledger entry. A nil scratch gives the day fresh
+// storage, which is what a driver that keeps the day's record passes;
+// otherwise the day's outputs alias the scratch until the next New on it
+// (see Scratch).
+func New(cfg Config, day int, traceID string, s *Scratch) Machine {
+	return Machine{cfg: cfg, day: day, traceID: traceID, s: s}
 }
 
 // Allocate is the preference phase. reports must be sorted by strictly
@@ -110,7 +115,7 @@ func (m *Machine) Allocate(reports []core.Report, absent []core.HouseholdID) ([]
 			return nil, fmt.Errorf("household %d both reported and absent", id)
 		}
 	}
-	assignments, err := m.cfg.Scheduler.Allocate(reports)
+	assignments, err := m.s.allocate(m.cfg.Scheduler, reports)
 	if err != nil {
 		return nil, fmt.Errorf("allocate: %w", err)
 	}
@@ -173,9 +178,7 @@ func (m *Machine) Settle(consumptions []core.Consumption, dark []bool) (Outcome,
 		return Outcome{}, fmt.Errorf("%d consumptions and %d dark flags for %d reports", len(consumptions), len(dark), n)
 	}
 	var substituted []bool
-	prefs := make([]core.Preference, n)
-	ivs := make([]core.Interval, 2*n)
-	assigned, consumed := ivs[:n:n], ivs[n:]
+	prefs, assigned, consumed, scores := m.s.mirrors(n)
 	for i, r := range m.reports {
 		prefs[i] = r.Pref
 		assigned[i] = m.assignments[i].Interval
@@ -187,7 +190,7 @@ func (m *Machine) Settle(consumptions []core.Consumption, dark []bool) (Outcome,
 		}
 		consumed[i] = consumptions[i].Interval
 	}
-	chain, err := mechanism.SettleChain(m.cfg.Pricer, m.cfg.Mechanism, m.cfg.Rating, prefs, assigned, consumed, substituted)
+	chain, err := mechanism.SettleChainInto(scores, m.cfg.Pricer, m.cfg.Mechanism, m.cfg.Rating, prefs, assigned, consumed, substituted)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("settle: %w", err)
 	}

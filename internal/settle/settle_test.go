@@ -14,7 +14,7 @@ var quad = pricing.Quadratic{Sigma: pricing.DefaultSigma}
 
 func testMachine() Machine {
 	return New(Config{Scheduler: &sched.Greedy{Pricer: quad, Rating: 2}, Pricer: quad,
-		Mechanism: mechanism.DefaultConfig(), Rating: 2}, 3, "trace")
+		Mechanism: mechanism.DefaultConfig(), Rating: 2}, 3, "trace", nil)
 }
 
 func testReports() []core.Report {

@@ -95,7 +95,7 @@ func Run(cfg Config, policies []netproto.Policy, days int) (*Result, error) {
 // reports, the machine allocates, every policy consumes, the machine
 // settles, and every policy sees its payment notice.
 func runDay(cfg Config, policies []netproto.Policy, day int) (*DayMetrics, error) {
-	m := settle.New(cfg, day, "")
+	m := settle.New(cfg, day, "", nil)
 	reports := make([]core.Report, len(policies))
 	for i, p := range policies {
 		reports[i] = core.Report{ID: core.HouseholdID(i), Pref: p.Report(day)}
