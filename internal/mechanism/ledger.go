@@ -76,6 +76,20 @@ type LedgerEntry struct {
 func BuildLedgerEntry(traceID string, day int, cfg Config, rating float64,
 	reports []core.Report, assigned, consumed []core.Interval, substituted []bool,
 	predicted, flex, defect, psi, payments []float64, cost, peak float64) LedgerEntry {
+	return BuildLedgerEntryInto(make([]LedgerHousehold, len(reports)), traceID, day, cfg, rating,
+		reports, assigned, consumed, substituted, predicted, flex, defect, psi, payments, cost, peak)
+}
+
+// BuildLedgerEntryInto is BuildLedgerEntry with the caller's storage for
+// the rows: the entry's Households aliases rows, every row of it
+// overwritten, unless rows has too little room for the reports, which
+// gives the entry fresh rows.
+func BuildLedgerEntryInto(rows []LedgerHousehold, traceID string, day int, cfg Config, rating float64,
+	reports []core.Report, assigned, consumed []core.Interval, substituted []bool,
+	predicted, flex, defect, psi, payments []float64, cost, peak float64) LedgerEntry {
+	if cap(rows) < len(reports) {
+		rows = make([]LedgerHousehold, len(reports))
+	}
 	entry := LedgerEntry{
 		Schema:     LedgerSchemaVersion,
 		TraceID:    traceID,
@@ -85,7 +99,7 @@ func BuildLedgerEntry(traceID string, day int, cfg Config, rating float64,
 		Rating:     rating,
 		Cost:       cost,
 		Peak:       peak,
-		Households: make([]LedgerHousehold, len(reports)),
+		Households: rows[:len(reports)],
 	}
 	for i, r := range reports {
 		slots := int(assigned[i].Begin - r.Pref.Window.Begin)

@@ -88,9 +88,11 @@ func (l ledgerCommitter) commitDay(out *settle.Outcome) error {
 	if l.ledger == nil {
 		return nil
 	}
-	line, err := ledgerLine(out)
+	entry := out.LedgerEntry()
+	line, err := ledgerLine(&entry)
 	if err == nil {
-		err = l.ledger.appendLine(line)
+		err = l.ledger.writeLine(*line, false)
+		ledgerBufs.Put(line)
 	}
 	if err != nil {
 		return fmt.Errorf("netproto: audit ledger: %w", err)

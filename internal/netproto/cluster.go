@@ -344,7 +344,7 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 	rows := make([]obs.ShardStatus, len(shards))
 	var ledger *ledgerStream
 	if c.center.Ledger != nil {
-		ledger = &ledgerStream{j: c.center.Ledger, lines: make([]shardLine, len(shards))}
+		ledger = newLedgerStream(c.center.Ledger, c.engine.WorkerCount(), len(shards))
 	}
 	_ = c.engine.ForEach(len(shards), func(s int) error {
 		t0 := time.Now()
@@ -436,7 +436,8 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 		settled, err = d.run(ctx, st.ids)
 		if err == nil {
 			if ledger != nil {
-				line.data, line.err = ledgerLine(&settled)
+				entry := d.scratch.LedgerEntry(&settled)
+				line.buf, line.err = ledgerLine(&entry)
 			}
 			row = settled.Status
 			row.Shard = shard
@@ -466,51 +467,102 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 	return out, row
 }
 
-// ledgerStream is one cluster day's ordered ledger. The worker that
-// hands in shard s's line takes the mutex and appends every line that
-// is now in order: shard s's once shards 0..s-1 are written, then any
-// later lines already waiting on it. A worker never waits for a slower
-// shard, only for an append in progress; the writes overlap the
-// parallel phase, each line is dropped once written, and the ledger
-// reads in shard-index order for any worker count. After the first
-// encode or write error nothing more is written, so the ledger keeps
-// the prefix before the failure.
+// ledgerStream is one cluster day's ordered ledger. A worker hands in
+// its shard's line under the mutex; then, unless another worker is
+// already draining, it drains: it writes every line now in order —
+// shard s's once shards 0..s-1 are written, then any later lines
+// waiting on it — releasing the mutex across each Journal write, so the
+// other workers hand in their lines meanwhile and return to their
+// shards. The drainer re-reads the order under the mutex after each
+// write and stops at the first shard not handed in, whose worker drains
+// next. A worker never waits for a slower shard, and waits for a write
+// only when more lines than there are workers already wait for the
+// drainer, so lines do not pile up behind a slow write. The writes
+// overlap the parallel phase, and the ledger reads in shard-index order
+// for any worker count. A written line's pooled buffer goes back to
+// ledgerBufs while at most one line per worker still waits; the buffers
+// of a longer run, which builds up behind a stalled shard, go to the
+// garbage collector, so the pool does not keep them live. After the
+// first encode or write error nothing more is written, so the ledger
+// keeps the prefix before the failure.
 type ledgerStream struct {
 	j     *Journal
-	mu    sync.Mutex
-	lines []shardLine // by shard; cleared once written
-	next  int         // the first shard not yet written
-	err   error       // the first encode or write error
+	limit int // lines that may wait on a running drain: one per worker
+
+	mu       sync.Mutex
+	taken    sync.Cond   // on mu: a drain took a line, or ended
+	lines    []shardLine // by shard; cleared once written
+	next     int         // the first shard not yet written
+	waiting  int         // lines handed in and not yet taken by a drain
+	draining bool        // a worker is writing the lines in order
+	err      error       // the first encode or write error
 }
 
-// shardLine is one shard's hand-in: its encoded ledger line, nil when
-// the shard writes none (failed or empty), or the encode error.
+// newLedgerStream returns the stream of a day of n shards that runs on
+// workers workers and writes to j.
+func newLedgerStream(j *Journal, workers, n int) *ledgerStream {
+	w := &ledgerStream{j: j, limit: workers, lines: make([]shardLine, n)}
+	w.taken.L = &w.mu
+	return w
+}
+
+// shardLine is one shard's hand-in: its encoded ledger line in a
+// pooled buffer, nil when the shard writes none (failed or empty), or
+// the encode error.
 type shardLine struct {
-	data   []byte
+	buf    *[]byte
 	err    error
 	handed bool
 }
 
-// hand records shard's line and appends every line now in order; a nil
-// stream (no ledger) ignores it.
+// hand records shard's line and, unless another worker is draining,
+// drains; while another drains, it waits only as long as more than
+// limit lines wait for that drain. A nil stream (no ledger) ignores it.
 func (w *ledgerStream) hand(shard int, l shardLine) {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	l.handed = true
 	w.lines[shard] = l
+	w.waiting++
+	if !w.draining {
+		w.drain()
+	}
+	for w.draining && w.waiting > w.limit {
+		w.taken.Wait()
+	}
+	w.mu.Unlock()
+}
+
+// drain writes every line now in order and releases its buffer (see
+// ledgerStream). Callers hold w.mu, which drain releases across each
+// write.
+func (w *ledgerStream) drain() {
+	w.draining = true
 	for ; w.next < len(w.lines) && w.lines[w.next].handed; w.next++ {
 		in := w.lines[w.next]
 		w.lines[w.next] = shardLine{handed: true}
+		w.waiting--
+		w.taken.Broadcast()
 		if w.err == nil {
 			w.err = in.err
 		}
-		if w.err == nil && in.data != nil {
-			w.err = w.j.appendLine(in.data)
+		if in.buf == nil {
+			continue
+		}
+		if w.err == nil {
+			w.mu.Unlock()
+			err := w.j.writeLine(*in.buf, false)
+			w.mu.Lock()
+			w.err = err
+		}
+		if w.waiting <= w.limit {
+			ledgerBufs.Put(in.buf)
 		}
 	}
+	w.draining = false
+	w.taken.Broadcast()
 }
 
 // writeErr returns the day's first encode or write error; a nil stream

@@ -504,6 +504,65 @@ func TestClusterLedgerWriteFailure(t *testing.T) {
 	}
 }
 
+// slowWriter is a ledger file that is slow to write: it sleeps on every
+// Write, so shard workers hand in lines while one of them writes. It
+// counts the writes.
+type slowWriter struct {
+	writes int
+	buf    bytes.Buffer
+}
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	w.writes++
+	time.Sleep(20 * time.Microsecond)
+	return w.buf.Write(p)
+}
+
+// TestClusterLedgerStreamUnderContention drives the ledger stream with
+// more shards than the journal's tail holds and a writer that sleeps on
+// every line, so workers keep handing in lines while another writes
+// outside the stream's lock. At every worker count the ledger bytes and
+// the tail are identical, every line is one Write, and the tail is the
+// ledger's last lines.
+func TestClusterLedgerStreamUnderContention(t *testing.T) {
+	const households, shards, days = 600, 300, 2
+	var want []byte
+	var wantTail []json.RawMessage
+	for _, workers := range []int{1, 2, 8} {
+		w := &slowWriter{}
+		j := NewJournal(w)
+		marshalDays(t, buildCluster(t, households, WithShards(shards), WithWorkers(workers), WithTraceSeed(7),
+			WithShardRecords(false), WithLedger(j)), days)
+		got, tail := w.buf.Bytes(), j.LedgerTail(journalTailCap)
+		lines := bytes.SplitAfter(got, []byte("\n"))
+		lines = lines[:len(lines)-1] // after the last newline
+		if len(lines) != shards*days || w.writes != len(lines) {
+			t.Fatalf("workers=%d: %d writes of %d lines, want one per line and %d lines", workers, w.writes, len(lines), shards*days)
+		}
+		if len(tail) != journalTailCap {
+			t.Fatalf("workers=%d: a tail of %d lines, want %d", workers, len(tail), journalTailCap)
+		}
+		for i, line := range tail {
+			if l := lines[len(lines)-journalTailCap+i]; !bytes.Equal(line, l[:len(l)-1]) {
+				t.Fatalf("workers=%d: tail line %d is not the ledger's line %d", workers, i, len(lines)-journalTailCap+i)
+			}
+		}
+		if workers == 1 {
+			want, wantTail = got, tail
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: ledger differs from Workers:1 (%d vs %d bytes)", workers, len(got), len(want))
+		}
+		for i := range tail {
+			if !bytes.Equal(tail[i], wantTail[i]) {
+				t.Errorf("workers=%d: tail line %d differs from Workers:1", workers, i)
+				break
+			}
+		}
+	}
+}
+
 // cancelOnFeedback is a truthful household that cancels a context when
 // its payment notice arrives.
 type cancelOnFeedback struct {

@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -164,5 +165,94 @@ func TestReadJournalTruncatedTail(t *testing.T) {
 		if rep.Days != 2 || len(rep.ByID) != 2 {
 			t.Errorf("tail %q: replay summary %+v malformed", tail, rep)
 		}
+	}
+}
+
+// TestJournalLedgerTail pins the tail ring behind /api/v1/ledger/tail:
+// it keeps the last journalTailCap lines oldest first, hands out copies,
+// copies a lent line into storage of its own, and never writes into a
+// kept line's storage.
+func TestJournalLedgerTail(t *testing.T) {
+	var out bytes.Buffer
+	j := NewJournal(&out)
+	if got := j.LedgerTail(5); got != nil {
+		t.Errorf("empty journal: tail %q, want nil", got)
+	}
+	lineOf := func(i int) string { return fmt.Sprintf(`{"line":%d}`, i) }
+	// One lent buffer for every line, as a ledger stream reuses its own.
+	buf := make([]byte, 0, 64)
+	written := 0
+	lend := func() {
+		buf = append(append(buf[:0], lineOf(written)...), '\n')
+		if err := j.writeLine(buf, false); err != nil {
+			t.Fatal(err)
+		}
+		written++
+	}
+	// tailOf checks LedgerTail(n) against the lines numbered from first.
+	tailOf := func(n, first, count int) {
+		t.Helper()
+		got := j.LedgerTail(n)
+		if len(got) != count {
+			t.Fatalf("LedgerTail(%d) after %d lines returned %d lines, want %d", n, written, len(got), count)
+		}
+		for i, line := range got {
+			if want := lineOf(first + i); string(line) != want {
+				t.Fatalf("LedgerTail(%d) after %d lines: line %d is %s, want %s", n, written, i, line, want)
+			}
+		}
+	}
+
+	for range 10 {
+		lend()
+	}
+	tailOf(3, 7, 3)
+	tailOf(10, 0, 10)
+	tailOf(1000, 0, 10) // n above the retained count returns what is held
+	for _, n := range []int{0, -1} {
+		if got := j.LedgerTail(n); got != nil {
+			t.Errorf("LedgerTail(%d) = %q, want nil", n, got)
+		}
+	}
+	copy(buf, "xxxxxxxxxx") // the lender reuses its buffer
+	tailOf(1, 9, 1)
+
+	held := j.LedgerTail(3)
+	for range 300 {
+		lend()
+	}
+	for i, line := range held {
+		if want := lineOf(7 + i); string(line) != want {
+			t.Errorf("a returned line changed after 300 appends: %s, want %s", line, want)
+		}
+	}
+	tailOf(journalTailCap, written-journalTailCap, journalTailCap) // wrapped around
+	tailOf(journalTailCap+1, written-journalTailCap, journalTailCap)
+
+	// A kept line is aliased with room to spare, so a ring that reused
+	// its storage for the lent line that later lands in its slot would
+	// overwrite it.
+	keptLine := lineOf(written)
+	kept := make([]byte, 0, 256)
+	kept = append(append(kept, keptLine...), '\n')
+	if err := j.writeLine(kept, true); err != nil {
+		t.Fatal(err)
+	}
+	written++
+	tailOf(1, written-1, 1)
+	for range journalTailCap {
+		lend()
+	}
+	if got := string(kept[:len(keptLine)]); got != keptLine {
+		t.Errorf("a lent line was written into a kept line's storage: %s, want %s", got, keptLine)
+	}
+	tailOf(journalTailCap, written-journalTailCap, journalTailCap)
+
+	want := new(strings.Builder)
+	for i := range written {
+		want.WriteString(lineOf(i) + "\n")
+	}
+	if out.String() != want.String() {
+		t.Errorf("the journal wrote %d bytes, want the %d lines in order", out.Len(), written)
 	}
 }

@@ -248,12 +248,18 @@ func (rs *ReplicaSet) commitDay(out *settle.Outcome) error {
 		return errReplicaKilled
 	}
 	// The entry is the day's ledger line: the bytes every ledger writes,
-	// and all a takeover needs to know the day settled.
-	ledger, err := ledgerLine(out)
+	// and all a takeover needs to know the day settled. The log keeps its
+	// own copy of the line, with room for the newline a ledger write
+	// appends (applyCommitted).
+	entry := out.LedgerEntry()
+	line, err := ledgerLine(&entry)
 	if err != nil {
 		return err
 	}
-	if err := rs.replicate(replica.KindDay, day, phaseDay, ledger, "beforeCommit"); err != nil {
+	n := len(*line) - 1
+	data := append(make([]byte, 0, n+1), (*line)[:n]...)
+	ledgerBufs.Put(line)
+	if err := rs.replicate(replica.KindDay, day, phaseDay, data, "beforeCommit"); err != nil {
 		return err
 	}
 	if rs.fireKill("payment", day, "payment") {
@@ -383,8 +389,9 @@ func (rs *ReplicaSet) call(f *replicaNode, m *replica.Message) (*replica.Message
 // A failed write fails the day, as it does a center's and a cluster's:
 // the error wraps "netproto: audit ledger", and nothing after the
 // failed line is applied, so the ledger keeps the lines before it.
-// Every replica's log still holds the day (see ReplicaLedger). Callers
-// hold repMu.
+// Every replica's log still holds the day (see ReplicaLedger). The
+// ledger's tail keeps the committed line by alias, since the log keeps
+// it anyway. Callers hold repMu.
 func (rs *ReplicaSet) applyCommitted(newly []replica.Entry) error {
 	for _, e := range newly {
 		if e.Index <= rs.applied {
@@ -392,7 +399,7 @@ func (rs *ReplicaSet) applyCommitted(newly []replica.Entry) error {
 		}
 		rs.applied = e.Index
 		if e.Kind == replica.KindDay && rs.ledger != nil {
-			if err := rs.ledger.appendLine(e.Data); err != nil {
+			if err := rs.ledger.writeLine(append(e.Data, '\n'), true); err != nil {
 				return fmt.Errorf("netproto: audit ledger: %w", err)
 			}
 		}

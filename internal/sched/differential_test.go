@@ -114,8 +114,8 @@ func TestDifferentialGreedyRejectsSameInputs(t *testing.T) {
 
 // TestGreedyAllocateSteadyStateAllocs pins the hot path's allocation
 // budget: Allocate performs exactly one allocation in steady state (the
-// returned slice), and AllocateInto with a reused Scratch and output
-// buffer performs none.
+// returned slice; checkAllocatePoolAllocs, outside the race build), and
+// AllocateInto with a reused Scratch and output buffer performs none.
 func TestGreedyAllocateSteadyStateAllocs(t *testing.T) {
 	reports := corpusReports(dist.New(42), 50)
 	g := &Greedy{Pricer: quad, Rating: 2}
@@ -123,14 +123,7 @@ func TestGreedyAllocateSteadyStateAllocs(t *testing.T) {
 	if _, err := g.Allocate(reports); err != nil {
 		t.Fatal(err)
 	}
-
-	if got := testing.AllocsPerRun(100, func() {
-		if _, err := g.Allocate(reports); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 2 {
-		t.Errorf("Allocate: %g allocs/op, want <= 2", got)
-	}
+	checkAllocatePoolAllocs(t, g, reports)
 
 	var s Scratch
 	dst := make([]core.Assignment, 0, len(reports))

@@ -2,16 +2,17 @@ package settle
 
 import (
 	"enki/internal/core"
+	"enki/internal/mechanism"
 	"enki/internal/sched"
 )
 
 // Scratch is the reusable storage of one settlement day: the phase
 // inputs a driver gathers (reports, absentees, consumptions, dark
 // flags), the scheduler's assignments and working buffers, Settle's
-// preference and interval mirrors, and the Eq. 4–7 chain's five-score
-// array. A driver that settles day after day on one scratch settles
-// without allocating once its buffers have grown to the largest
-// population.
+// preference and interval mirrors, the Eq. 4–7 chain's five-score
+// array, and the rows of the day's ledger entry (LedgerEntry). A driver
+// that settles day after day on one scratch settles without allocating
+// once its buffers have grown to the largest population.
 //
 // Ownership contract: a scratch serves one machine at a time, and
 // everything a day settled on it returns — the assignments, the
@@ -30,6 +31,7 @@ type Scratch struct {
 	prefs        []core.Preference
 	ivs          []core.Interval // assigned, then consumed
 	scores       []float64
+	ledger       []mechanism.LedgerHousehold
 	sched        sched.Scratch
 }
 
@@ -90,6 +92,18 @@ func (s *Scratch) mirrors(n int) (prefs []core.Preference, assigned, consumed []
 	}
 	s.prefs, s.ivs, s.scores = resize(s.prefs, n), resize(s.ivs, 2*n), resize(s.scores, 5*n)
 	return s.prefs, s.ivs[:n:n], s.ivs[n:], s.scores
+}
+
+// LedgerEntry builds the audit-ledger entry of out, a day settled on
+// the scratch, with its rows in the scratch, so the entry aliases the
+// scratch like the rest of the outcome. A nil scratch gives the entry
+// fresh rows, as Outcome.LedgerEntry does.
+func (s *Scratch) LedgerEntry(out *Outcome) mechanism.LedgerEntry {
+	if s == nil {
+		return out.LedgerEntry()
+	}
+	s.ledger = resize(s.ledger, len(out.Record.Reports))
+	return out.ledgerEntry(s.ledger)
 }
 
 // resize returns buf with length n, reallocated only when it has too

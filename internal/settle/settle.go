@@ -154,10 +154,17 @@ type Outcome struct {
 }
 
 // LedgerEntry builds the day's audit-ledger entry: every Eq. 4–7
-// intermediate beside the inputs it came from.
+// intermediate beside the inputs it came from, in fresh rows (a driver
+// that settled on a scratch builds them there: Scratch.LedgerEntry).
 func (o *Outcome) LedgerEntry() mechanism.LedgerEntry {
+	return o.ledgerEntry(make([]mechanism.LedgerHousehold, len(o.Record.Reports)))
+}
+
+// ledgerEntry builds the entry's rows in rows (see
+// mechanism.BuildLedgerEntryInto).
+func (o *Outcome) ledgerEntry(rows []mechanism.LedgerHousehold) mechanism.LedgerEntry {
 	r := o.Record
-	return mechanism.BuildLedgerEntry(r.TraceID, r.Day, o.mech, o.rating, r.Reports, o.assigned, o.consumed,
+	return mechanism.BuildLedgerEntryInto(rows, r.TraceID, r.Day, o.mech, o.rating, r.Reports, o.assigned, o.consumed,
 		r.Substituted, o.predicted, r.Flexibility, r.Defection, r.SocialCost, r.Payments, r.Cost, r.Peak)
 }
 
