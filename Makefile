@@ -84,12 +84,16 @@ bench-net-check:
 # agent goroutines that a dead leader may still be closing. It runs the
 # trace and ledger determinism tests repeatedly because they read an
 # agent's spans once its History() shows the day's payment, which holds
-# only while the agent publishes the payment last.
+# only while the agent publishes the payment last. It runs the cluster's
+# steady-state allocation gates repeatedly at 1, 2 and 4 processors,
+# because how the workers overlap their shard days, and so which storage
+# a warm day reuses, depends on the processor count.
 chaos:
 	$(GO) test ./internal/netproto -count=1 \
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
 	$(GO) test ./internal/netproto -race -count=10 \
 		-run 'TestCluster|TestChaosFederatedSnapshotDegradedShard|TestChaosReplica|TestDifferentialTopologies|TestTrace|TestLedgerDeterministic'
+	$(GO) test ./internal/netproto -count=10 -cpu 1,2,4 -run SteadyStateAllocs
 	$(GO) test ./cmd/enkitrace -count=1 -run 'Degraded|SurvivingReplica'
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s

@@ -5,10 +5,9 @@
 // sharded in-process service settling many neighborhoods at once, see
 // net.StartCluster and cmd/enkiload.)
 //
-// Flags are grouped into three namespaces — -shard.* for the
-// neighborhood being settled, -wire.* for the transport, -obs.* for
-// observability — with the historical flat names kept as aliases, so
-// existing deployments keep working:
+// Flags are grouped into namespaces — -shard.* for the neighborhood
+// being settled, -wire.* for the transport, -replica.* for quorum
+// replication, -obs.* for observability:
 //
 //	enkid -wire.addr 127.0.0.1:7600 -shard.agents 3 -shard.days 2
 //	enkid -wire.codec binary            # settle in the compact codec with agents that offer it
@@ -43,10 +42,8 @@ func main() {
 	}
 }
 
-// daemonFlags is the parsed enkid flag surface. Canonical flags are
-// namespaced (-shard.*, -wire.*, -obs.*); every pre-namespace flat name
-// is registered as an alias sharing the canonical flag.Value, so either
-// spelling works and they can never disagree.
+// daemonFlags is the parsed enkid flag surface, one namespaced name
+// per flag (-shard.*, -wire.*, -replica.*, -obs.*).
 type daemonFlags struct {
 	addr       string
 	codec      string
@@ -58,7 +55,6 @@ type daemonFlags struct {
 	sigma      float64
 	rating     float64
 	xi         float64
-	journal    string
 	ledger     string
 	httpAddr   string
 	reporting  bool
@@ -74,8 +70,8 @@ type daemonFlags struct {
 
 // newFlagSet builds enkid's flag set. The -help output is deterministic:
 // the flag package prints flags in lexical order, which groups the
-// namespaces (obs.*, shard.*, wire.*) and lists the flat aliases
-// predictably — the docs test pins this.
+// namespaces (obs.*, replica.*, shard.*, wire.*) — the docs test pins
+// this.
 func newFlagSet() (*flag.FlagSet, *daemonFlags) {
 	fs := flag.NewFlagSet("enkid", flag.ContinueOnError)
 	f := &daemonFlags{}
@@ -102,8 +98,7 @@ func newFlagSet() (*flag.FlagSet, *daemonFlags) {
 	fs.IntVar(&f.replicas, "replica.n", 1, "settlement-center replicas (odd, 2f+1; 1 = unreplicated)")
 	fs.DurationVar(&f.quorumWait, "replica.quorum-timeout", netproto.DefaultQuorumTimeout, "per-follower deadline on append/commit round trips")
 
-	// -obs.*: observability — metrics endpoint, journals, traces.
-	fs.StringVar(&f.journal, "obs.journal", "", "append day settlements to this JSONL file")
+	// -obs.*: observability — metrics endpoint, audit ledger, traces.
 	fs.StringVar(&f.ledger, "obs.ledger", "", "append per-day mechanism audit-ledger entries to this JSONL file")
 	fs.StringVar(&f.httpAddr, "obs.http", "", "serve the operator plane on this address: /metrics, /healthz, /readyz, /api/v1/*, pprof (e.g. 127.0.0.1:8080; empty = off)")
 	fs.BoolVar(&f.reporting, "obs.reporting", false, "merge agent metricsReport snapshots into the federated view at /api/v1/federation")
@@ -113,30 +108,6 @@ func newFlagSet() (*flag.FlagSet, *daemonFlags) {
 	fs.StringVar(&f.bundleDir, "obs.bundle-dir", "", "enable the flight recorder and write debug bundles here on SLO breach, shard degradation, SIGUSR1, or POST /api/v1/debug/bundle (empty = off)")
 	fs.DurationVar(&f.bundleCPU, "obs.bundle-cpu", 0, "CPU-profile length captured into each debug bundle (0 = skip; capture blocks the trigger for the duration)")
 	f.logOpts = obs.LogFlags(fs)
-
-	// Flat aliases from before the namespacing; each shares its
-	// canonical flag's Value.
-	for alias, canonical := range map[string]string{
-		"agents":         "shard.agents",
-		"days":           "shard.days",
-		"wait":           "shard.wait",
-		"sigma":          "shard.sigma",
-		"rating":         "shard.rating",
-		"xi":             "shard.xi",
-		"addr":           "wire.addr",
-		"phase-deadline": "wire.phase-deadline",
-		"fault-plan":     "wire.fault-plan",
-		"journal":        "obs.journal",
-		"ledger":         "obs.ledger",
-		"http":           "obs.http",
-		"trace-out":      "obs.trace-out",
-		"trace-seed":     "obs.trace-seed",
-		"trace-limit":    "obs.trace-limit",
-		"bundle-dir":     "obs.bundle-dir",
-		"bundle-cpu":     "obs.bundle-cpu",
-	} {
-		fs.Var(fs.Lookup(canonical).Value, alias, "alias for -"+canonical)
-	}
 	return fs, f
 }
 
@@ -145,11 +116,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	addr, agents, days, wait := &f.addr, &f.agents, &f.days, &f.wait
-	deadline, faultSpec := &f.deadline, &f.faultSpec
-	sigma, rating, xi := &f.sigma, &f.rating, &f.xi
-	journal, ledger, httpAddr := &f.journal, &f.ledger, &f.httpAddr
-	traceOut, traceSeed, traceLimit := &f.traceOut, &f.traceSeed, &f.traceLimit
 	logger, err := f.logOpts.Apply(nil)
 	if err != nil {
 		return err
@@ -158,11 +124,11 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	pricer, err := pricing.NewQuadratic(*sigma)
+	pricer, err := pricing.NewQuadratic(f.sigma)
 	if err != nil {
 		return err
 	}
-	plan, err := netproto.ParseFaultPlan(*faultSpec)
+	plan, err := netproto.ParseFaultPlan(f.faultSpec)
 	if err != nil {
 		return fmt.Errorf("parse -wire.fault-plan: %w", err)
 	}
@@ -170,29 +136,29 @@ func run(args []string) error {
 		return fmt.Errorf("unknown -wire.codec %q (have: %v)", f.codec, netproto.CodecNames())
 	}
 	var ledgerLog *netproto.Journal
-	if *ledger != "" {
-		f, err := os.OpenFile(*ledger, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if f.ledger != "" {
+		file, err := os.OpenFile(f.ledger, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		ledgerLog = netproto.NewJournal(f)
+		defer file.Close()
+		ledgerLog = netproto.NewJournal(file)
 	}
 
-	scheduler := &sched.Greedy{Pricer: pricer, Rating: *rating}
+	scheduler := &sched.Greedy{Pricer: pricer, Rating: f.rating}
 	centerOpts := []netproto.Option{
 		netproto.WithScheduler(scheduler),
 		netproto.WithPricer(pricer),
-		netproto.WithMechanism(mechanism.Config{K: mechanism.DefaultK, Xi: *xi}),
-		netproto.WithRating(*rating),
-		netproto.WithPhaseDeadline(*deadline),
-		netproto.WithTraceSeed(*traceSeed),
+		netproto.WithMechanism(mechanism.Config{K: mechanism.DefaultK, Xi: f.xi}),
+		netproto.WithRating(f.rating),
+		netproto.WithPhaseDeadline(f.deadline),
+		netproto.WithTraceSeed(f.traceSeed),
 		netproto.WithLedger(ledgerLog),
 		netproto.WithFaultPlan(plan),
 		netproto.WithCodec(f.codec),
 		netproto.WithMetricsReporting(f.reporting),
 	}
-	if *httpAddr != "" || f.bundleDir != "" {
+	if f.httpAddr != "" || f.bundleDir != "" {
 		// The operator plane and the bundle trigger both imply the SLO
 		// engine: /api/v1/slo and the breach watcher burn against the
 		// default objectives.
@@ -211,7 +177,7 @@ func run(args []string) error {
 			"note", "-wire.addr ignored: replicas bind ephemeral loopback listeners")
 		center = rs
 	} else {
-		c, err := netproto.StartCenter(*addr, centerOpts...)
+		c, err := netproto.StartCenter(f.addr, centerOpts...)
 		if err != nil {
 			return err
 		}
@@ -221,11 +187,11 @@ func run(args []string) error {
 
 	preregisterMetrics(scheduler.Name())
 	var operator *obs.Operator
-	if *httpAddr != "" || f.bundleDir != "" {
+	if f.httpAddr != "" || f.bundleDir != "" {
 		operator = center.Operator()
 	}
-	if *httpAddr != "" {
-		srv, err := obs.ServeOperator(*httpAddr, operator)
+	if f.httpAddr != "" {
+		srv, err := obs.ServeOperator(f.httpAddr, operator)
 		if err != nil {
 			return err
 		}
@@ -239,10 +205,10 @@ func run(args []string) error {
 			Dir:        f.bundleDir,
 			CPUProfile: f.bundleCPU,
 			Config: map[string]string{
-				"addr":  *addr,
+				"addr":  f.addr,
 				"codec": f.codec,
-				"xi":    fmt.Sprint(*xi),
-				"days":  fmt.Sprint(*days),
+				"xi":    fmt.Sprint(f.xi),
+				"days":  fmt.Sprint(f.days),
 			},
 		}, obs.BundleSources{
 			Operator: operator,
@@ -270,55 +236,40 @@ func run(args []string) error {
 		go trig.Watch(ctx, 5*time.Second)
 		logger.Info("flight recorder on", "bundle_dir", f.bundleDir)
 	}
-	if *traceLimit > 0 {
-		obs.DefaultTracer().SetCapacity(*traceLimit)
+	if f.traceLimit > 0 {
+		obs.DefaultTracer().SetCapacity(f.traceLimit)
 	}
-	if *traceOut != "" {
+	if f.traceOut != "" {
 		obs.DefaultTracer().Enable()
 		defer func() {
-			f, err := os.Create(*traceOut)
+			file, err := os.Create(f.traceOut)
 			if err != nil {
 				logger.Error("trace export failed", "err", err)
 				return
 			}
-			defer f.Close()
-			if err := obs.DefaultTracer().WriteJSONL(f); err != nil {
+			defer file.Close()
+			if err := obs.DefaultTracer().WriteJSONL(file); err != nil {
 				logger.Error("trace export failed", "err", err)
 			}
 		}()
 	}
 
-	logger.Info("listening", "addr", center.Addr(), "agents_expected", *agents)
-	waitCtx, cancel := context.WithTimeout(ctx, *wait)
-	err = center.WaitForAgentsContext(waitCtx, *agents)
+	logger.Info("listening", "addr", center.Addr(), "agents_expected", f.agents)
+	waitCtx, cancel := context.WithTimeout(ctx, f.wait)
+	err = center.WaitForAgentsContext(waitCtx, f.agents)
 	cancel()
 	if err != nil {
-		return fmt.Errorf("waiting for %d agents: %w", *agents, err)
+		return fmt.Errorf("waiting for %d agents: %w", f.agents, err)
 	}
 	logger.Info("agents registered", "count", center.AgentCount())
 	if operator != nil {
 		operator.SetReady(true) // enrollment complete: /readyz flips to 200
 	}
 
-	var journalLog *netproto.Journal
-	if *journal != "" {
-		f, err := os.OpenFile(*journal, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		journalLog = netproto.NewJournal(f)
-	}
-
-	for day := 1; day <= *days; day++ {
+	for day := 1; day <= f.days; day++ {
 		record, err := center.RunDayContext(ctx, day)
 		if err != nil {
 			return fmt.Errorf("day %d: %w", day, err)
-		}
-		if journalLog != nil {
-			if err := journalLog.Append(record); err != nil {
-				return err
-			}
 		}
 		fmt.Printf("day %d: cost $%.2f, peak %.1f kWh\n", day, record.Cost, record.Peak)
 		for i, r := range record.Reports {

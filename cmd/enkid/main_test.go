@@ -12,8 +12,9 @@ import (
 
 // TestHelpOutputDeterministicAndNamespaced is the flag-surface docs
 // test: -help must render identically run to run (the flag package
-// sorts lexically, grouping the obs.*, shard.*, wire.* namespaces), and
-// every namespaced flag must have its pre-namespace flat alias.
+// sorts lexically, grouping the obs.*, replica.*, shard.*, wire.*
+// namespaces), list every namespaced flag, and list each flag under one
+// name only: no flat alias remains.
 func TestHelpOutputDeterministicAndNamespaced(t *testing.T) {
 	render := func() string {
 		fs, _ := newFlagSet()
@@ -33,7 +34,7 @@ func TestHelpOutputDeterministicAndNamespaced(t *testing.T) {
 		"-shard.agents", "-shard.days", "-shard.wait", "-shard.sigma", "-shard.rating", "-shard.xi",
 		"-wire.addr", "-wire.codec", "-wire.phase-deadline", "-wire.fault-plan",
 		"-replica.n", "-replica.quorum-timeout",
-		"-obs.journal", "-obs.ledger", "-obs.http", "-obs.trace-out", "-obs.trace-seed", "-obs.trace-limit",
+		"-obs.ledger", "-obs.http", "-obs.reporting", "-obs.trace-out", "-obs.trace-seed", "-obs.trace-limit",
 		"-obs.bundle-dir", "-obs.bundle-cpu",
 	}
 	for _, name := range namespaced {
@@ -41,36 +42,8 @@ func TestHelpOutputDeterministicAndNamespaced(t *testing.T) {
 			t.Errorf("-help missing %s", name)
 		}
 	}
-	aliases := []string{
-		"alias for -shard.agents", "alias for -shard.days", "alias for -shard.wait",
-		"alias for -shard.sigma", "alias for -shard.rating", "alias for -shard.xi",
-		"alias for -wire.addr", "alias for -wire.phase-deadline", "alias for -wire.fault-plan",
-		"alias for -obs.journal", "alias for -obs.ledger", "alias for -obs.http",
-		"alias for -obs.trace-out", "alias for -obs.trace-seed", "alias for -obs.trace-limit",
-		"alias for -obs.bundle-dir", "alias for -obs.bundle-cpu",
-	}
-	for _, a := range aliases {
-		if !strings.Contains(first, a) {
-			t.Errorf("-help missing %q", a)
-		}
-	}
-}
-
-// TestFlagAliasesShareValues: setting a flat alias must be exactly
-// setting its canonical namespaced flag — one Value, two names.
-func TestFlagAliasesShareValues(t *testing.T) {
-	fs, f := newFlagSet()
-	if err := fs.Parse([]string{"-agents", "7", "-wire.addr", "10.0.0.1:9", "-xi", "1.5"}); err != nil {
-		t.Fatal(err)
-	}
-	if f.agents != 7 {
-		t.Errorf("alias -agents did not set shard.agents: %d", f.agents)
-	}
-	if f.addr != "10.0.0.1:9" {
-		t.Errorf("-wire.addr = %q", f.addr)
-	}
-	if f.xi != 1.5 {
-		t.Errorf("alias -xi did not set shard.xi: %g", f.xi)
+	if strings.Contains(first, "alias for") {
+		t.Errorf("-help lists a flag alias:\n%s", first)
 	}
 }
 

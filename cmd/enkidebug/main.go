@@ -269,7 +269,7 @@ func auditLedger(lines []json.RawMessage) residualFinding {
 	for _, line := range lines {
 		var e ledgerEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			continue // the journal may interleave day records; audit ledger lines only
+			continue // a bundle is outside input: skip any line that is not a ledger entry
 		}
 		if e.Xi == 0 && len(e.Households) == 0 {
 			continue // not a ledger entry

@@ -237,7 +237,7 @@ func decodeLedger(raw []json.RawMessage) []ledgerLine {
 			Xi      float64 `json:"xi"`
 		}
 		if err := json.Unmarshal(line, &e); err != nil {
-			continue // foreign journal line; the console shows what it can
+			continue // not a ledger entry; the console shows what it can
 		}
 		out = append(out, ledgerLine{
 			Day:      e.Day,

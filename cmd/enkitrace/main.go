@@ -1,9 +1,10 @@
 // Command enkitrace analyzes the observability artifacts of a
-// settlement run: the span trace (enkid/enkisim -trace-out, enkiagent
-// -trace-out) and the mechanism audit ledger (enkid -ledger). It prints
-// per-phase latency breakdowns, the critical path of each settlement
-// day's trace, and an equation-level audit that recomputes the Eq. 6–7
-// chain from the ledger's own inputs and flags every mismatch.
+// settlement run: the span trace (enkid -obs.trace-out, enkisim and
+// enkiagent -trace-out) and the mechanism audit ledger (enkid
+// -obs.ledger). It prints per-phase latency breakdowns, the critical
+// path of each settlement day's trace, and an equation-level audit that
+// recomputes the Eq. 6–7 chain from the ledger's own inputs and flags
+// every mismatch.
 //
 // Usage:
 //
@@ -39,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("enkitrace", flag.ContinueOnError)
 	var (
 		tracePath  = fs.String("trace", "", "span-trace JSONL file (from -trace-out)")
-		ledgerPath = fs.String("ledger", "", "mechanism audit-ledger JSONL file (from enkid -ledger)")
+		ledgerPath = fs.String("ledger", "", "mechanism audit-ledger JSONL file (from enkid -obs.ledger)")
 		traceID    = fs.String("trace-id", "", "restrict the analysis to one trace")
 	)
 	if err := fs.Parse(args); err != nil {

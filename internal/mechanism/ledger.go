@@ -67,6 +67,12 @@ type LedgerEntry struct {
 	Peak           float64 `json:"peak"`
 
 	Households []LedgerHousehold `json:"households"`
+
+	// Absent lists the members that never reported a preference, sorted:
+	// they sat the day out (no allocation, no bill), so they have no
+	// row. Omitted on days without absentees, so those days' ledger
+	// bytes are unchanged.
+	Absent []core.HouseholdID `json:"absent,omitempty"`
 }
 
 // BuildLedgerEntry assembles the audit record for one settled day from
@@ -147,7 +153,7 @@ func (e *LedgerEntry) AppendJSON(dst []byte) ([]byte, error) {
 	w.float(`,"budgetResidual":`, e.BudgetResidual)
 	w.float(`,"peak":`, e.Peak)
 	if e.Households == nil {
-		w.b = append(w.b, `,"households":null}`...)
+		w.b = append(w.b, `,"households":null`...)
 	} else {
 		w.b = append(w.b, `,"households":[`...)
 		for i := range e.Households {
@@ -174,8 +180,17 @@ func (e *LedgerEntry) AppendJSON(dst []byte) ([]byte, error) {
 			w.float(`,"payment":`, h.Payment)
 			w.b = append(w.b, '}')
 		}
-		w.b = append(w.b, "]}"...)
+		w.b = append(w.b, ']')
 	}
+	if len(e.Absent) > 0 {
+		sep := `,"absent":[`
+		for _, id := range e.Absent {
+			w.int(sep, int(id))
+			sep = ","
+		}
+		w.b = append(w.b, ']')
+	}
+	w.b = append(w.b, '}')
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -273,10 +288,10 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// ReadLedger loads an audit ledger from a JSONL stream, in order. Like
-// the settlement journal, a corrupt or truncated final line (crash
-// during append) is skipped; corruption followed by further valid
-// entries is an error (see obs.ReadJSONL).
+// ReadLedger loads an audit ledger from a JSONL stream, in order. A
+// corrupt or truncated final line (crash during append) is skipped, as
+// are blank lines; corruption followed by further valid entries is an
+// error (see obs.ReadJSONL).
 func ReadLedger(r io.Reader) ([]LedgerEntry, error) {
 	return obs.ReadJSONL[LedgerEntry](r, "mechanism: ledger")
 }

@@ -36,8 +36,8 @@ func requireMarshalMatch(t *testing.T, e *mechanism.LedgerEntry) {
 
 // goldenClusterEntries settles the three days of netproto's golden
 // cluster run (2,000 households in 16 shards, shard 5 under a
-// drop/dup/garble fault plan, so some rows are substituted) and returns
-// every shard's ledger entry.
+// drop/dup/garble fault plan, so some rows are substituted and some
+// households absent) and returns every shard's ledger entry.
 func goldenClusterEntries(t *testing.T) []mechanism.LedgerEntry {
 	t.Helper()
 	var ledger bytes.Buffer
@@ -105,23 +105,25 @@ func fill(t *testing.T, v reflect.Value, n *int) {
 
 // TestLedgerEntryAppendJSON is the ledger encoder's oracle: on the
 // golden cluster's entries, on an entry with every field set by
-// reflection, and on float edge cases, AppendJSON must append the bytes
-// json.Marshal writes; on NaN and ±Inf both must fail the same way.
+// reflection, on nil, empty and populated absentees, and on float edge
+// cases, AppendJSON must append the bytes json.Marshal writes; on NaN
+// and ±Inf both must fail the same way.
 func TestLedgerEntryAppendJSON(t *testing.T) {
 	t.Run("golden cluster", func(t *testing.T) {
 		entries := goldenClusterEntries(t)
 		if len(entries) == 0 {
 			t.Fatal("the golden cluster wrote no ledger entries")
 		}
-		substituted := false
+		substituted, absent := false, false
 		for i := range entries {
 			for _, h := range entries[i].Households {
 				substituted = substituted || h.Substituted
 			}
+			absent = absent || len(entries[i].Absent) > 0
 			requireMarshalMatch(t, &entries[i])
 		}
-		if !substituted {
-			t.Error("no substituted row: the fault plan no longer exercises omitempty")
+		if !substituted || !absent {
+			t.Errorf("substituted rows %v, absentees %v: the fault plan no longer exercises omitempty", substituted, absent)
 		}
 	})
 
@@ -132,6 +134,11 @@ func TestLedgerEntryAppendJSON(t *testing.T) {
 		requireMarshalMatch(t, &e)
 		requireMarshalMatch(t, &mechanism.LedgerEntry{}) // nil households, empty trace ID
 		requireMarshalMatch(t, &mechanism.LedgerEntry{Households: []mechanism.LedgerHousehold{}})
+		for _, absent := range [][]core.HouseholdID{nil, {}, {4}, {0, 7, 123456789}} {
+			e := floatEntry(1)
+			e.Absent = absent
+			requireMarshalMatch(t, e)
+		}
 	})
 
 	t.Run("float edges", func(t *testing.T) {
@@ -167,12 +174,14 @@ func floatEntry(f float64) *mechanism.LedgerEntry {
 }
 
 // FuzzLedgerEntryAppendJSON widens the oracle to fuzzed trace IDs,
-// integers and floats.
+// integers, floats and absentees (one per byte of absent, offset from
+// the household's ID; nil and empty both mean none).
 func FuzzLedgerEntryAppendJSON(f *testing.F) {
-	f.Add("f0117ac2bf13f98a", 1, 7, 18, 22, 2, true, 1.2, 0.4, -3.25e-7, 1e21)
-	f.Add("< \xff\"\u2029\t", -1, 0, 0, 0, 0, false, 0.0, math.Copysign(0, -1), 5e-324, math.MaxFloat64)
+	f.Add("f0117ac2bf13f98a", 1, 7, 18, 22, 2, true, 1.2, 0.4, -3.25e-7, 1e21, []byte(nil))
+	f.Add("< \xff\"\u2029\t", -1, 0, 0, 0, 0, false, 0.0, math.Copysign(0, -1), 5e-324, math.MaxFloat64, []byte{})
+	f.Add("9a3c", 2, 5, 17, 23, 3, false, 0.5, 0.25, 1e-3, 12.5, []byte{1, 2, 200})
 	f.Fuzz(func(t *testing.T, traceID string, day, id, begin, end, slots int, sub bool,
-		a, b, c, d float64) {
+		a, b, c, d float64, absent []byte) {
 		e := &mechanism.LedgerEntry{Schema: mechanism.LedgerSchemaVersion, TraceID: traceID, Day: day,
 			K: a, Xi: b, Rating: c, Cost: d, Revenue: a * b, BudgetResidual: c - d, Peak: d / 3,
 			Households: []mechanism.LedgerHousehold{{
@@ -182,6 +191,12 @@ func FuzzLedgerEntryAppendJSON(f *testing.F) {
 				DefermentSlots: slots, Substituted: sub, Defected: !sub,
 				PredictedFlexibility: a, Flexibility: b, Defection: c, SocialCost: d, Payment: a - d,
 			}}}
+		if absent != nil {
+			e.Absent = make([]core.HouseholdID, len(absent))
+			for i, off := range absent {
+				e.Absent[i] = core.HouseholdID(id + int(off))
+			}
+		}
 		requireMarshalMatch(t, e)
 	})
 }

@@ -12,8 +12,8 @@ import (
 // bytes per household on average,
 // because every shard day settles in its pooled link and settle scratch
 // and leaves only per-shard bookkeeping behind. The race build skips it:
-// its sync.Pool drops a quarter of Puts by design, so pooled storage is
-// reallocated at random there.
+// its sync.Pool drops a quarter of Puts by design, so pooled storage
+// (the ledger's line buffers) is reallocated at random there.
 func checkDayBytes(t *testing.T, households, days int, settle func()) {
 	t.Helper()
 	var before, after runtime.MemStats

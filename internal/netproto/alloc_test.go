@@ -20,10 +20,15 @@ const steadyHouseholds = 2000
 // so a day allocates only per-shard bookkeeping — well under one
 // allocation per household, and, outside the race build, under 16 bytes
 // (checkDayBytes).
+//
+// The bytes gate runs at Workers: 1, as its ledger twin's does. One
+// warm day does not make every worker run a shard day while the others
+// run theirs, so at the default worker count up to Workers−1 link
+// scratches could first be grown inside the measured days, about 6 B
+// per household each. The count gate runs at the default worker count.
 func TestClusterDaySteadyStateAllocs(t *testing.T) {
-	settle := warmClusterDays(t, 1)
-	checkDayAllocs(t, settle)
-	checkDayBytes(t, steadyHouseholds, 10, settle)
+	checkDayAllocs(t, warmClusterDays(t, 1))
+	checkDayBytes(t, steadyHouseholds, 10, warmClusterDays(t, 1, WithWorkers(1)))
 }
 
 // TestClusterDayLedgerSteadyStateAllocs extends the contract to the
@@ -40,9 +45,8 @@ func TestClusterDaySteadyStateAllocs(t *testing.T) {
 // long such runs get depends on how the host schedules the workers, so
 // at the default worker count the count gate alone applies. Filling the
 // tail grows the heap by its 10 MB, which brings a collection due inside
-// the measured days at random; a collection can cost one pooled link
-// scratch its regrowth (about 150 KB), which would read as 7 B per
-// household over 10 days, so the bytes gate averages 50.
+// the measured days at random, and collections can take back the pooled
+// line buffers (a sync.Pool), so the bytes gate averages 50 days.
 func TestClusterDayLedgerSteadyStateAllocs(t *testing.T) {
 	warm := journalTailCap/16 + 1
 	serial := warmClusterDays(t, warm, WithWorkers(1), WithLedger(NewJournal(io.Discard)))

@@ -36,8 +36,8 @@ type centerConfig struct {
 	TraceSeed uint64
 	// Ledger, when non-nil, receives one mechanism.LedgerEntry per
 	// settled day — the per-day audit record of every Eq. 4–7
-	// intermediate, linked to the day's trace ID. It typically shares
-	// a Journal-backed file with nothing else (one JSONL line per day).
+	// intermediate, linked to the day's trace ID, and the day's one
+	// persisted record (one JSONL line per day).
 	Ledger *Journal
 	// FaultPlan, when non-nil, injects deterministic faults into the
 	// center's outbound messages, independently per accepted
@@ -61,7 +61,8 @@ type centerConfig struct {
 }
 
 // DayRecord is the full outcome of one protocol day (see
-// settle.DayRecord). It is the unit of persistence (see Journal).
+// settle.DayRecord). A Journal persists the day's ledger entry, not
+// the record.
 type DayRecord = settle.DayRecord
 
 // committer is the center's one commit path for its durable decisions:

@@ -112,6 +112,9 @@ type Cluster struct {
 	dirty   bool // membership changed since shards were built
 	closed  bool
 
+	scratchMu sync.Mutex
+	scratch   []*linkScratch // free link scratches (see linkScratch)
+
 	*operatorPlane // its shard rows rebuilt at each merge
 }
 
@@ -420,7 +423,7 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 	if len(st.ids) > 0 { // an empty shard (more shards than households) settles trivially
 		// A leg carries one message per member at most, plus the payment
 		// leg's trailing metricsReport.
-		ls := linkScratchPool.Get().(*linkScratch)
+		ls := c.takeScratch()
 		ls.reset(len(st.ids) + 1)
 		cfg := c.center.Config
 		cfg.Scheduler = st.scheduler
@@ -448,7 +451,7 @@ func (c *Cluster) runShardDay(ctx context.Context, st *shardState, shard, day in
 				out.Record = r
 			}
 		}
-		linkScratchPool.Put(ls)
+		c.putScratch(ls)
 	}
 	ledger.hand(shard, line)
 	if err != nil {
@@ -727,8 +730,11 @@ type shardLink struct {
 // linkScratch is the storage of one running shard day: the leg being
 // built and sent, the leg just delivered, the frame between them, and
 // the settle.Scratch the day's machine settles in. A shard day takes
-// one from linkScratchPool and returns it when it ends, so storage
-// scales with the shards settling at once, never with the shard count.
+// one from its cluster's free list and returns it when it ends, so the
+// cluster holds one per shard day that ever ran at once (at most one
+// per worker), never one per shard. A free list rather than a
+// sync.Pool: a collection never drops a warm scratch, so a warm day
+// never grows one again.
 //
 // Ownership contract: the delivered messages transfer returns point
 // into recv and are valid only until the next transfer. Callers copy
@@ -748,7 +754,26 @@ type linkScratch struct {
 	settle    settle.Scratch     // the day machine's storage
 }
 
-var linkScratchPool = sync.Pool{New: func() any { return new(linkScratch) }}
+// takeScratch returns a free link scratch, or a new one when every
+// scratch the cluster holds is in a running shard day.
+func (c *Cluster) takeScratch() *linkScratch {
+	c.scratchMu.Lock()
+	defer c.scratchMu.Unlock()
+	n := len(c.scratch)
+	if n == 0 {
+		return new(linkScratch)
+	}
+	ls := c.scratch[n-1]
+	c.scratch = c.scratch[:n-1]
+	return ls
+}
+
+// putScratch returns a shard day's link scratch to the free list.
+func (c *Cluster) putScratch(ls *linkScratch) {
+	c.scratchMu.Lock()
+	c.scratch = append(c.scratch, ls)
+	c.scratchMu.Unlock()
+}
 
 // reset readies ls for a shard day whose legs carry at most n messages.
 // Reserving send's capacity up front keeps add from ever moving a slot

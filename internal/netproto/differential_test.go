@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net"
 	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -386,6 +387,28 @@ func TestDifferentialDegradedDay(t *testing.T) {
 	}
 	if g, w := blankLedger(replicaLedger.Bytes()), blankLedger(centerLedger.Bytes()); !bytes.Equal(g, w) {
 		t.Errorf("replayed degraded ledger differs:\nreplica %s\n center %s", g, w)
+	}
+	// The ledger is the day's one persisted record, so each topology's
+	// line names the absentee its record names.
+	for _, top := range []struct {
+		name   string
+		ledger []byte
+		rec    *netproto.DayRecord
+	}{
+		{"cluster", clusterLedger.Bytes(), clusterDay},
+		{"center", centerLedger.Bytes(), centerDay},
+		{"replica set", replicaLedger.Bytes(), replicaDay},
+	} {
+		if !bytes.HasSuffix(top.ledger, []byte(`,"absent":[1]}`+"\n")) {
+			t.Errorf("%s: the ledger line does not end in the absentee: %s", top.name, top.ledger)
+		}
+		entries, err := mechanism.ReadLedger(bytes.NewReader(top.ledger))
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("%s: %d ledger entries, err %v; want 1", top.name, len(entries), err)
+		}
+		if !slices.Equal(entries[0].Absent, top.rec.Absent) {
+			t.Errorf("%s: ledger absentees %v, record absentees %v", top.name, entries[0].Absent, top.rec.Absent)
+		}
 	}
 }
 

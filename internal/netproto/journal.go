@@ -16,12 +16,11 @@ import (
 // the same bound the HTTP surface enforces with a 400 on overlarge n.
 const journalTailCap = obs.MaxLedgerTail
 
-// Journal persists JSON Lines — one value per line — so a
-// neighborhood's history survives restarts and can be replayed for
-// billing audits: the audit ledger (one mechanism.LedgerEntry line per
-// settled day, see WithLedger) or DayRecords written with Append. Writes
-// are serialized, one Write call per line; a Journal may be shared by a
-// Center and ad-hoc writers. The most recent lines are retained in a
+// Journal persists the audit ledger as JSON Lines: one
+// mechanism.LedgerEntry line per settled day (see WithLedger), the one
+// persisted record of a day in every topology, which mechanism.ReadLedger
+// reads back and LedgerEntry.Audit re-derives. Writes are serialized,
+// one Write call per line. The most recent lines are retained in a
 // bounded ring, which is what makes a Journal an obs.LedgerTailer.
 //
 // The ring owns what it retains. A line the writer lends for the call
@@ -29,8 +28,8 @@ const journalTailCap = obs.MaxLedgerTail
 // storage, which the slot reuses; a line that does not fit replaces it
 // with a copy of exactly that line, never grown by append's 1.25×. A
 // line whose bytes stay unchanged for good (a replica log's committed
-// entry, a marshalled day record) is kept: its slot aliases it and
-// never writes into it.
+// entry, a line AppendValue marshalled) is kept: its slot aliases it
+// and never writes into it.
 type Journal struct {
 	mu   sync.Mutex
 	w    io.Writer
@@ -50,12 +49,14 @@ type tailSlot struct {
 // NewJournal wraps a writer (typically an os.File opened with append).
 func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 
-// AppendValue writes any JSON-marshalable record as one line, encoded by
+// AppendValue writes any JSON-marshalable value as one line, encoded by
 // json.Marshal, with the same locking and crash-recovery semantics as
-// every other line. Day records (Append) go through it; the audit
-// ledger does not: a center, a replica set and a cluster's shard
-// workers encode each ledger entry with mechanism.LedgerEntry.AppendJSON,
-// which writes the bytes json.Marshal would (see ledgerLine).
+// every other line. The program's ledger does not go through it: a
+// center, a replica set and a cluster's shard workers encode each entry
+// with mechanism.LedgerEntry.AppendJSON, which writes the bytes
+// json.Marshal would (see ledgerLine). It stays as the reflective
+// reference that enkibench's replay check compares written ledger lines
+// against, beside its replay of mechanism.BuildLedgerEntry.
 func (j *Journal) AppendValue(v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -140,44 +141,4 @@ func (j *Journal) LedgerTail(n int) []json.RawMessage {
 		out[i] = bytes.Clone(j.tail[(start+i)%journalTailCap].line)
 	}
 	return out
-}
-
-// Append writes one day record as a JSON line.
-func (j *Journal) Append(record *DayRecord) error {
-	if record == nil {
-		return fmt.Errorf("netproto: nil day record")
-	}
-	return j.AppendValue(record)
-}
-
-// ReadJournal loads every day record from a JSONL stream, in order. A
-// corrupt or truncated final line — the signature of a crash during
-// append — is skipped so the intact history stays replayable;
-// corruption followed by further valid records is still an error (see
-// obs.ReadJSONL).
-func ReadJournal(r io.Reader) ([]DayRecord, error) {
-	return obs.ReadJSONL[DayRecord](r, "netproto: journal")
-}
-
-// Replay summarizes a journal: total cost, total revenue, and the
-// per-household cumulative payments — the billing-audit view.
-type Replay struct {
-	Days      int
-	TotalCost float64
-	Revenue   float64
-	ByID      map[int64]float64 // cumulative payment per household ID
-}
-
-// ReplayJournal folds a journal into its billing summary.
-func ReplayJournal(records []DayRecord) Replay {
-	rep := Replay{ByID: make(map[int64]float64)}
-	for _, rec := range records {
-		rep.Days++
-		rep.TotalCost += rec.Cost
-		for i, r := range rec.Reports {
-			rep.Revenue += rec.Payments[i]
-			rep.ByID[int64(r.ID)] += rec.Payments[i]
-		}
-	}
-	return rep
 }

@@ -4,166 +4,86 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
-	"time"
 
-	"enki/internal/core"
+	"enki/internal/mechanism"
 )
 
-func TestJournalRoundTrip(t *testing.T) {
-	c := newTestCenter(t)
-	types := []core.Type{
-		{True: core.MustPreference(18, 22, 2), ValuationFactor: 5},
-		{True: core.MustPreference(17, 23, 2), ValuationFactor: 4},
-	}
-	for i, typ := range types {
-		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-	}
-	if err := waitForAgents(c, 2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	journal := NewJournal(&buf)
-	var wantCost, wantRevenue float64
-	for day := 1; day <= 3; day++ {
-		record, err := c.RunDayContext(context.Background(), day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := journal.Append(record); err != nil {
-			t.Fatal(err)
-		}
-		wantCost += record.Cost
-		for _, p := range record.Payments {
-			wantRevenue += p
+// settledLedger settles days days of a two-household, one-shard
+// cluster and returns the audit ledger it wrote, one line per day.
+func settledLedger(t *testing.T, days int) []byte {
+	t.Helper()
+	var ledger bytes.Buffer
+	cluster := buildCluster(t, 2, WithShards(1), WithLedger(NewJournal(&ledger)))
+	for day := 1; day <= days; day++ {
+		if _, err := cluster.ClusterDay(context.Background(), day); err != nil {
+			t.Fatalf("day %d: %v", day, err)
 		}
 	}
-
-	records, err := ReadJournal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 3 {
-		t.Fatalf("read %d records, want 3", len(records))
-	}
-	for i, rec := range records {
-		if rec.Day != i+1 {
-			t.Errorf("record %d has day %d", i, rec.Day)
-		}
-		if len(rec.Reports) != 2 || len(rec.Payments) != 2 {
-			t.Errorf("record %d incomplete: %d reports, %d payments",
-				i, len(rec.Reports), len(rec.Payments))
-		}
-	}
-
-	rep := ReplayJournal(records)
-	if rep.Days != 3 {
-		t.Errorf("replay days = %d, want 3", rep.Days)
-	}
-	if math.Abs(rep.TotalCost-wantCost) > 1e-9 {
-		t.Errorf("replay cost %g, want %g", rep.TotalCost, wantCost)
-	}
-	if math.Abs(rep.Revenue-wantRevenue) > 1e-9 {
-		t.Errorf("replay revenue %g, want %g", rep.Revenue, wantRevenue)
-	}
-	if len(rep.ByID) != 2 {
-		t.Errorf("replay tracked %d households, want 2", len(rep.ByID))
-	}
-	for id, paid := range rep.ByID {
-		if paid <= 0 {
-			t.Errorf("household %d cumulative payment %g", id, paid)
-		}
-	}
+	return ledger.Bytes()
 }
 
-func TestJournalAppendNil(t *testing.T) {
-	j := NewJournal(&bytes.Buffer{})
-	if err := j.Append(nil); err == nil {
-		t.Error("nil record should be rejected")
-	}
-}
-
-func TestReadJournalGarbage(t *testing.T) {
-	// A lone corrupt line is a trailing partial record: skipped, and an
-	// empty (but replayable) history remains.
-	records, err := ReadJournal(strings.NewReader("{bad json}\n"))
+// TestReadLedgerGarbage: a lone corrupt line is a crash-truncated tail,
+// skipped so an empty (but readable) history remains; corruption
+// followed by a valid entry is real damage, and the whole read fails;
+// blank lines are ignored.
+func TestReadLedgerGarbage(t *testing.T) {
+	entries, err := mechanism.ReadLedger(strings.NewReader("{bad json}\n"))
 	if err != nil {
 		t.Errorf("lone corrupt trailing line should be skipped, got %v", err)
 	}
-	if len(records) != 0 {
-		t.Errorf("corrupt-only journal yielded %d records", len(records))
+	if len(entries) != 0 {
+		t.Errorf("corrupt-only ledger yielded %d entries", len(entries))
 	}
-	// Corruption followed by a valid record is real damage, not a
-	// crash-truncated tail: the whole read fails.
-	valid := `{"day":1,"reports":[],"assignments":[],"consumptions":[],"payments":[],"flexibility":[],"defection":[],"socialCost":[],"cost":0,"peak":0}`
-	if _, err := ReadJournal(strings.NewReader("{bad json}\n" + valid + "\n")); err == nil {
-		t.Error("mid-journal corruption should be rejected")
+	valid := settledLedger(t, 1)
+	if _, err := mechanism.ReadLedger(strings.NewReader("{bad json}\n" + string(valid))); err == nil {
+		t.Error("mid-ledger corruption should be rejected")
 	}
-	records, err = ReadJournal(strings.NewReader("\n\n"))
+	entries, err = mechanism.ReadLedger(strings.NewReader("\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 0 {
-		t.Errorf("blank journal yielded %d records", len(records))
+	if len(entries) != 0 {
+		t.Errorf("blank ledger yielded %d entries", len(entries))
 	}
 }
 
-// TestReadJournalTruncatedTail simulates a crash during append: a valid
-// history followed by a half-written final line. The replay must return
-// the intact records and skip the partial one.
-func TestReadJournalTruncatedTail(t *testing.T) {
-	c := newTestCenter(t)
-	for i, typ := range []core.Type{
-		{True: core.MustPreference(18, 22, 2), ValuationFactor: 5},
-		{True: core.MustPreference(17, 23, 2), ValuationFactor: 4},
-	} {
-		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
-		if err != nil {
-			t.Fatal(err)
+// TestReadLedgerTruncatedTail simulates a crash during append: two
+// settled days followed by the third day's line cut short. The read
+// must return the intact entries, which still audit clean, and skip
+// the partial one.
+func TestReadLedgerTruncatedTail(t *testing.T) {
+	lines := bytes.SplitAfter(settledLedger(t, 3), []byte("\n"))
+	intact, third := string(lines[0])+string(lines[1]), string(lines[2])
+	cut := func(after string) string {
+		i := strings.Index(third, after)
+		if i < 0 {
+			t.Fatalf("the ledger line has no %s", after)
 		}
-		defer a.Close()
+		return third[:i+len(after)]
 	}
-	if err := waitForAgents(c, 2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	journal := NewJournal(&buf)
-	for day := 1; day <= 2; day++ {
-		record, err := c.RunDayContext(context.Background(), day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := journal.Append(record); err != nil {
-			t.Fatal(err)
-		}
-	}
-	intact := buf.String()
-
 	for _, tail := range []string{
-		`{"day":3,"repor`,      // cut mid-key, no newline
-		`{"day":3,"reports":[`, // cut mid-array with newline
-		"\n" + `{"day"`,        // blank line then a stub
+		cut(`"trace`),                // cut mid-key, no newline
+		cut(`"households":[`) + "\n", // cut mid-array with newline
+		"\n" + cut(`{"schema"`),      // blank line then a stub
 	} {
-		records, err := ReadJournal(strings.NewReader(intact + tail))
+		entries, err := mechanism.ReadLedger(strings.NewReader(intact + tail))
 		if err != nil {
-			t.Errorf("tail %q: replay failed: %v", tail, err)
+			t.Errorf("tail %q: read failed: %v", tail, err)
 			continue
 		}
-		if len(records) != 2 {
-			t.Errorf("tail %q: replayed %d records, want 2", tail, len(records))
+		if len(entries) != 2 {
+			t.Errorf("tail %q: read %d entries, want 2", tail, len(entries))
 			continue
 		}
-		rep := ReplayJournal(records)
-		if rep.Days != 2 || len(rep.ByID) != 2 {
-			t.Errorf("tail %q: replay summary %+v malformed", tail, rep)
+		for i, e := range entries {
+			if e.Day != i+1 || len(e.Households) != 2 {
+				t.Errorf("tail %q: entry %d is day %d with %d households, want day %d with 2", tail, i, e.Day, len(e.Households), i+1)
+			}
+			if bad := e.Audit(); len(bad) != 0 {
+				t.Errorf("tail %q: day %d audit: %v", tail, e.Day, bad)
+			}
 		}
 	}
 }

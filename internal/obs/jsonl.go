@@ -8,12 +8,12 @@ import (
 )
 
 // ReadJSONL loads a JSONL stream of T values, in order: the one
-// crash-tolerant reader behind the settlement journal, the audit ledger,
-// span traces and flight-recorder dumps. Blank lines are skipped. A
-// corrupt or truncated final line — the signature of a crash during
-// append — is skipped so the intact history stays readable, but
-// corruption followed by another line is an error. A line may be at
-// most 1 MiB. Errors name the stream (e.g. "obs: trace") and the line.
+// crash-tolerant reader behind the audit ledger, span traces and
+// flight-recorder dumps. Blank lines are skipped. A corrupt or
+// truncated final line — the signature of a crash during append — is
+// skipped so the intact history stays readable, but corruption
+// followed by another line is an error. A line may be at most 1 MiB.
+// Errors name the stream (e.g. "obs: trace") and the line.
 func ReadJSONL[T any](r io.Reader, stream string) ([]T, error) {
 	var out []T
 	var pending error

@@ -3,8 +3,10 @@ package settle
 import "enki/internal/core"
 
 // DayRecord is the full outcome of one neighbourhood's settlement day.
-// It is the unit of persistence (netproto's Journal), hence the JSON
-// tags. Every per-household slice is aligned with Reports.
+// Its JSON is what a cluster's ShardDay.Record carries and what the
+// record digests of the differential and golden tests pin; the day's
+// persisted record is its audit-ledger entry (Outcome.LedgerEntry).
+// Every per-household slice is aligned with Reports.
 type DayRecord struct {
 	Day     int    `json:"day"`
 	TraceID string `json:"traceId,omitempty"` // joins the record to its trace and ledger entry
@@ -21,7 +23,7 @@ type DayRecord struct {
 
 	// Substituted marks the reports whose consumption was imputed
 	// (household dark past the consumption deadline); nil on fault-free
-	// days so their journal bytes are unchanged.
+	// days so their record bytes are unchanged.
 	Substituted []bool `json:"substituted,omitempty"`
 	// Absent lists households that were members at dawn but never
 	// reported a preference: they sat the day out entirely (no

@@ -161,11 +161,14 @@ func (o *Outcome) LedgerEntry() mechanism.LedgerEntry {
 }
 
 // ledgerEntry builds the entry's rows in rows (see
-// mechanism.BuildLedgerEntryInto).
+// mechanism.BuildLedgerEntryInto). The entry's absentees alias the
+// record's, which are nil on a day without any.
 func (o *Outcome) ledgerEntry(rows []mechanism.LedgerHousehold) mechanism.LedgerEntry {
 	r := o.Record
-	return mechanism.BuildLedgerEntryInto(rows, r.TraceID, r.Day, o.mech, o.rating, r.Reports, o.assigned, o.consumed,
+	e := mechanism.BuildLedgerEntryInto(rows, r.TraceID, r.Day, o.mech, o.rating, r.Reports, o.assigned, o.consumed,
 		r.Substituted, o.predicted, r.Flexibility, r.Defection, r.SocialCost, r.Payments, r.Cost, r.Peak)
+	e.Absent = r.Absent
+	return e
 }
 
 // Settle is the consumption phase. consumptions are aligned with the

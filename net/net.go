@@ -81,18 +81,17 @@ type (
 	FaultPlan = netproto.FaultPlan
 	// FaultAction is one scheduled fault: drop, delay, dup, or garble.
 	FaultAction = netproto.FaultAction
-	// Journal is an append-only JSONL writer: WithLedger's audit ledger
-	// (one LedgerEntry per settled day), or DayRecords appended with
-	// Append.
+	// Journal is the append-only JSONL writer of WithLedger's audit
+	// ledger: one LedgerEntry per settled day, read back with
+	// ReadLedger.
 	Journal = netproto.Journal
 	// LedgerEntry is one settled day's audit-ledger line: every Eq. 4–7
 	// intermediate, which its Audit method re-derives.
 	LedgerEntry = mechanism.LedgerEntry
 	// DayRecord is a completed settlement day, including any degraded
-	// households (Substituted, Absent).
+	// households (Substituted, Absent). Its ledger entry, not the
+	// record, is what a WithLedger journal persists.
 	DayRecord = netproto.DayRecord
-	// Replay summarizes a journal for crash recovery.
-	Replay = netproto.Replay
 	// PaymentDetail is the per-household payment message body.
 	PaymentDetail = netproto.PaymentDetail
 	// Cluster is the sharded multi-neighborhood settlement service.
@@ -274,10 +273,3 @@ func NewJournal(w io.Writer) *Journal { return netproto.NewJournal(w) }
 // ReadLedger decodes the audit-ledger entries a WithLedger journal
 // wrote, tolerating a truncated trailing line from a crash.
 func ReadLedger(r io.Reader) ([]LedgerEntry, error) { return mechanism.ReadLedger(r) }
-
-// ReadJournal decodes the day records appended to a Journal with
-// Append, tolerating a truncated trailing line from a crash.
-func ReadJournal(r io.Reader) ([]DayRecord, error) { return netproto.ReadJournal(r) }
-
-// ReplayJournal summarizes persisted records for crash recovery.
-func ReplayJournal(records []DayRecord) Replay { return netproto.ReplayJournal(records) }
