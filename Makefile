@@ -87,14 +87,18 @@ bench-net-check:
 # only while the agent publishes the payment last. It runs the cluster's
 # steady-state allocation gates repeatedly at 1, 2 and 4 processors,
 # because how the workers overlap their shard days, and so which storage
-# a warm day reuses, depends on the processor count.
+# a warm day reuses, depends on the processor count. It runs the ledger
+# audit tests of the three tools that judge a ledger through
+# mechanism.LedgerEntry.Audit (enkitrace, enkidebug, enkiops): a degraded
+# day and a surviving replica's ledger audit clean, and a tampered line
+# fails each tool's audit.
 chaos:
 	$(GO) test ./internal/netproto -count=1 \
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
 	$(GO) test ./internal/netproto -race -count=10 \
 		-run 'TestCluster|TestChaosFederatedSnapshotDegradedShard|TestChaosReplica|TestDifferentialTopologies|TestTrace|TestLedgerDeterministic'
 	$(GO) test ./internal/netproto -count=10 -cpu 1,2,4 -run SteadyStateAllocs
-	$(GO) test ./cmd/enkitrace -count=1 -run 'Degraded|SurvivingReplica'
+	$(GO) test ./cmd/enkitrace ./cmd/enkidebug ./cmd/enkiops -count=1 -run 'Degraded|SurvivingReplica|Audit'
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s

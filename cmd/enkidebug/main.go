@@ -1,12 +1,13 @@
 // Command enkidebug analyzes a debug bundle offline and prints a triage
 // report: the implicated day/shard/trace, phase latency against the SLO
-// threshold, the recomputed Theorem 1 budget residual from the bundled
-// ledger, the retry/fault timeline, and a ranked probable-cause summary.
+// threshold, the audit of every bundled ledger entry
+// (mechanism.LedgerEntry.Audit: Eq. 4–7 per household and Theorem 1),
+// the retry/fault timeline, and a ranked probable-cause summary.
 //
-// Exit codes are CI-suitable: 0 the bundle analyzed clean (Theorem 1
-// residual within tolerance), 1 usage or a corrupt/unreadable bundle,
-// 2 an integrity violation (the recomputed budget residual is nonzero
-// beyond float tolerance — the mechanism itself misbehaved).
+// Exit codes are CI-suitable: 0 the bundle analyzed clean (every ledger
+// entry audits clean), 1 usage or a corrupt/unreadable bundle, 2 an
+// integrity violation (the audit found a bill or total the mechanism's
+// own equations do not give).
 package main
 
 import (
@@ -21,16 +22,17 @@ import (
 	"strings"
 	"time"
 
+	"enki/internal/mechanism"
 	"enki/internal/obs"
 )
 
-// errResidual marks a Theorem 1 integrity violation (exit 2).
-var errResidual = errors.New("enkidebug: budget residual violation")
+// errAudit marks a ledger entry that fails its audit (exit 2).
+var errAudit = errors.New("enkidebug: ledger audit failed")
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, errResidual) {
+		if errors.Is(err, errAudit) {
 			os.Exit(2)
 		}
 		os.Exit(1)
@@ -59,16 +61,6 @@ type phaseFinding struct {
 	Breached    bool    `json:"breached,omitempty"`
 }
 
-// residualFinding is the recomputed Theorem 1 audit over the bundled
-// ledger tail.
-type residualFinding struct {
-	Entries   int     `json:"entries"`
-	MaxAbs    float64 `json:"maxAbs"`
-	Tolerance float64 `json:"tolerance"`
-	WorstDay  int     `json:"worstDay"`
-	Violated  bool    `json:"violated"`
-}
-
 // cause is one ranked probable-cause line.
 type cause struct {
 	Score int    `json:"score"`
@@ -77,23 +69,23 @@ type cause struct {
 
 // triageReport is the whole analysis (the -json output shape).
 type triageReport struct {
-	Bundle     string            `json:"bundle"`
-	Reason     string            `json:"reason"`
-	CapturedAt string            `json:"capturedAt"`
-	Build      string            `json:"build"`
-	Day        int               `json:"day"`
-	Traces     []string          `json:"traces,omitempty"`
-	Shards     []shardFinding    `json:"shards,omitempty"`
-	ShardTotal int               `json:"shardTotal"`
-	Phases     []phaseFinding    `json:"phases,omitempty"`
-	SLO        []string          `json:"sloUnhealthy,omitempty"`
-	Residual   residualFinding   `json:"residual"`
-	Events     int               `json:"events"`
-	Timeline   []string          `json:"timeline,omitempty"`
-	Causes     []cause           `json:"causes"`
-	Profiles   map[string]int    `json:"profiles,omitempty"`
-	Notes      []string          `json:"notes,omitempty"`
-	Config     map[string]string `json:"-"`
+	Bundle     string               `json:"bundle"`
+	Reason     string               `json:"reason"`
+	CapturedAt string               `json:"capturedAt"`
+	Build      string               `json:"build"`
+	Day        int                  `json:"day"`
+	Traces     []string             `json:"traces,omitempty"`
+	Shards     []shardFinding       `json:"shards,omitempty"`
+	ShardTotal int                  `json:"shardTotal"`
+	Phases     []phaseFinding       `json:"phases,omitempty"`
+	SLO        []string             `json:"sloUnhealthy,omitempty"`
+	Audit      []mechanism.DayAudit `json:"audit"`
+	Events     int                  `json:"events"`
+	Timeline   []string             `json:"timeline,omitempty"`
+	Causes     []cause              `json:"causes"`
+	Profiles   map[string]int       `json:"profiles,omitempty"`
+	Notes      []string             `json:"notes,omitempty"`
+	Config     map[string]string    `json:"-"`
 }
 
 func run(argv []string, out io.Writer) error {
@@ -128,9 +120,8 @@ func run(argv []string, out io.Writer) error {
 	} else {
 		render(out, rep, *tailN)
 	}
-	if rep.Residual.Violated {
-		return fmt.Errorf("%w: max |Σp − ξ·κ| = %g over %d ledger entries (tolerance %g)",
-			errResidual, rep.Residual.MaxAbs, rep.Residual.Entries, rep.Residual.Tolerance)
+	if n := auditFindings(rep.Audit); n > 0 {
+		return fmt.Errorf("%w: %d findings in %d ledger entries", errAudit, n, len(rep.Audit))
 	}
 	return nil
 }
@@ -218,7 +209,7 @@ func analyze(path string, b *obs.Bundle) *triageReport {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			base := baseOf(k)
+			base := obs.BaseName(k)
 			switch base {
 			case "enki_netproto_phase_latency_ms", "enki_netproto_day_settle_latency_ms", "enki_cluster_shard_settle_latency_ms":
 			default:
@@ -242,57 +233,10 @@ func analyze(path string, b *obs.Bundle) *triageReport {
 		}
 	}
 
-	rep.Residual = auditLedger(b.Ledger)
+	rep.Audit = mechanism.AuditLines(b.Ledger)
 	rep.Timeline = timeline(b.Events)
 	rep.Causes = rankCauses(rep, retries, resumes, darks)
 	return rep
-}
-
-// ledgerEntry is the slice of mechanism.LedgerEntry enkidebug needs;
-// decoding locally keeps the analyzer independent of internal/mechanism.
-type ledgerEntry struct {
-	Day        int     `json:"day"`
-	TraceID    string  `json:"traceId"`
-	Xi         float64 `json:"xi"`
-	Cost       float64 `json:"cost"`
-	Revenue    float64 `json:"revenue"`
-	Households []struct {
-		Payment float64 `json:"payment"`
-	} `json:"households"`
-}
-
-// auditLedger recomputes the Theorem 1 identity Σp − ξ·κ for every
-// bundled ledger entry from the per-household payments — not from the
-// entry's own revenue field, so a corrupted aggregate cannot hide.
-func auditLedger(lines []json.RawMessage) residualFinding {
-	res := residualFinding{WorstDay: -1}
-	for _, line := range lines {
-		var e ledgerEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // a bundle is outside input: skip any line that is not a ledger entry
-		}
-		if e.Xi == 0 && len(e.Households) == 0 {
-			continue // not a ledger entry
-		}
-		res.Entries++
-		var sum float64
-		for _, h := range e.Households {
-			sum += h.Payment
-		}
-		residual := sum - e.Xi*e.Cost
-		tol := 1e-6 * math.Max(1, math.Abs(sum))
-		if tol > res.Tolerance {
-			res.Tolerance = tol
-		}
-		if math.Abs(residual) > res.MaxAbs {
-			res.MaxAbs = math.Abs(residual)
-			res.WorstDay = e.Day
-		}
-		if math.Abs(residual) > tol {
-			res.Violated = true
-		}
-	}
-	return res
 }
 
 // timeline renders the event ring as human-readable lines, relative to
@@ -342,14 +286,17 @@ func timeline(events []obs.Event) []string {
 }
 
 // rankCauses orders the evidence into a probable-cause list, strongest
-// first: a mechanism-integrity violation outranks shard failures, which
-// outrank fault-linked degradation, SLO burn, and link instability.
+// first: a ledger audit finding outranks shard failures, which outrank
+// fault-linked degradation, SLO burn, and link instability.
 func rankCauses(rep *triageReport, retries, resumes, darks int) []cause {
 	var causes []cause
-	if rep.Residual.Violated {
-		causes = append(causes, cause{100, fmt.Sprintf(
-			"Theorem 1 violated: recomputed Σp − ξ·κ reaches %g on day %d — the mechanism settled off-budget",
-			rep.Residual.MaxAbs, rep.Residual.WorstDay)})
+	for _, d := range rep.Audit {
+		if len(d.Findings) > 0 {
+			causes = append(causes, cause{100, fmt.Sprintf(
+				"ledger audit failed: %d findings, first on day %d (trace %s): %s — the ledger records a day the mechanism's equations do not give",
+				auditFindings(rep.Audit), d.Day, d.TraceID, d.Findings[0])})
+			break
+		}
 	}
 	for _, sh := range rep.Shards {
 		switch sh.State {
@@ -384,7 +331,7 @@ func rankCauses(rep *triageReport, retries, resumes, darks int) []cause {
 		causes = append(causes, cause{30, fmt.Sprintf("%d connections went dark mid-day", darks)})
 	}
 	if len(causes) == 0 {
-		causes = append(causes, cause{0, "no anomalies: shards healthy, SLOs met, Theorem 1 residual zero"})
+		causes = append(causes, cause{0, "no anomalies: shards healthy, SLOs met, ledger audits clean"})
 	}
 	sort.SliceStable(causes, func(i, j int) bool { return causes[i].Score > causes[j].Score })
 	return causes
@@ -433,12 +380,13 @@ func quantile(h obs.HistogramSnapshot, q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// baseOf strips the {label} suffix from a series key.
-func baseOf(key string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i]
+// auditFindings counts the findings over every audited ledger day.
+func auditFindings(days []mechanism.DayAudit) int {
+	n := 0
+	for _, d := range days {
+		n += len(d.Findings)
 	}
-	return key
+	return n
 }
 
 func render(out io.Writer, rep *triageReport, tailN int) {
@@ -491,16 +439,20 @@ func render(out io.Writer, rep *triageReport, tailN int) {
 		}
 	}
 
-	fmt.Fprintln(out, "\nledger audit (Theorem 1, Σp − ξ·κ recomputed from per-household payments):")
-	if rep.Residual.Entries == 0 {
+	fmt.Fprintln(out, "\nledger audit (Eq. 4–7 per household and Theorem 1, re-derived from each entry):")
+	if len(rep.Audit) == 0 {
 		fmt.Fprintln(out, "  no ledger entries in bundle")
 	} else {
 		verdict := "OK"
-		if rep.Residual.Violated {
-			verdict = "VIOLATED"
+		if n := auditFindings(rep.Audit); n > 0 {
+			verdict = fmt.Sprintf("%d FINDINGS", n)
 		}
-		fmt.Fprintf(out, "  %d entries, max |residual| = %g (tolerance %g): %s\n",
-			rep.Residual.Entries, rep.Residual.MaxAbs, rep.Residual.Tolerance, verdict)
+		fmt.Fprintf(out, "  %d entries: %s\n", len(rep.Audit), verdict)
+		for _, d := range rep.Audit {
+			for _, f := range d.Findings {
+				fmt.Fprintf(out, "  ! day %d trace %s: %s\n", d.Day, d.TraceID, f)
+			}
+		}
 	}
 
 	if n := len(rep.Timeline); n > 0 {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +15,7 @@ import (
 
 	"enki/internal/core"
 	"enki/internal/dist"
+	"enki/internal/mechanism"
 	"enki/internal/netproto"
 	"enki/internal/obs"
 	"enki/internal/profile"
@@ -21,7 +25,7 @@ import (
 // fault-injected multi-shard day degrades one shard and breaches the
 // degraded-day objective, the trigger writes exactly one rate-limited
 // bundle, and enkidebug identifies the faulted shard while confirming
-// the recomputed Theorem 1 budget residual is zero — exit status clean.
+// that every bundled ledger entry audits clean — exit status clean.
 func TestEnkidebugAcceptance(t *testing.T) {
 	rec := obs.DefaultRecorder()
 	rec.Reset()
@@ -122,8 +126,8 @@ func TestEnkidebugAcceptance(t *testing.T) {
 	}
 
 	// The offline analyzer must implicate shard 3 from the bundle alone
-	// and confirm the recomputed budget residual is zero (exit 0 — run
-	// returns nil, in particular not errResidual).
+	// and confirm the ledger audits clean (exit 0 — run returns nil, in
+	// particular not errAudit).
 	var out bytes.Buffer
 	if err := run([]string{bundles[0]}, &out); err != nil {
 		t.Fatalf("enkidebug: %v\n%s", err, out.String())
@@ -135,8 +139,8 @@ func TestEnkidebugAcceptance(t *testing.T) {
 	if !strings.Contains(report, "degraded-day-rate") {
 		t.Errorf("report does not name the breached objective:\n%s", report)
 	}
-	if !strings.Contains(report, ": OK") || strings.Contains(report, "VIOLATED") {
-		t.Errorf("report does not confirm a zero residual:\n%s", report)
+	if !strings.Contains(report, ": OK") || strings.Contains(report, "FINDINGS") {
+		t.Errorf("report does not confirm a clean ledger audit:\n%s", report)
 	}
 
 	// The JSON form carries the same verdicts for machine consumers.
@@ -148,10 +152,10 @@ func TestEnkidebugAcceptance(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("decode JSON report: %v", err)
 	}
-	if rep.Residual.Violated {
-		t.Errorf("JSON report flags a residual violation: %+v", rep.Residual)
+	if auditFindings(rep.Audit) != 0 {
+		t.Errorf("JSON report has audit findings: %+v", rep.Audit)
 	}
-	if rep.Residual.Entries == 0 {
+	if len(rep.Audit) == 0 {
 		t.Error("JSON report audited no ledger entries")
 	}
 	found := false
@@ -166,7 +170,7 @@ func TestEnkidebugAcceptance(t *testing.T) {
 }
 
 // TestEnkidebugBadInput: a missing or corrupt bundle is a usage error
-// (exit 1 path), never a residual verdict.
+// (exit 1 path), never an audit verdict.
 func TestEnkidebugBadInput(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{filepath.Join(t.TempDir(), "nope.tar.gz")}, &out); err == nil {
@@ -183,3 +187,95 @@ func TestEnkidebugBadInput(t *testing.T) {
 		t.Fatal("corrupt bundle accepted")
 	}
 }
+
+// TestEnkidebugAuditFlagsTamperedLedger bundles a ledger tail whose
+// first line moves $1 from one household's bill to another's. Σp, and
+// so Σp − ξ·κ, are unchanged; only the per-household Eq. 7 audit sees
+// the move. enkidebug must exit 2 (errAudit), name both mismatches, and
+// rank the finding as the top probable cause.
+func TestEnkidebugAuditFlagsTamperedLedger(t *testing.T) {
+	journal := netproto.NewJournal(io.Discard)
+	cluster, err := netproto.StartCluster(context.Background(),
+		netproto.WithShards(2),
+		netproto.WithLedger(journal),
+	)
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	defer cluster.Close()
+	gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+	if err != nil {
+		t.Fatalf("generator: %v", err)
+	}
+	for i := 0; i < 16; i++ {
+		p := gen.Draw()
+		if err := cluster.Join(core.HouseholdID(i), &netproto.Truthful{Type: p.TypeWide()}); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	if _, err := cluster.ClusterDay(context.Background(), 1); err != nil {
+		t.Fatalf("ClusterDay: %v", err)
+	}
+	lines := journal.LedgerTail(obs.MaxLedgerTail)
+	if len(lines) != 2 {
+		t.Fatalf("%d ledger lines, want 2", len(lines))
+	}
+	var e mechanism.LedgerEntry
+	if err := json.Unmarshal(lines[0], &e); err != nil {
+		t.Fatal(err)
+	}
+	e.Households[0].Payment++
+	e.Households[1].Payment--
+	if lines[0], err = e.AppendJSON(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	op := obs.NewOperator(nil)
+	op.Ledger = fixedTail(lines)
+	trig, err := obs.NewTrigger(obs.TriggerConfig{Dir: t.TempDir()}, obs.BundleSources{Operator: op})
+	if err != nil {
+		t.Fatalf("NewTrigger: %v", err)
+	}
+	path, err := trig.Fire("manual")
+	if err != nil {
+		t.Fatalf("Fire: %v", err)
+	}
+
+	var out bytes.Buffer
+	err = run([]string{path}, &out)
+	if !errors.Is(err, errAudit) {
+		t.Fatalf("enkidebug error %v, want errAudit (exit 2)\n%s", err, out.String())
+	}
+	report := out.String()
+	for _, id := range []core.HouseholdID{e.Households[0].ID, e.Households[1].ID} {
+		if want := fmt.Sprintf("household %d: Eq. 7 payment", id); !strings.Contains(report, want) {
+			t.Errorf("report does not name %q:\n%s", want, report)
+		}
+	}
+	if !strings.Contains(report, "2 entries: 2 FINDINGS") {
+		t.Errorf("report does not count the findings:\n%s", report)
+	}
+
+	out.Reset()
+	if err := run([]string{"-json", path}, &out); !errors.Is(err, errAudit) {
+		t.Fatalf("enkidebug -json error %v, want errAudit", err)
+	}
+	var rep triageReport
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("decode JSON report: %v", err)
+	}
+	if len(rep.Audit) != 2 || len(rep.Audit[0].Findings) != 2 || len(rep.Audit[1].Findings) != 0 {
+		t.Fatalf("JSON audit %+v, want 2 entries and 2 findings on the first", rep.Audit)
+	}
+	if d := rep.Audit[0]; d.Day != e.Day || d.TraceID != e.TraceID {
+		t.Errorf("audited day %+v, want day %d trace %s", d, e.Day, e.TraceID)
+	}
+	if len(rep.Causes) == 0 || !strings.HasPrefix(rep.Causes[0].Text, "ledger audit failed") {
+		t.Errorf("top cause %+v, want the ledger audit", rep.Causes)
+	}
+}
+
+// fixedTail serves the same ledger lines for any tail length.
+type fixedTail []json.RawMessage
+
+func (l fixedTail) LedgerTail(int) []json.RawMessage { return l }

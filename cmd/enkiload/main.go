@@ -3,7 +3,7 @@
 // (Section VI usage profiles), partitions them into neighborhoods with
 // net.StartCluster, and drives full preference→payment days through the
 // batched wire framing, reporting throughput, wire-level counters, and
-// the Theorem 1 budget identity for every day.
+// the day machine's Theorem 1 verdict for every day.
 //
 //	enkiload -households 1000000 -shards 1024 -codec binary
 //	enkiload -households 100000 -shards 128 -days 3 -check
@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -231,6 +230,7 @@ func run(argv []string, out io.Writer) error {
 	days := func() error {
 		for day := 1; day <= f.days; day++ {
 			dayStart := time.Now()
+			violations := budgetViolations()
 			rec, err := cluster.ClusterDay(ctx, day)
 			if err != nil {
 				return fmt.Errorf("day %d: %w", day, err)
@@ -256,8 +256,8 @@ func run(argv []string, out io.Writer) error {
 					fmt.Fprintf(out, "day %d: shard breach captured → %s\n", day, path)
 				}
 			}
-			if math.Abs(residual) > 1e-6*math.Max(1, math.Abs(rec.Revenue)) {
-				return fmt.Errorf("day %d: budget identity violated: Σp = %.9f, ξ·κ = %.9f", day, rec.Revenue, f.xi*rec.Cost)
+			if err := budgetHeld(day, violations); err != nil {
+				return err
 			}
 			if check != nil {
 				ref, err := check.ClusterDay(ctx, day)
@@ -284,9 +284,9 @@ func run(argv []string, out io.Writer) error {
 	}
 
 	snap := obs.Default().Snapshot()
-	frames := counterSum(snap, obs.MetricNetFramesTotal)
-	wire := counterSum(snap, obs.MetricNetCodecBytesTotal)
-	msgs := counterSum(snap, obs.MetricNetMessagesTotal)
+	frames := snap.CounterSum(obs.MetricNetFramesTotal)
+	wire := snap.CounterSum(obs.MetricNetCodecBytesTotal)
+	msgs := snap.CounterSum(obs.MetricNetMessagesTotal)
 	fmt.Fprintf(out, "wire: %d messages in %d frames, %d codec bytes (%.1f msgs/frame, %.1f B/msg)\n",
 		msgs, frames, wire, ratio(msgs, frames), ratio(wire, msgs))
 
@@ -405,6 +405,7 @@ func runReplicated(ctx context.Context, f *loadFlags, pricer pricing.Pricer, out
 			fmt.Fprintf(out, "day %d: killed leader %d before settlement\n", day, victim)
 		}
 		dayStart := time.Now()
+		violations := budgetViolations()
 		rec, err := rs.RunDayContext(ctx, day)
 		if err != nil {
 			return fmt.Errorf("day %d: %w", day, err)
@@ -418,8 +419,8 @@ func runReplicated(ctx context.Context, f *loadFlags, pricer pricing.Pricer, out
 		fmt.Fprintf(out, "day %d: settled %d households cost %.2f revenue %.2f residual %+.3g peak %.1f kW in %v (leader %d term %d)\n",
 			day, len(rec.Reports), rec.Cost, revenue, residual, rec.Peak,
 			elapsed.Round(time.Millisecond), rs.Leader(), rs.Term())
-		if math.Abs(residual) > 1e-6*math.Max(1, math.Abs(revenue)) {
-			return fmt.Errorf("day %d: budget identity violated: Σp = %.9f, ξ·κ = %.9f", day, revenue, f.xi*rec.Cost)
+		if err := budgetHeld(day, violations); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintf(out, "replica set: %d failovers, leader %d, term %d\n", rs.Failovers(), rs.Leader(), rs.Term())
@@ -538,15 +539,21 @@ func startCluster(ctx context.Context, f *loadFlags, pricer pricing.Pricer, work
 	return cluster, nil
 }
 
-// counterSum adds every label combination of one counter family.
-func counterSum(s obs.Snapshot, name string) uint64 {
-	var total uint64
-	for k, v := range s.Counters {
-		if k == name || (len(k) > len(name) && k[:len(name)] == name && k[len(name)] == '{') {
-			total += v
-		}
+// budgetViolations reads the day machine's Theorem 1 verdict: the count
+// of neighbourhood days that settled with Σp off ξ·κ(ω) beyond float
+// tolerance (mechanism.RecordSettlementMetrics). It looks the counter
+// up on every read, so a registry Reset cannot detach it.
+func budgetViolations() uint64 {
+	return obs.Default().Counter(obs.MetricMechBudgetViolations).Value()
+}
+
+// budgetHeld fails day if budgetViolations rose past before.
+func budgetHeld(day int, before uint64) error {
+	if after := budgetViolations(); after > before {
+		return fmt.Errorf("day %d: budget identity violated: %d neighbourhood day(s) settled with Σp ≠ ξ·κ (%s)",
+			day, after-before, obs.MetricMechBudgetViolations)
 	}
-	return total
+	return nil
 }
 
 func ratio(a, b uint64) float64 {

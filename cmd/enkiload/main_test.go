@@ -37,6 +37,22 @@ func TestLoadSmallPopulation(t *testing.T) {
 	}
 }
 
+// TestLoadBudgetHeldAfterReset pins the per-day budget check to the
+// live registry: a violation the day machine counts after a Reset fails
+// the day.
+func TestLoadBudgetHeldAfterReset(t *testing.T) {
+	obs.Default().Reset()
+	defer obs.Default().Reset()
+	before := budgetViolations()
+	if err := budgetHeld(1, before); err != nil {
+		t.Fatalf("clean day failed: %v", err)
+	}
+	obs.Default().Counter(obs.MetricMechBudgetViolations).Inc()
+	if err := budgetHeld(1, before); err == nil {
+		t.Fatal("budgetHeld passed a day counted off budget")
+	}
+}
+
 // TestLoadJSONCodecAndSnapshot covers the JSON wire path and the -out
 // metrics snapshot, which must include the per-codec byte series.
 func TestLoadJSONCodecAndSnapshot(t *testing.T) {

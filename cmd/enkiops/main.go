@@ -3,8 +3,8 @@
 // enkiload -ops serve and renders a live day/shard view — current
 // phase and deadline, households reported vs dark, per-shard health
 // with substitutions and settle latency, the day's PAR and payment
-// fairness spread, the Theorem 1 residual of each audited ledger day,
-// and SLO burn rates.
+// fairness spread, the audit verdict of each ledger-tail day
+// (mechanism.LedgerEntry.Audit), and SLO burn rates.
 //
 //	enkiops -addr 127.0.0.1:8080                  # live watch, 2s cadence
 //	enkiops -addr 127.0.0.1:8080 -once            # one snapshot, then exit
@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"enki/internal/mechanism"
 	"enki/internal/obs"
 )
 
@@ -51,23 +52,11 @@ type opsReport struct {
 	Replicas *obs.ReplicaSetStatus `json:"replicas,omitempty"`
 	SLO      *obs.SLOReport        `json:"slo,omitempty"`
 	Bundle   *obs.BundleStatus     `json:"bundle,omitempty"`
-	Ledger   []ledgerLine          `json:"ledgerTail,omitempty"`
+	Ledger   []mechanism.DayAudit  `json:"ledgerTail,omitempty"`
 	// PAR and Spread mirror the mechanism gauges for the last settled
 	// day: peak-to-average ratio and max−min payment.
 	PAR    float64 `json:"par,omitempty"`
 	Spread float64 `json:"paymentSpread,omitempty"`
-}
-
-// ledgerLine is the console's view of one audit-ledger entry: the day,
-// its money totals, and the Theorem 1 residual Σp − ξ·κ recomputed from
-// the audited values (zero on every sound day).
-type ledgerLine struct {
-	Day      int     `json:"day"`
-	TraceID  string  `json:"traceId,omitempty"`
-	Cost     float64 `json:"cost"`
-	Revenue  float64 `json:"revenue"`
-	Xi       float64 `json:"xi"`
-	Residual float64 `json:"residual"`
 }
 
 func run(argv []string, out io.Writer) error {
@@ -77,7 +66,7 @@ func run(argv []string, out io.Writer) error {
 		interval = fs.Duration("interval", 2*time.Second, "poll cadence in watch mode")
 		once     = fs.Bool("once", false, "poll once and exit")
 		asJSON   = fs.Bool("json", false, "emit the snapshot as JSON instead of the table")
-		tailN    = fs.Int("ledger", 5, "audited ledger-tail entries to include")
+		tailN    = fs.Int("ledger", 5, fmt.Sprintf("audited ledger-tail entries to include (at most %d)", obs.MaxLedgerTail))
 		watchFor = fs.Duration("for", 0, "stop watching after this long (0 = until interrupted)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request HTTP timeout")
 		sloExit  = fs.Bool("slo-exit", false, "exit nonzero if any sampled SLO objective is unhealthy (CI gate; requires the target to serve /api/v1/slo)")
@@ -88,8 +77,8 @@ func run(argv []string, out io.Writer) error {
 	if *interval <= 0 {
 		return fmt.Errorf("-interval %v must be positive", *interval)
 	}
-	if *tailN < 0 {
-		return fmt.Errorf("-ledger %d must be non-negative", *tailN)
+	if *tailN < 0 || *tailN > obs.MaxLedgerTail {
+		return fmt.Errorf("-ledger %d outside [0, %d]", *tailN, obs.MaxLedgerTail)
 	}
 	base := *addr
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
@@ -211,7 +200,7 @@ func fetch(client *http.Client, base string, tailN int) (*opsReport, error) {
 		if ok, err := get(fmt.Sprintf("/api/v1/ledger/tail?n=%d", tailN), &raw, false); err != nil {
 			return nil, err
 		} else if ok {
-			rep.Ledger = decodeLedger(raw)
+			rep.Ledger = mechanism.AuditLines(raw)
 		}
 	}
 	var snap obs.Snapshot
@@ -222,33 +211,6 @@ func fetch(client *http.Client, base string, tailN int) (*opsReport, error) {
 		rep.Spread = snap.Gauges[obs.MetricMechPaymentSpread]
 	}
 	return rep, nil
-}
-
-// decodeLedger projects raw audit-ledger lines onto the console view,
-// recomputing each day's Theorem 1 residual from its audited totals.
-func decodeLedger(raw []json.RawMessage) []ledgerLine {
-	out := make([]ledgerLine, 0, len(raw))
-	for _, line := range raw {
-		var e struct {
-			Day     int     `json:"day"`
-			TraceID string  `json:"traceId"`
-			Cost    float64 `json:"cost"`
-			Revenue float64 `json:"revenue"`
-			Xi      float64 `json:"xi"`
-		}
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // not a ledger entry; the console shows what it can
-		}
-		out = append(out, ledgerLine{
-			Day:      e.Day,
-			TraceID:  e.TraceID,
-			Cost:     e.Cost,
-			Revenue:  e.Revenue,
-			Xi:       e.Xi,
-			Residual: e.Revenue - e.Xi*e.Cost,
-		})
-	}
-	return out
 }
 
 // render writes the human table: day header, shard health table, SLO
@@ -335,8 +297,15 @@ func render(w io.Writer, rep *opsReport) {
 	if len(rep.Ledger) > 0 {
 		fmt.Fprintf(w, "ledger tail:\n")
 		for _, l := range rep.Ledger {
-			fmt.Fprintf(w, "  day %-5d cost $%-10.2f revenue $%-10.2f residual %+.3g  %s\n",
-				l.Day, l.Cost, l.Revenue, l.Residual, l.TraceID)
+			verdict := "audit ok"
+			if len(l.Findings) > 0 {
+				verdict = fmt.Sprintf("audit %d FINDINGS", len(l.Findings))
+			}
+			fmt.Fprintf(w, "  day %-5d cost $%-10.2f revenue $%-10.2f %-17s %s\n",
+				l.Day, l.Cost, l.Revenue, verdict, l.TraceID)
+			for _, f := range l.Findings {
+				fmt.Fprintf(w, "    ! %s\n", f)
+			}
 		}
 	}
 }

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"enki/internal/core"
 	"enki/internal/dist"
+	"enki/internal/mechanism"
 	"enki/internal/netproto"
 	"enki/internal/obs"
 	"enki/internal/profile"
@@ -71,8 +74,8 @@ func startOpsCluster(t *testing.T, days int) string {
 // TestOpsOnceJSONAgainstLiveCluster is the acceptance path: one -once
 // -json scrape of a live fault-injected 8-shard cluster returns the day
 // status, the per-shard health table with the degraded shard visible,
-// the audited ledger tail with zero Theorem 1 residual, and the SLO
-// burn rates.
+// the ledger tail with every entry auditing clean, and the SLO burn
+// rates.
 func TestOpsOnceJSONAgainstLiveCluster(t *testing.T) {
 	addr := startOpsCluster(t, 1)
 	var out strings.Builder
@@ -110,9 +113,9 @@ func TestOpsOnceJSONAgainstLiveCluster(t *testing.T) {
 			t.Errorf("shard %d residual %g, want 0 (Theorem 1)", s, sh.Residual)
 		}
 	}
-	// The cluster audits one ledger entry per shard per day; the tail
+	// The cluster writes one ledger entry per shard per day; the tail
 	// default returns the last 5, all from the one settled day, each
-	// with a vanishing Theorem 1 residual.
+	// auditing clean.
 	if len(rep.Ledger) != 5 {
 		t.Fatalf("ledger tail has %d entries, want 5 (default -ledger)", len(rep.Ledger))
 	}
@@ -120,8 +123,8 @@ func TestOpsOnceJSONAgainstLiveCluster(t *testing.T) {
 		if l.Day != 1 {
 			t.Errorf("ledger entry for day %d, want 1", l.Day)
 		}
-		if math.Abs(l.Residual) > 1e-9 {
-			t.Errorf("ledger residual %g, want 0 (Theorem 1)", l.Residual)
+		if len(l.Findings) != 0 {
+			t.Errorf("ledger day %d audit findings %v, want none", l.Day, l.Findings)
 		}
 	}
 	if rep.SLO == nil || len(rep.SLO.Objectives) != len(obs.DefaultObjectives()) {
@@ -258,6 +261,7 @@ func TestOpsFlagValidation(t *testing.T) {
 	for _, argv := range [][]string{
 		{"-interval", "0s"},
 		{"-ledger", "-1"},
+		{"-ledger", fmt.Sprint(obs.MaxLedgerTail + 1)}, // the server answers 400 above its cap
 	} {
 		var out strings.Builder
 		if err := run(argv, &out); err == nil {
@@ -354,3 +358,90 @@ func TestOpsOnceJSONAgainstReplicaSet(t *testing.T) {
 		t.Errorf("table missing replica roles:\n%s", out.String())
 	}
 }
+
+// TestOpsAuditFlagsTamperedLedger serves a ledger tail whose first line
+// moves $1 from one household's bill to another's. Σp, and so
+// Σp − ξ·κ, are unchanged; only the per-household Eq. 7 audit sees the
+// move, and enkiops must show that day's two findings.
+func TestOpsAuditFlagsTamperedLedger(t *testing.T) {
+	journal := netproto.NewJournal(io.Discard)
+	cluster, err := netproto.StartCluster(context.Background(),
+		netproto.WithShards(2),
+		netproto.WithLedger(journal),
+	)
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+	if err != nil {
+		t.Fatalf("generator: %v", err)
+	}
+	for i := 0; i < 16; i++ {
+		p := gen.Draw()
+		if err := cluster.Join(core.HouseholdID(i), &netproto.Truthful{Type: p.TypeWide()}); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	if _, err := cluster.ClusterDay(context.Background(), 1); err != nil {
+		t.Fatalf("ClusterDay: %v", err)
+	}
+	lines := journal.LedgerTail(obs.MaxLedgerTail)
+	if len(lines) != 2 {
+		t.Fatalf("%d ledger lines, want 2", len(lines))
+	}
+	var e mechanism.LedgerEntry
+	if err := json.Unmarshal(lines[0], &e); err != nil {
+		t.Fatal(err)
+	}
+	e.Households[0].Payment++
+	e.Households[1].Payment--
+	if lines[0], err = e.AppendJSON(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	live := cluster.Operator()
+	op := obs.NewOperator(live.Registry)
+	op.Status = live.Status
+	op.Ledger = fixedTail(lines)
+	op.SetReady(true)
+	srv, err := obs.ServeOperator("127.0.0.1:0", op)
+	if err != nil {
+		t.Fatalf("ServeOperator: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	var out strings.Builder
+	if err := run([]string{"-addr", srv.Addr(), "-once", "-json"}, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	var rep opsReport
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatalf("output not valid JSON: %v\n%s", err, out.String())
+	}
+	if len(rep.Ledger) != 2 {
+		t.Fatalf("ledger tail has %d days, want 2", len(rep.Ledger))
+	}
+	if got := rep.Ledger[0].Findings; len(got) != 2 ||
+		!strings.Contains(got[0], "Eq. 7 payment") || !strings.Contains(got[1], "Eq. 7 payment") {
+		t.Errorf("tampered day findings %q, want two Eq. 7 payment mismatches", got)
+	}
+	if got := rep.Ledger[1].Findings; len(got) != 0 {
+		t.Errorf("untouched day findings %q, want none", got)
+	}
+
+	out.Reset()
+	if err := run([]string{"-addr", srv.Addr(), "-once"}, &out); err != nil {
+		t.Fatalf("run table: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"audit 2 FINDINGS", "audit ok", "! household"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("table missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// fixedTail serves the same ledger lines for any tail length.
+type fixedTail []json.RawMessage
+
+func (l fixedTail) LedgerTail(int) []json.RawMessage { return l }

@@ -227,6 +227,9 @@ func describe(s obs.Span) string {
 
 // printAudit recomputes every ledger entry's Eq. 4–7 chain and prints
 // one line per day plus any mismatches; it returns the mismatch count.
+// A day's center surplus is the entry's budgetResidual, Σp − κ(ω) =
+// (ξ−1)·κ(ω); the other tools' "residual" is Σp − ξ·κ, zero on a sound
+// day.
 func printAudit(out io.Writer, entries []mechanism.LedgerEntry) int {
 	fmt.Fprintf(out, "Ledger audit (%d entries)\n", len(entries))
 	mismatches, degradedDays := 0, 0
@@ -248,7 +251,7 @@ func printAudit(out io.Writer, entries []mechanism.LedgerEntry) int {
 			degradedDays++
 			degraded = fmt.Sprintf(", %d dark household(s) settled as defectors from journaled reports", substituted)
 		}
-		fmt.Fprintf(out, "day %d trace %s: %s (%d households, cost $%.2f, revenue $%.2f, residual $%.2f%s)\n",
+		fmt.Fprintf(out, "day %d trace %s: %s (%d households, cost $%.2f, revenue $%.2f, center surplus $%.2f%s)\n",
 			e.Day, e.TraceID, status, len(e.Households), e.Cost, e.Revenue, e.BudgetResidual, degraded)
 		for _, msg := range bad {
 			fmt.Fprintf(out, "  ! %s\n", msg)

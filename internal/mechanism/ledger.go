@@ -325,7 +325,9 @@ func auditClose(a, b float64) bool {
 //     defection scores under the entry's k;
 //   - Eq. 7: payments from the recomputed scores under the entry's ξ
 //     and recorded cost;
-//   - the Theorem 1 budget identity Σp − κ(ω) = (ξ−1)·κ(ω).
+//   - the Theorem 1 budget identity Σp − κ(ω) = (ξ−1)·κ(ω);
+//   - the absentees are listed in ascending order, each once, and none
+//     of them has a bill.
 //
 // The Eq. 5 defection magnitudes depend on the pricing function, which
 // the ledger does not embed; they are audited as recorded inputs.
@@ -423,5 +425,57 @@ func (e LedgerEntry) Audit() []string {
 	if !auditClose(e.BudgetResidual, (e.Xi-1)*e.Cost) {
 		bad = append(bad, fmt.Sprintf("Theorem 1: residual %g, (ξ−1)·κ = %g", e.BudgetResidual, (e.Xi-1)*e.Cost))
 	}
+	return append(bad, e.auditAbsent()...)
+}
+
+// auditAbsent checks the absent list: ascending, each household once,
+// and no absentee billed.
+func (e LedgerEntry) auditAbsent() []string {
+	if len(e.Absent) == 0 {
+		return nil
+	}
+	var bad []string
+	billed := make(map[core.HouseholdID]bool, len(e.Households))
+	for _, h := range e.Households {
+		billed[h.ID] = true
+	}
+	for i, id := range e.Absent {
+		switch {
+		case i > 0 && id == e.Absent[i-1]:
+			bad = append(bad, fmt.Sprintf("household %d: listed absent twice", id))
+		case i > 0 && id < e.Absent[i-1]:
+			bad = append(bad, fmt.Sprintf("household %d: absent list out of order after %d", id, e.Absent[i-1]))
+		}
+		if billed[id] {
+			bad = append(bad, fmt.Sprintf("household %d: listed absent but billed", id))
+		}
+	}
 	return bad
+}
+
+// DayAudit is one ledger line judged by Audit: the neighbourhood day it
+// settled, its totals κ(ω) and Σp, and every finding (none on a sound
+// day).
+type DayAudit struct {
+	Day      int      `json:"day"`
+	TraceID  string   `json:"traceId,omitempty"`
+	Cost     float64  `json:"cost"`
+	Revenue  float64  `json:"revenue"`
+	Findings []string `json:"findings,omitempty"`
+}
+
+// AuditLines decodes each line as a LedgerEntry and audits it, in
+// order. A line that is not JSON is skipped: the lines come from
+// outside the program (a debug bundle, an operator-plane answer), and a
+// tool shows what it can.
+func AuditLines(lines []json.RawMessage) []DayAudit {
+	out := make([]DayAudit, 0, len(lines))
+	for _, line := range lines {
+		var e LedgerEntry
+		if json.Unmarshal(line, &e) != nil {
+			continue
+		}
+		out = append(out, DayAudit{Day: e.Day, TraceID: e.TraceID, Cost: e.Cost, Revenue: e.Revenue, Findings: e.Audit()})
+	}
+	return out
 }

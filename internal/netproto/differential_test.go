@@ -409,6 +409,9 @@ func TestDifferentialDegradedDay(t *testing.T) {
 		if !slices.Equal(entries[0].Absent, top.rec.Absent) {
 			t.Errorf("%s: ledger absentees %v, record absentees %v", top.name, entries[0].Absent, top.rec.Absent)
 		}
+		if bad := entries[0].Audit(); len(bad) != 0 {
+			t.Errorf("%s: ledger audit: %v", top.name, bad)
+		}
 	}
 }
 

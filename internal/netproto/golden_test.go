@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"enki/internal/mechanism"
 	"enki/internal/obs"
 )
 
@@ -24,7 +25,8 @@ const goldenPath = "testdata/cluster_golden.json"
 // plan, and returns everything the run emits, by name: the
 // ClusterDayRecord JSON (one line per day), the audit ledger bytes, the
 // sent and received wire-counter deltas, and the messages-per-frame
-// histogram delta.
+// histogram delta. Every ledger entry must audit clean, absentees
+// included.
 func goldenRun(t *testing.T, codec string) map[string]string {
 	t.Helper()
 	plan := GenerateFaultPlan(17, 2000, 0.02, 0, 0.02, 0.004)
@@ -44,6 +46,20 @@ func goldenRun(t *testing.T, codec string) map[string]string {
 		if after.Counters[key] == before.Counters[key] {
 			t.Fatalf("%s: the fault plan never injected %s", codec, action)
 		}
+	}
+	entries, err := mechanism.ReadLedger(bytes.NewReader(ledger.Bytes()))
+	if err != nil {
+		t.Fatalf("%s: read ledger: %v", codec, err)
+	}
+	absent := 0
+	for _, e := range entries {
+		if bad := e.Audit(); len(bad) != 0 {
+			t.Fatalf("%s: day %d trace %s audit: %v", codec, e.Day, e.TraceID, bad)
+		}
+		absent += len(e.Absent)
+	}
+	if absent == 0 {
+		t.Fatalf("%s: the ledger lists no absentee", codec)
 	}
 	return map[string]string{
 		"records":       string(records),

@@ -88,6 +88,49 @@ func TestReadLedgerTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestReadLedgerLongLines: a ledger line holds a whole neighbourhood's
+// day, about 325 B per household, so two days of a one-shard,
+// 4,000-household cluster write two lines over 1 MiB each. They must
+// read back whole and audit clean; a long final line cut by a crash is
+// still forgiven, and a long corrupt line before a valid one is still
+// an error.
+func TestReadLedgerLongLines(t *testing.T) {
+	const households = 4000
+	var ledger bytes.Buffer
+	cluster := buildCluster(t, households, WithShards(1), WithLedger(NewJournal(&ledger)))
+	for day := 1; day <= 2; day++ {
+		if _, err := cluster.ClusterDay(context.Background(), day); err != nil {
+			t.Fatalf("day %d: %v", day, err)
+		}
+	}
+	lines := bytes.SplitAfter(ledger.Bytes(), []byte("\n"))
+	if len(lines) != 3 || len(lines[0]) <= 1<<20 || len(lines[1]) <= 1<<20 {
+		t.Fatalf("ledger of %d bytes in %d pieces, want two lines over 1 MiB", ledger.Len(), len(lines))
+	}
+	entries, err := mechanism.ReadLedger(bytes.NewReader(ledger.Bytes()))
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("read %d entries, err %v; want 2", len(entries), err)
+	}
+	for i, e := range entries {
+		if e.Day != i+1 || len(e.Households)+len(e.Absent) != households {
+			t.Errorf("entry %d is day %d with %d households and %d absent, want day %d with %d",
+				i, e.Day, len(e.Households), len(e.Absent), i+1, households)
+		}
+		if bad := e.Audit(); len(bad) != 0 {
+			t.Errorf("day %d audit: %v", e.Day, bad[0])
+		}
+	}
+
+	cut := ledger.Bytes()[:len(lines[0])+len(lines[1])/2]
+	if entries, err := mechanism.ReadLedger(bytes.NewReader(cut)); err != nil || len(entries) != 1 || entries[0].Day != 1 {
+		t.Errorf("cut final line: read %d entries, err %v; want day 1 only", len(entries), err)
+	}
+	damaged := append(append(bytes.Clone(lines[0][:len(lines[0])/2]), '\n'), lines[1]...)
+	if _, err := mechanism.ReadLedger(bytes.NewReader(damaged)); err == nil {
+		t.Error("a corrupt long line before a valid one was accepted")
+	}
+}
+
 // TestJournalLedgerTail pins the tail ring behind /api/v1/ledger/tail:
 // it keeps the last journalTailCap lines oldest first, hands out copies,
 // copies a lent line into storage of its own, and never writes into a

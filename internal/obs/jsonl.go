@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // ReadJSONL loads a JSONL stream of T values, in order: the one
@@ -12,13 +13,14 @@ import (
 // flight-recorder dumps. Blank lines are skipped. A corrupt or
 // truncated final line — the signature of a crash during append — is
 // skipped so the intact history stays readable, but corruption
-// followed by another line is an error. A line may be at most 1 MiB.
-// Errors name the stream (e.g. "obs: trace") and the line.
+// followed by another line is an error. A line may be of any length:
+// one ledger line holds a whole neighbourhood's day. Errors name the
+// stream (e.g. "obs: trace") and the line.
 func ReadJSONL[T any](r io.Reader, stream string) ([]T, error) {
 	var out []T
 	var pending error
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	scanner.Buffer(make([]byte, 0, 64*1024), math.MaxInt)
 	line := 0
 	for scanner.Scan() {
 		line++

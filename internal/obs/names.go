@@ -248,5 +248,5 @@ var (
 // IsTimingMetric reports whether the series key names a wall-clock
 // timing metric, which the determinism contract exempts.
 func IsTimingMetric(key string) bool {
-	return strings.HasSuffix(baseName(key), "_ms")
+	return strings.HasSuffix(BaseName(key), "_ms")
 }

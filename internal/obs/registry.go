@@ -280,7 +280,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	family := ""
 	for _, k := range unionKeys(s.Counters, nil) {
-		if name := baseName(k); name != family {
+		if name := BaseName(k); name != family {
 			family = name
 			fmt.Fprintf(&b, "# TYPE %s counter\n", name)
 		}
@@ -288,7 +288,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	family = ""
 	for _, k := range unionKeys(s.Gauges, nil) {
-		if name := baseName(k); name != family {
+		if name := BaseName(k); name != family {
 			family = name
 			fmt.Fprintf(&b, "# TYPE %s gauge\n", name)
 		}
@@ -297,7 +297,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	family = ""
 	for _, k := range unionKeys(s.Histograms, nil) {
 		h := s.Histograms[k]
-		if name := baseName(k); name != family {
+		if name := BaseName(k); name != family {
 			family = name
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
 		}
@@ -314,8 +314,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// baseName strips the label block from a series key.
-func baseName(key string) string {
+// BaseName strips the label block from a series key, leaving its
+// family name.
+func BaseName(key string) string {
 	if i := strings.IndexByte(key, '{'); i >= 0 {
 		return key[:i]
 	}

@@ -333,7 +333,7 @@ func measureObjective(snap Snapshot, o Objective) (bad, total uint64, value floa
 	switch o.Kind {
 	case ObjectiveLatency:
 		for k, h := range snap.Histograms {
-			if baseName(k) != o.Series {
+			if BaseName(k) != o.Series {
 				continue
 			}
 			total += h.Count
@@ -347,14 +347,14 @@ func measureObjective(snap Snapshot, o Objective) (bad, total uint64, value floa
 		}
 	case ObjectiveRatio:
 		for _, fam := range o.Bad {
-			bad += counterFamilySum(snap, fam)
+			bad += snap.CounterSum(fam)
 		}
 		for _, fam := range o.Total {
-			total += counterFamilySum(snap, fam)
+			total += snap.CounterSum(fam)
 		}
 	case ObjectiveValue:
 		for k, v := range snap.Gauges {
-			if baseName(k) == o.Series {
+			if BaseName(k) == o.Series {
 				value += v
 			}
 		}
@@ -366,11 +366,11 @@ func measureObjective(snap Snapshot, o Objective) (bad, total uint64, value floa
 	return bad, total, value
 }
 
-// counterFamilySum sums every label combination of one counter family.
-func counterFamilySum(snap Snapshot, family string) uint64 {
+// CounterSum sums every label combination of one counter family.
+func (s Snapshot) CounterSum(family string) uint64 {
 	var sum uint64
-	for k, v := range snap.Counters {
-		if baseName(k) == family {
+	for k, v := range s.Counters {
+		if BaseName(k) == family {
 			sum += v
 		}
 	}
