@@ -115,7 +115,12 @@ chaos:
 # branch-and-bound engines against the retained seed implementations
 # over the seeded instance corpus, the solver property tests (bound
 # validity, incumbent monotonicity, worker bit-identity) under the race
-# detector, and short fuzz passes over the fuzz-derived greedy corpus.
+# detector, and short fuzz passes over the fuzz-derived greedy corpus;
+# then the extensions on the one settlement core: the appliance
+# allocator (sched.Greedy.PlaceAll) against its retained pre-merge
+# implementation over 3,000 seeded neighbourhoods, and every settlement
+# entry point (the day machine, mechanism.Day.Validate,
+# appliances.Settle, coalition.Settle) rejecting the same consumptions.
 differential:
 	$(GO) test ./internal/netproto -count=1 -race -run 'TestDifferential|GoldenDigests|TestClusterMatchesSim'
 	$(GO) test ./internal/sim -count=1 -race -run TestSimMatchesNetworkCenter
@@ -124,6 +129,8 @@ differential:
 		-run 'Differential|WorkersBitIdentical|NeverWorseThanIncumbent|LowerBoundBelowOptimum|SymCorrect'
 	$(GO) test ./internal/sched -run '^$$' -fuzz 'FuzzGreedyAllocate$$' -fuzztime 10s
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzGreedyAllocateRNG -fuzztime 10s
+	$(GO) test ./internal/appliances -count=1 -run 'Differential'
+	$(GO) test ./internal/core -count=1 -run 'TestConsumptionRuleAtEveryEntryPoint'
 
 # Metric names must come from the constants in internal/obs/names.go;
 # a string-literal registration anywhere else bypasses the inventory

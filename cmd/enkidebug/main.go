@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -85,8 +86,15 @@ type triageReport struct {
 	Causes     []cause              `json:"causes"`
 	Profiles   map[string]int       `json:"profiles,omitempty"`
 	Notes      []string             `json:"notes,omitempty"`
-	Config     map[string]string    `json:"-"`
+	// Missing names what the bundle does not hold; the report claims
+	// nothing about it, and healthy only what it held.
+	Missing []string          `json:"missing,omitempty"`
+	Config  map[string]string `json:"-"`
+	healthy []string
 }
+
+// partStatus is the status.json part's name in triageReport.Missing.
+const partStatus = "shard status"
 
 func run(argv []string, out io.Writer) error {
 	fs := flag.NewFlagSet("enkidebug", flag.ContinueOnError)
@@ -141,6 +149,20 @@ func analyze(path string, b *obs.Bundle) *triageReport {
 	}
 	if b.Day != nil {
 		rep.Day = b.Day.Day
+	}
+	for _, part := range []struct {
+		held          bool
+		name, healthy string
+	}{
+		{b.Day != nil, partStatus, "shards healthy"},
+		{b.SLO != nil, "SLO report", "SLOs met"},
+		{len(b.Ledger) > 0, "ledger entries", "ledger audits clean"},
+	} {
+		if part.held {
+			rep.healthy = append(rep.healthy, part.healthy)
+		} else {
+			rep.Missing = append(rep.Missing, part.name)
+		}
 	}
 
 	// Per-shard fault accounting from the event ring.
@@ -331,7 +353,14 @@ func rankCauses(rep *triageReport, retries, resumes, darks int) []cause {
 		causes = append(causes, cause{30, fmt.Sprintf("%d connections went dark mid-day", darks)})
 	}
 	if len(causes) == 0 {
-		causes = append(causes, cause{0, "no anomalies: shards healthy, SLOs met, ledger audits clean"})
+		txt := "no anomalies"
+		if len(rep.healthy) > 0 {
+			txt += ": " + strings.Join(rep.healthy, ", ")
+		}
+		if len(rep.Missing) > 0 {
+			txt += "; the bundle holds no " + strings.Join(rep.Missing, ", ")
+		}
+		causes = append(causes, cause{0, txt})
 	}
 	sort.SliceStable(causes, func(i, j int) bool { return causes[i].Score > causes[j].Score })
 	return causes
@@ -392,14 +421,21 @@ func auditFindings(days []mechanism.DayAudit) int {
 func render(out io.Writer, rep *triageReport, tailN int) {
 	fmt.Fprintf(out, "bundle   %s\n", rep.Bundle)
 	fmt.Fprintf(out, "reason   %s   captured %s   %s\n", rep.Reason, rep.CapturedAt, rep.Build)
-	fmt.Fprintf(out, "day      %d\n", rep.Day)
+	noStatus := slices.Contains(rep.Missing, partStatus)
+	if noStatus {
+		fmt.Fprintln(out, "day      unknown: the bundle holds no shard status (status.json)")
+	} else {
+		fmt.Fprintf(out, "day      %d\n", rep.Day)
+	}
 	if len(rep.Traces) > 0 {
 		fmt.Fprintf(out, "traces   %s\n", strings.Join(rep.Traces, " "))
 	}
 
-	fmt.Fprintf(out, "\nimplicated shards (%d of %d):\n", len(rep.Shards), rep.ShardTotal)
-	if len(rep.Shards) == 0 {
-		fmt.Fprintln(out, "  none — every shard settled healthy")
+	if !noStatus {
+		fmt.Fprintf(out, "\nimplicated shards (%d of %d):\n", len(rep.Shards), rep.ShardTotal)
+		if len(rep.Shards) == 0 {
+			fmt.Fprintln(out, "  none — every shard settled healthy")
+		}
 	}
 	for _, sh := range rep.Shards {
 		fmt.Fprintf(out, "  shard %d %s", sh.Shard, strings.ToUpper(sh.State))

@@ -194,52 +194,18 @@ func TestEnkidebugBadInput(t *testing.T) {
 // the move. enkidebug must exit 2 (errAudit), name both mismatches, and
 // rank the finding as the top probable cause.
 func TestEnkidebugAuditFlagsTamperedLedger(t *testing.T) {
-	journal := netproto.NewJournal(io.Discard)
-	cluster, err := netproto.StartCluster(context.Background(),
-		netproto.WithShards(2),
-		netproto.WithLedger(journal),
-	)
-	if err != nil {
-		t.Fatalf("StartCluster: %v", err)
-	}
-	defer cluster.Close()
-	gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
-	if err != nil {
-		t.Fatalf("generator: %v", err)
-	}
-	for i := 0; i < 16; i++ {
-		p := gen.Draw()
-		if err := cluster.Join(core.HouseholdID(i), &netproto.Truthful{Type: p.TypeWide()}); err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
-	}
-	if _, err := cluster.ClusterDay(context.Background(), 1); err != nil {
-		t.Fatalf("ClusterDay: %v", err)
-	}
-	lines := journal.LedgerTail(obs.MaxLedgerTail)
-	if len(lines) != 2 {
-		t.Fatalf("%d ledger lines, want 2", len(lines))
-	}
+	lines := clusterLedgerLines(t)
 	var e mechanism.LedgerEntry
 	if err := json.Unmarshal(lines[0], &e); err != nil {
 		t.Fatal(err)
 	}
 	e.Households[0].Payment++
 	e.Households[1].Payment--
+	var err error
 	if lines[0], err = e.AppendJSON(nil); err != nil {
 		t.Fatal(err)
 	}
-
-	op := obs.NewOperator(nil)
-	op.Ledger = fixedTail(lines)
-	trig, err := obs.NewTrigger(obs.TriggerConfig{Dir: t.TempDir()}, obs.BundleSources{Operator: op})
-	if err != nil {
-		t.Fatalf("NewTrigger: %v", err)
-	}
-	path, err := trig.Fire("manual")
-	if err != nil {
-		t.Fatalf("Fire: %v", err)
-	}
+	path := ledgerOnlyBundle(t, lines)
 
 	var out bytes.Buffer
 	err = run([]string{path}, &out)
@@ -273,6 +239,82 @@ func TestEnkidebugAuditFlagsTamperedLedger(t *testing.T) {
 	if len(rep.Causes) == 0 || !strings.HasPrefix(rep.Causes[0].Text, "ledger audit failed") {
 		t.Errorf("top cause %+v, want the ledger audit", rep.Causes)
 	}
+}
+
+// TestEnkidebugLedgerOnlyBundle: a bundle that holds a clean ledger
+// but no shard status or SLO report exits 0 and says so; it names no
+// day and claims no shard or SLO health.
+func TestEnkidebugLedgerOnlyBundle(t *testing.T) {
+	path := ledgerOnlyBundle(t, clusterLedgerLines(t))
+	var out bytes.Buffer
+	if err := run([]string{path}, &out); err != nil {
+		t.Fatalf("enkidebug: %v\n%s", err, out.String())
+	}
+	report := out.String()
+	for _, want := range []string{
+		"day      unknown: the bundle holds no shard status",
+		"2 entries: OK",
+		"no anomalies: ledger audits clean; the bundle holds no shard status, SLO report",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	for _, claim := range []string{"day      -1", "implicated shards", "settled healthy", "shards healthy", "SLOs met"} {
+		if strings.Contains(report, claim) {
+			t.Errorf("report claims %q without the status to show it:\n%s", claim, report)
+		}
+	}
+}
+
+// clusterLedgerLines settles one day of 16 households on a two-shard
+// cluster and returns its two ledger lines.
+func clusterLedgerLines(t *testing.T) []json.RawMessage {
+	t.Helper()
+	journal := netproto.NewJournal(io.Discard)
+	cluster, err := netproto.StartCluster(context.Background(),
+		netproto.WithShards(2),
+		netproto.WithLedger(journal),
+	)
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	defer cluster.Close()
+	gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+	if err != nil {
+		t.Fatalf("generator: %v", err)
+	}
+	for i := 0; i < 16; i++ {
+		p := gen.Draw()
+		if err := cluster.Join(core.HouseholdID(i), &netproto.Truthful{Type: p.TypeWide()}); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	if _, err := cluster.ClusterDay(context.Background(), 1); err != nil {
+		t.Fatalf("ClusterDay: %v", err)
+	}
+	lines := journal.LedgerTail(obs.MaxLedgerTail)
+	if len(lines) != 2 {
+		t.Fatalf("%d ledger lines, want 2", len(lines))
+	}
+	return lines
+}
+
+// ledgerOnlyBundle fires a bundle whose only operator source is a
+// ledger tail of lines, and returns its path.
+func ledgerOnlyBundle(t *testing.T, lines []json.RawMessage) string {
+	t.Helper()
+	op := obs.NewOperator(nil)
+	op.Ledger = fixedTail(lines)
+	trig, err := obs.NewTrigger(obs.TriggerConfig{Dir: t.TempDir()}, obs.BundleSources{Operator: op})
+	if err != nil {
+		t.Fatalf("NewTrigger: %v", err)
+	}
+	path, err := trig.Fire("manual")
+	if err != nil {
+		t.Fatalf("Fire: %v", err)
+	}
+	return path
 }
 
 // fixedTail serves the same ledger lines for any tail length.

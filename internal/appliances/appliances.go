@@ -5,20 +5,20 @@
 // load, and its payment adds the base load's constant cost to the
 // social-cost share of its shiftable appliances.
 //
-// Allocation generalizes the greedy scheduler to per-appliance ratings;
-// scoring aggregates Eq. 4-6 at the household level (an appliance's
-// flexibility weighted by its energy); payments remain Eq. 7 and stay
-// exactly budget balanced.
+// Allocation is the greedy scheduler's rule at per-appliance ratings
+// (sched.Greedy.PlaceAll); scoring aggregates Eq. 4-6 at the household
+// level (an appliance's flexibility weighted by its energy, its Eq. 5
+// score from mechanism.Defection at its own rating); payments remain
+// Eq. 7 and stay exactly budget balanced.
 package appliances
 
 import (
 	"fmt"
-	"sort"
 
 	"enki/internal/core"
 	"enki/internal/dist"
-	"enki/internal/mechanism"
 	"enki/internal/pricing"
+	"enki/internal/sched"
 )
 
 // Appliance is one shiftable load of a household.
@@ -106,19 +106,12 @@ type Plan struct {
 	Intervals []core.Interval
 }
 
-// slot identifies one appliance in the flattened problem.
-type slot struct {
-	house, app int
-	flex       float64
-	energy     float64
-}
-
-// Allocate generalizes the Section IV-C greedy scheduler: it computes
-// Eq. 4 flexibility per appliance across the whole neighborhood,
-// processes appliances in increasing flexibility (ties broken by rng,
-// or deterministically when rng is nil), and places each at the
-// deferment minimizing (peak, marginal cost). The base loads are part
-// of the load profile from the start, so scheduling routes shiftable
+// Allocate places every appliance of every household by the Section
+// IV-C greedy, sched.Greedy.PlaceAll: appliances in increasing Eq. 4
+// flexibility across the whole neighborhood (ties broken by rng, or
+// deterministically when rng is nil), each at the deferment minimizing
+// (peak, marginal cost) at its own rating. The base loads are part of
+// the load profile from the start, so scheduling routes shiftable
 // energy around them.
 func Allocate(p pricing.Pricer, households []Household, rng *dist.RNG) ([]Plan, error) {
 	if p == nil {
@@ -138,80 +131,22 @@ func Allocate(p pricing.Pricer, households []Household, rng *dist.RNG) ([]Plan, 
 		seen[h.ID] = true
 	}
 
-	// Flatten appliances and compute neighborhood-wide flexibility.
 	var prefs []core.Preference
-	var slots []slot
-	for hi, h := range households {
-		for ai, a := range h.Appliances {
-			prefs = append(prefs, a.Reported)
-			slots = append(slots, slot{house: hi, app: ai, energy: a.Energy()})
-		}
-	}
-	flex := mechanism.FlexibilityScores(prefs)
-	for i := range slots {
-		slots[i].flex = flex[i]
-	}
-	jitter := make([]float64, len(slots))
-	for i := range jitter {
-		if rng != nil {
-			jitter[i] = rng.Float64()
-		} else {
-			jitter[i] = float64(i)
-		}
-	}
-	order := make([]int, len(slots))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if slots[order[a]].flex != slots[order[b]].flex {
-			return slots[order[a]].flex < slots[order[b]].flex
-		}
-		return jitter[order[a]] < jitter[order[b]]
-	})
-
-	// Seed the profile with every household's base load.
-	var load core.Load
+	var ratings []float64
 	for _, h := range households {
-		for hr := 0; hr < core.HoursPerDay; hr++ {
-			load[hr] += h.BaseLoad
+		for _, a := range h.Appliances {
+			prefs = append(prefs, a.Reported)
+			ratings = append(ratings, a.Rating)
 		}
 	}
+	load := baseLoadOf(households)
+	intervals := (&sched.Greedy{Pricer: p, RNG: rng}).PlaceAll(prefs, ratings, &load)
 
 	plans := make([]Plan, len(households))
 	for hi, h := range households {
-		plans[hi] = Plan{ID: h.ID, Intervals: make([]core.Interval, len(h.Appliances))}
-	}
-	for _, idx := range order {
-		s := slots[idx]
-		a := households[s.house].Appliances[s.app]
-		best := bestPlacement(p, a.Reported, a.Rating, &load)
-		plans[s.house].Intervals[s.app] = best
-		load.AddInterval(best, a.Rating)
+		n := len(h.Appliances)
+		plans[hi] = Plan{ID: h.ID, Intervals: intervals[:n:n]}
+		intervals = intervals[n:]
 	}
 	return plans, nil
-}
-
-// bestPlacement mirrors the single-appliance greedy objective:
-// (resulting peak, marginal cost, earliest start).
-func bestPlacement(p pricing.Pricer, pref core.Preference, rating float64, load *core.Load) core.Interval {
-	best := pref.IntervalAt(0)
-	bestPeak, bestCost := placementKey(p, best, rating, load)
-	for d := 1; d <= pref.Slack(); d++ {
-		iv := pref.IntervalAt(d)
-		peak, cost := placementKey(p, iv, rating, load)
-		if peak < bestPeak || (peak == bestPeak && cost < bestCost-1e-12) {
-			best, bestPeak, bestCost = iv, peak, cost
-		}
-	}
-	return best
-}
-
-func placementKey(p pricing.Pricer, iv core.Interval, rating float64, load *core.Load) (peak, cost float64) {
-	for h := max(iv.Begin, 0); h < min(iv.End, core.HoursPerDay); h++ {
-		if lv := load[h] + rating; lv > peak {
-			peak = lv
-		}
-	}
-	return peak, pricing.MarginalCost(p, load, iv, rating)
 }

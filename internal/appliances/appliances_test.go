@@ -2,6 +2,7 @@ package appliances
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"enki/internal/core"
@@ -228,6 +229,12 @@ func TestSettleValidation(t *testing.T) {
 	badCons[0].Intervals[0] = core.Interval{Begin: 18, End: 19} // wrong duration
 	if _, err := Settle(quad, mechanism.DefaultConfig(), hs, plans, badCons); err == nil {
 		t.Error("consumption with wrong duration should be rejected")
+	}
+	// The EV reported (18, 24, 3) consumes the off-day [22, 25): the day
+	// fails, as in the day machine, instead of dropping slot 24 from κ(ω).
+	badCons[0].Intervals[0] = core.Interval{Begin: 22, End: 25}
+	if _, err := Settle(quad, mechanism.DefaultConfig(), hs, plans, badCons); err == nil || !strings.Contains(err.Error(), "outside day") {
+		t.Errorf("off-day consumption: err = %v, want an outside-day rejection", err)
 	}
 }
 

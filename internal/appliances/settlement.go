@@ -2,7 +2,6 @@ package appliances
 
 import (
 	"fmt"
-	"math"
 
 	"enki/internal/core"
 	"enki/internal/mechanism"
@@ -99,9 +98,9 @@ func Settle(p pricing.Pricer, cfg mechanism.Config, households []Household, plan
 					h.ID, a.Name, iv, a.Reported)
 			}
 			c := consumptions[hi].Intervals[ai]
-			if c.Len() != a.Reported.Duration {
-				return Settlement{}, fmt.Errorf("appliances: household %d appliance %q: consumption %v has duration %d, want %d",
-					h.ID, a.Name, c, c.Len(), a.Reported.Duration)
+			if err := a.Reported.CheckConsumption(c); err != nil {
+				return Settlement{}, fmt.Errorf("appliances: household %d appliance %q consumption %v: %w",
+					h.ID, a.Name, c, err)
 			}
 			prefs = append(prefs, a.Reported)
 			assigned = append(assigned, iv)
@@ -200,29 +199,17 @@ func baseLoadOf(households []Household) core.Load {
 	return load
 }
 
-// defectionScores computes Eq. 5 per appliance against the full
-// allocated profile (base loads included).
+// defectionScores computes Eq. 5 per appliance, at its own rating,
+// against the full allocated profile (base loads included).
 func defectionScores(p pricing.Pricer, households []Household, ratings []float64, assigned, consumed []core.Interval) []float64 {
 	base := baseLoadOf(households)
 	for i, iv := range assigned {
 		base.AddInterval(iv, ratings[i])
 	}
 	baseCost := pricing.Cost(p, base)
-
 	out := make([]float64, len(assigned))
 	for i := range assigned {
-		if assigned[i] == consumed[i] {
-			continue
-		}
-		swapped := base
-		swapped.RemoveInterval(assigned[i], ratings[i])
-		swapped.AddInterval(consumed[i], ratings[i])
-		harm := pricing.Cost(p, swapped) - baseCost
-		if harm < 0 {
-			harm = 0
-		}
-		o := core.OverlapRatio(assigned[i], consumed[i])
-		out[i] = harm / math.Exp(o)
+		out[i] = mechanism.Defection(p, &base, baseCost, assigned[i], consumed[i], ratings[i])
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package coalition
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"enki/internal/core"
@@ -271,5 +272,14 @@ func TestSettleValidation(t *testing.T) {
 	}
 	if _, err := Settle(quad, cfg, households, nil, assignments, assignments, 2); err == nil {
 		t.Error("non-covering partition should be rejected")
+	}
+	// A household reported (18, 24, 3) consumes the 4-slot, off-day
+	// [22, 26): the day fails, as in the day machine, instead of dropping
+	// the off-day slots from κ(ω).
+	ev := core.MustPreference(18, 24, 3)
+	_, err := Settle(quad, cfg, []core.Household{household(0, ev, ev)}, coalitions,
+		[]core.Interval{{Begin: 18, End: 21}}, []core.Interval{{Begin: 22, End: 26}}, 3)
+	if err == nil || !strings.Contains(err.Error(), "outside day") {
+		t.Errorf("off-day consumption: err = %v, want an outside-day rejection", err)
 	}
 }

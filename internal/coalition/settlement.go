@@ -1,9 +1,6 @@
 package coalition
 
 import (
-	"fmt"
-	"math"
-
 	"enki/internal/core"
 	"enki/internal/mechanism"
 	"enki/internal/pricing"
@@ -39,12 +36,9 @@ func Settle(p pricing.Pricer, cfg mechanism.Config, households []core.Household,
 	if err := cfg.Validate(); err != nil {
 		return Settlement{}, err
 	}
-	if len(households) != len(assignments) || len(households) != len(consumptions) {
-		return Settlement{}, fmt.Errorf("coalition: %d households, %d assignments, %d consumptions",
-			len(households), len(assignments), len(consumptions))
-	}
-	if rating <= 0 {
-		return Settlement{}, fmt.Errorf("coalition: rating %g must be positive", rating)
+	day := mechanism.Day{Households: households, Assignments: assignments, Consumptions: consumptions, Rating: rating}
+	if err := day.Validate(); err != nil {
+		return Settlement{}, err
 	}
 	if err := checkPartition(len(households), coalitions); err != nil {
 		return Settlement{}, err
@@ -74,17 +68,9 @@ func Settle(p pricing.Pricer, cfg mechanism.Config, households []core.Household,
 			eSum += e
 			if unmatched[m] {
 				defectors++
-				// Eq. 5 for the unmatched consumption: swap the member's
-				// allocation for its consumption in the allocated profile.
-				swapped := allocLoad
-				swapped.RemoveInterval(assignments[m], rating)
-				swapped.AddInterval(consumptions[m], rating)
-				harm := pricing.Cost(p, swapped) - allocCost
-				if harm < 0 {
-					harm = 0
-				}
-				o := core.OverlapRatio(assignments[m], consumptions[m])
-				defect[ci] += harm / math.Exp(o)
+				// Eq. 5 for the unmatched consumption, in the allocated
+				// profile.
+				defect[ci] += mechanism.Defection(p, &allocLoad, allocCost, assignments[m], consumptions[m], rating)
 				// An unmatched member contributes no flexibility.
 				continue
 			}

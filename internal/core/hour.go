@@ -17,8 +17,5 @@ const HoursPerDay = 24
 // may additionally take the value 24 (end of day, exclusive bound).
 type Hour = int
 
-// ValidHour reports whether h is a consumable slot in H.
-func ValidHour(h Hour) bool { return h >= 0 && h < HoursPerDay }
-
 // ValidBound reports whether h is a valid interval endpoint (0..24).
 func ValidBound(h Hour) bool { return h >= 0 && h <= HoursPerDay }

@@ -73,6 +73,24 @@ func (p Preference) Admits(iv Interval) bool {
 	return iv.Len() == p.Duration && p.Window.Covers(iv)
 }
 
+// CheckConsumption checks a realized consumption ω_i against the
+// preference it was declared under: it lies inside the day and lasts the
+// declared duration. It may lie outside the window; that is a defection,
+// which Eq. 5 prices. Every settlement path checks consumptions by this
+// one rule.
+func (p Preference) CheckConsumption(iv Interval) error {
+	if err := iv.Validate(); err != nil {
+		return err
+	}
+	if iv.Len() != p.Duration {
+		return &ValidationError{
+			Field:  "consumption",
+			Reason: fmt.Sprintf("consumed %d slots, declared %d", iv.Len(), p.Duration),
+		}
+	}
+	return nil
+}
+
 // Width is the window width β − α used by the flexibility score (Eq. 4).
 func (p Preference) Width() int { return p.Window.Len() }
 

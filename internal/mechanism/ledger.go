@@ -313,8 +313,11 @@ func auditClose(a, b float64) bool {
 // inputs and returns every mismatch found (empty = the entry is
 // internally consistent):
 //
-//   - every assigned and consumed interval lies inside the day (an
-//     off-day interval drops out of κ(ω) and so skews every payment);
+//   - each row obeys the rules the day machine enforces: the report
+//     admits the assigned interval, and the consumed interval passes the
+//     report's core.Preference.CheckConsumption (inside the day, the
+//     declared duration); an off-day interval drops out of κ(ω) and so
+//     skews every payment;
 //   - Eq. 4: predicted flexibility from the reported preferences, and
 //     its zeroing for households whose consumption defected;
 //   - defection flags from assigned vs consumed intervals, with
@@ -352,13 +355,13 @@ func (e LedgerEntry) Audit() []string {
 
 	predicted := FlexibilityScores(prefs)
 	for i, h := range e.Households {
-		for _, iv := range []struct {
-			name string
-			iv   core.Interval
-		}{{"assigned", h.Assigned}, {"consumed", h.Consumed}} {
-			if err := iv.iv.Validate(); err != nil {
-				bad = append(bad, fmt.Sprintf("household %d: %s interval %v: %v", h.ID, iv.name, iv.iv, err))
-			}
+		if err := h.Assigned.Validate(); err != nil {
+			bad = append(bad, fmt.Sprintf("household %d: assigned interval %v: %v", h.ID, h.Assigned, err))
+		} else if !h.Reported.Admits(h.Assigned) {
+			bad = append(bad, fmt.Sprintf("household %d: assigned interval %v not admitted by report %v", h.ID, h.Assigned, h.Reported))
+		}
+		if err := h.Reported.CheckConsumption(h.Consumed); err != nil {
+			bad = append(bad, fmt.Sprintf("household %d: consumed interval %v: %v", h.ID, h.Consumed, err))
 		}
 		if !auditClose(predicted[i], h.PredictedFlexibility) {
 			bad = append(bad, fmt.Sprintf("household %d: Eq. 4 predicted flexibility %g, recorded %g",

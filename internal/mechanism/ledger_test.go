@@ -34,6 +34,32 @@ func TestAuditFlagsOffDayIntervals(t *testing.T) {
 	}
 }
 
+// TestAuditFlagsRowsTheMachineRejects: the audit applies the day
+// machine's rules to every row, so a line tampered past them fails it
+// even where the equation chain still reads consistent: a defector's
+// consumption stretched to 3 slots for its 2-slot report, and a
+// compliant row moved out of its reported window (its deferment clamps
+// to 0 either way).
+func TestAuditFlagsRowsTheMachineRejects(t *testing.T) {
+	stretched := auditTestEntry(t, []core.Interval{auditTestAssigned[0], {Begin: 16, End: 18}, auditTestAssigned[2]})
+	if bad := stretched.Audit(); len(bad) != 0 {
+		t.Fatalf("defector day audit: %v", bad)
+	}
+	stretched.Households[1].Consumed = core.Interval{Begin: 15, End: 18}
+	want := "household 1: consumed interval (15, 18): invalid consumption: consumed 3 slots, declared 2"
+	if bad := stretched.Audit(); len(bad) != 1 || bad[0] != want {
+		t.Errorf("stretched consumption audit = %q, want [%q]", bad, want)
+	}
+
+	moved := auditTestEntry(t, auditTestAssigned)
+	moved.Households[2].Assigned = core.Interval{Begin: 10, End: 12}
+	moved.Households[2].Consumed = core.Interval{Begin: 10, End: 12}
+	want = "household 2: assigned interval (10, 12) not admitted by report (18, 20, 2)"
+	if bad := moved.Audit(); len(bad) != 1 || bad[0] != want {
+		t.Errorf("moved compliant row audit = %q, want [%q]", bad, want)
+	}
+}
+
 // TestAuditFlagsAbsentList: the absentees must be listed in ascending
 // order, each once, and none of them billed. settle.Machine rejects all
 // three, so only a damaged or forged ledger trips the check.

@@ -63,12 +63,8 @@ func (d Day) Validate() error {
 			return fmt.Errorf("household %d: assignment %v not admitted by report %v",
 				i, d.Assignments[i], h.Reported)
 		}
-		if err := d.Consumptions[i].Validate(); err != nil {
-			return fmt.Errorf("household %d consumption: %w", i, err)
-		}
-		if d.Consumptions[i].Len() != h.Reported.Duration {
-			return fmt.Errorf("household %d: consumption %v has duration %d, want %d",
-				i, d.Consumptions[i], d.Consumptions[i].Len(), h.Reported.Duration)
+		if err := h.Reported.CheckConsumption(d.Consumptions[i]); err != nil {
+			return fmt.Errorf("household %d consumption %v: %w", i, d.Consumptions[i], err)
 		}
 	}
 	return nil

@@ -81,14 +81,14 @@ type dayRun struct {
 // run drives the Figure 1 day of a fresh settle.Machine over the sorted
 // members: requests → preferences → allocations → consumptions →
 // payments. A household whose reply is lost or dark is absent when it
-// never reported and settled dark when it reported; a reply without its
-// payload, an input the machine rejects, a leg's error and a commit
-// error fail the day. A day the log holds as settled replays to the
-// identical outcome (the machine is pure, and the committed consumption
-// input carries its imputations), skips the commit and redelivers the
-// payments. The settlement metrics count a day once its payments are
-// out, so the run that returns the day is the one that counts it. The
-// outcome is valid only when the error is nil.
+// never reported and settled dark when it reported; an input the
+// machine rejects (a reply without its payload among them), a leg's
+// error and a commit error fail the day. A day the log holds as settled
+// replays to the identical outcome (the machine is pure, and the
+// committed consumption input carries its imputations), skips the
+// commit and redelivers the payments. The settlement metrics count a
+// day once its payments are out, so the run that returns the day is the
+// one that counts it. The outcome is valid only when the error is nil.
 func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Outcome, error) {
 	m := settle.New(d.cfg, d.day, d.traceID, d.scratch)
 
@@ -105,13 +105,10 @@ func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Ou
 		}
 		pref.Reports, pref.Absent = d.scratch.Preferences(len(members))
 		for i, msg := range got {
-			switch {
-			case msg == nil: // lost or dark: absent for the day
+			if msg == nil { // lost or dark: absent for the day
 				pref.Absent = append(pref.Absent, members[i])
-			case msg.Pref == nil:
-				return settle.Outcome{}, fmt.Errorf("household %d sent preference frame without pref", members[i])
-			default:
-				pref.Reports = append(pref.Reports, core.Report{ID: members[i], Pref: *msg.Pref})
+			} else {
+				pref.Reports = append(pref.Reports, core.Report{ID: members[i], Pref: orZero(msg.Pref)})
 			}
 		}
 	}
@@ -138,16 +135,13 @@ func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Ou
 		}
 		cons.Consumptions = d.scratch.Consumptions(len(assignments))
 		for i, msg := range got {
-			switch {
-			case msg == nil: // reported, then lost or dark: settled dark
+			if msg == nil { // reported, then lost or dark: settled dark
 				if cons.Substituted == nil {
 					cons.Substituted = d.scratch.Dark(len(assignments))
 				}
 				cons.Substituted[i] = true
-			case msg.Interval == nil:
-				return settle.Outcome{}, fmt.Errorf("household %d sent consumption frame without interval", assignments[i].ID)
-			default:
-				cons.Consumptions[i] = core.Consumption{ID: assignments[i].ID, Interval: *msg.Interval}
+			} else {
+				cons.Consumptions[i] = core.Consumption{ID: assignments[i].ID, Interval: orZero(msg.Interval)}
 			}
 		}
 	}
@@ -181,6 +175,17 @@ func (d *dayRun) run(ctx context.Context, members []core.HouseholdID) (settle.Ou
 	}
 	mechanism.RecordSettlementMetrics(r.Flexibility, r.Defection, r.SocialCost, r.Payments, r.Cost, d.cfg.Mechanism.Xi, out.PAR)
 	return out, nil
+}
+
+// orZero is *p, or the zero value when p is nil: a reply without its
+// payload carries the zero preference or interval, which the machine
+// rejects as invalid input.
+func orZero[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
+	}
+	return *p
 }
 
 // span opens the root's child span of one leg, or of the settlement for

@@ -126,14 +126,23 @@ func TestCenterRejectsPreferenceFrameWithoutPref(t *testing.T) {
 }
 
 func TestCenterRejectsWrongDurationConsumption(t *testing.T) {
-	centerRejectsConsumption(t, newTestCenter(t), core.Interval{Begin: 18, End: 21}) // duration 3, declared 2
+	centerRejectsConsumption(t, newTestCenter(t), &core.Interval{Begin: 18, End: 21}) // duration 3, declared 2
+}
+
+// TestCenterRejectsConsumptionFrameWithoutInterval: a consumption frame
+// without its interval reaches the machine as the zero interval, which
+// fails the one consumption rule, so the day fails.
+func TestCenterRejectsConsumptionFrameWithoutInterval(t *testing.T) {
+	if err := centerRejectsConsumption(t, newTestCenter(t), nil); !strings.Contains(err.Error(), "consumed 0 slots, declared 2") {
+		t.Errorf("day failed with %v, want a zero-slot rejection", err)
+	}
 }
 
 // TestCenterRejectsOffDayConsumption: a consumption of the declared
 // duration but outside the day fails the day instead of settling with
 // its load dropped from κ(ω).
 func TestCenterRejectsOffDayConsumption(t *testing.T) {
-	if err := centerRejectsConsumption(t, newTestCenter(t), core.Interval{Begin: 30, End: 32}); !strings.Contains(err.Error(), "outside day") {
+	if err := centerRejectsConsumption(t, newTestCenter(t), &core.Interval{Begin: 30, End: 32}); !strings.Contains(err.Error(), "outside day") {
 		t.Errorf("day failed with %v, want an outside-day rejection", err)
 	}
 }
@@ -154,7 +163,7 @@ func TestCenterFailedDayShowsFailed(t *testing.T) {
 	before := latency.Count()
 
 	c := newTestCenter(t, WithTraceSeed(3))
-	dayErr := centerRejectsConsumption(t, c, core.Interval{Begin: 30, End: 32})
+	dayErr := centerRejectsConsumption(t, c, &core.Interval{Begin: 30, End: 32})
 
 	if ds := c.DayStatus(); ds.Phase != "failed" || ds.DeadlineRemainingMS != 0 || ds.DaysSettled != 0 || ds.LastCost != 0 {
 		t.Errorf("day status %+v, want phase failed, no deadline and nothing settled", ds)
@@ -179,9 +188,10 @@ func TestCenterFailedDayShowsFailed(t *testing.T) {
 }
 
 // centerRejectsConsumption registers one raw household with c that
-// reports a 2-slot preference and answers its allocation with bad, and
-// returns the error that must fail the day.
-func centerRejectsConsumption(t *testing.T, c *Center, bad core.Interval) error {
+// reports a 2-slot preference and answers its allocation with bad (nil
+// sends the consumption frame without an interval), and returns the
+// error that must fail the day.
+func centerRejectsConsumption(t *testing.T, c *Center, bad *core.Interval) error {
 	t.Helper()
 	conn := rawDial(t, c.Addr())
 	if err := conn.Send(&Message{Kind: KindHello, ID: 4}); err != nil {
@@ -206,7 +216,7 @@ func centerRejectsConsumption(t *testing.T, c *Center, bad core.Interval) error 
 	if err != nil || alloc.Kind != KindAllocation {
 		t.Fatalf("expected allocation, got %v %v", alloc, err)
 	}
-	if err := conn.Send(&Message{Kind: KindConsumption, ID: 4, Day: 1, Interval: &bad}); err != nil {
+	if err := conn.Send(&Message{Kind: KindConsumption, ID: 4, Day: 1, Interval: bad}); err != nil {
 		t.Fatal(err)
 	}
 	select {

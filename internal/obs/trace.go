@@ -249,11 +249,6 @@ func (s *ActiveSpan) End() {
 	s.tracer.record(s.span)
 }
 
-// StartSpan opens a flat span on the default tracer.
-func StartSpan(name string, labels ...string) *ActiveSpan {
-	return defaultTracer.Start(name, labels...)
-}
-
 // Drain removes and returns all collected spans, sorted by identity
 // (name + labels + trace lineage) and then start time, so the export is
 // deterministic regardless of how concurrent spans interleaved.

@@ -124,13 +124,13 @@ func (s *GreedyOrdered) Allocate(reports []core.Report) ([]core.Assignment, erro
 		})
 	}
 
-	inner := Greedy{Pricer: s.Pricer, Rating: s.Rating}
+	inner := Greedy{Pricer: s.Pricer}
 	quad, isQuad := s.Pricer.(pricing.Quadratic)
 	var deque [core.HoursPerDay]int
 	intervals := make([]core.Interval, len(reports))
 	var load core.Load
 	for _, pos := range order {
-		iv := inner.bestPlacement(reports[pos].Pref, &load, quad, isQuad, &deque)
+		iv := inner.bestPlacement(reports[pos].Pref, s.Rating, &load, quad, isQuad, &deque)
 		intervals[pos] = iv
 		load.AddInterval(iv, s.Rating)
 	}

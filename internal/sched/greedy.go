@@ -72,14 +72,63 @@ func (g *Greedy) AllocateInto(s *Scratch, dst []core.Assignment, reports []core.
 	for i, r := range reports {
 		s.prefs[i] = r.Pref
 	}
-	mechanism.FlexibilityScoresInto(s.flex, s.prefs)
+	g.order(s)
 
-	// Order positions by increasing predicted flexibility. Random
-	// jitter implements the paper's "breaking ties randomly"; jitter is
-	// drawn in report order so the RNG stream matches the seed
-	// implementation draw for draw.
-	for i := 0; i < n; i++ {
-		j := float64(i) // deterministic fallback: report order
+	quad, isQuad := g.Pricer.(pricing.Quadratic)
+	var load core.Load
+	for _, pos := range s.order {
+		best := g.bestPlacement(s.prefs[pos], g.Rating, &load, quad, isQuad, &s.deque)
+		s.intervals[pos] = best
+		load.AddInterval(best, g.Rating)
+	}
+
+	assignments := dst
+	if cap(assignments) < n {
+		assignments = make([]core.Assignment, n)
+	}
+	assignments = assignments[:n]
+	for i, r := range reports {
+		assignments[i] = core.Assignment{ID: r.ID, Interval: s.intervals[i]}
+	}
+	if err := CheckAssignments(reports, assignments); err != nil {
+		return nil, err
+	}
+	observeAllocation(g.Name(), reports, assignments, time.Since(start))
+	return assignments, nil
+}
+
+// PlaceAll is Allocate's greedy over items with ratings of their own,
+// the multi-appliance extension's allocator: it orders prefs as
+// Allocate orders reports, places item i at ratings[i] on top of load
+// (which it adds each placement to) by Allocate's rule, and returns the
+// intervals in input order. It validates nothing, ignores g.Rating and
+// records no metrics.
+func (g *Greedy) PlaceAll(prefs []core.Preference, ratings []float64, load *core.Load) []core.Interval {
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	s.grow(len(prefs))
+	copy(s.prefs, prefs)
+	g.order(s)
+
+	quad, isQuad := g.Pricer.(pricing.Quadratic)
+	out := make([]core.Interval, len(prefs))
+	for _, pos := range s.order {
+		best := g.bestPlacement(s.prefs[pos], ratings[pos], load, quad, isQuad, &s.deque)
+		out[pos] = best
+		load.AddInterval(best, ratings[pos])
+	}
+	return out
+}
+
+// order fills s.order with the Sec. IV-C processing order of s.prefs:
+// increasing predicted flexibility (Eq. 4), ties broken by jitter.
+// Random jitter implements the paper's "breaking ties randomly"; it is
+// drawn in input order so the RNG stream matches the seed
+// implementation draw for draw.
+func (g *Greedy) order(s *Scratch) {
+	mechanism.FlexibilityScoresInto(s.flex, s.prefs)
+	for i := range s.order {
+		j := float64(i) // deterministic fallback: input order
 		if g.RNG != nil {
 			j = g.RNG.Float64()
 		}
@@ -107,28 +156,6 @@ func (g *Greedy) AllocateInto(s *Scratch, dst []core.Assignment, reports []core.
 		}
 		return 0
 	})
-
-	quad, isQuad := g.Pricer.(pricing.Quadratic)
-	var load core.Load
-	for _, pos := range s.order {
-		best := g.bestPlacement(s.prefs[pos], &load, quad, isQuad, &s.deque)
-		s.intervals[pos] = best
-		load.AddInterval(best, g.Rating)
-	}
-
-	assignments := dst
-	if cap(assignments) < n {
-		assignments = make([]core.Assignment, n)
-	}
-	assignments = assignments[:n]
-	for i, r := range reports {
-		assignments[i] = core.Assignment{ID: r.ID, Interval: s.intervals[i]}
-	}
-	if err := CheckAssignments(reports, assignments); err != nil {
-		return nil, err
-	}
-	observeAllocation(g.Name(), reports, assignments, time.Since(start))
-	return assignments, nil
 }
 
 // validateReportsScratch mirrors validateReports without its per-call
@@ -163,15 +190,15 @@ func validateReportsScratch(s *Scratch, reports []core.Report) error {
 }
 
 // bestPlacement chooses the deferment minimizing (resulting peak,
-// marginal cost, start hour) against the current partial load. The peak
-// of each candidate window is maintained incrementally by a monotonic
-// sliding-window deque (O(window) total instead of O(window×duration)),
-// and the marginal cost is only evaluated for candidates whose peak
-// ties or beats the incumbent — lazily, because a strictly worse peak
-// already loses. Both keys reproduce the seed arithmetic exactly: the
+// marginal cost, start hour) of an item drawing rating against the
+// current partial load. The peak of each candidate window is maintained
+// incrementally by a monotonic sliding-window deque (O(window) total
+// instead of O(window×duration)), and the marginal cost is only
+// evaluated for candidates whose peak ties or beats the incumbent —
+// lazily, because a strictly worse peak already loses. Both keys reproduce the seed arithmetic exactly: the
 // deque yields the same float peak as the per-slot rescan, and the
 // marginal cost is summed slot by slot in the same order.
-func (g *Greedy) bestPlacement(pref core.Preference, load *core.Load, quad pricing.Quadratic, isQuad bool, deque *[core.HoursPerDay]int) core.Interval {
+func (g *Greedy) bestPlacement(pref core.Preference, rating float64, load *core.Load, quad pricing.Quadratic, isQuad bool, deque *[core.HoursPerDay]int) core.Interval {
 	b := pref.Window.Begin
 	v := pref.Duration
 	slack := pref.Slack()
@@ -186,8 +213,8 @@ func (g *Greedy) bestPlacement(pref core.Preference, load *core.Load, quad prici
 		tail++
 	}
 	bestD := 0
-	bestPeak := load[deque[head]] + g.Rating
-	bestCost := g.marginal(load, b, b+v, quad, isQuad)
+	bestPeak := load[deque[head]] + rating
+	bestCost := marginal(g.Pricer, rating, load, b, b+v, quad, isQuad)
 	for d := 1; d <= slack; d++ {
 		// Slide to [b+d, b+d+v): expire the left slot, admit the right.
 		if deque[head] < b+d {
@@ -200,11 +227,11 @@ func (g *Greedy) bestPlacement(pref core.Preference, load *core.Load, quad prici
 		deque[tail] = h
 		tail++
 
-		peak := load[deque[head]] + g.Rating
+		peak := load[deque[head]] + rating
 		if peak > bestPeak {
 			continue
 		}
-		cost := g.marginal(load, b+d, b+d+v, quad, isQuad)
+		cost := marginal(g.Pricer, rating, load, b+d, b+d+v, quad, isQuad)
 		if peak < bestPeak || cost < bestCost-1e-12 {
 			bestD, bestPeak, bestCost = d, peak, cost
 		}
@@ -212,20 +239,20 @@ func (g *Greedy) bestPlacement(pref core.Preference, load *core.Load, quad prici
 	return pref.IntervalAt(bestD)
 }
 
-// marginal computes the marginal cost of occupying [lo, hi) at the
-// household rating: the quadratic fast path runs the exact per-slot
-// expression pricing.MarginalCost would (σ(l+r)² − σl², in slot order,
-// so the floats are bit-identical) without interface dispatch; every
-// other pricer takes the generic path.
-func (g *Greedy) marginal(load *core.Load, lo, hi int, quad pricing.Quadratic, isQuad bool) float64 {
+// marginal computes the marginal cost of occupying [lo, hi) at rating
+// under p: the quadratic fast path runs the exact per-slot expression
+// pricing.MarginalCost would (σ(l+r)² − σl², in slot order, so the
+// floats are bit-identical) without interface dispatch; every other
+// pricer takes the generic path.
+func marginal(p pricing.Pricer, rating float64, load *core.Load, lo, hi int, quad pricing.Quadratic, isQuad bool) float64 {
 	if isQuad {
 		var delta float64
 		for h := lo; h < hi; h++ {
 			l := load[h]
-			lr := l + g.Rating
+			lr := l + rating
 			delta += quad.Sigma*lr*lr - quad.Sigma*l*l
 		}
 		return delta
 	}
-	return pricing.MarginalCost(g.Pricer, load, core.Interval{Begin: lo, End: hi}, g.Rating)
+	return pricing.MarginalCost(p, load, core.Interval{Begin: lo, End: hi}, rating)
 }

@@ -60,32 +60,6 @@ func CheckAssignments(reports []core.Report, assignments []core.Assignment) erro
 	return nil
 }
 
-// Deferment is one household's scheduling decision: how many hours past
-// its reported window begin the allocator pushed its start (0 when the
-// household got its earliest wish). The mechanism audit ledger records
-// one per household so a settlement day's allocation can be audited
-// alongside its Eq. 4–7 chain.
-type Deferment struct {
-	ID    core.HouseholdID `json:"id"`
-	Slots int              `json:"slots"`
-}
-
-// DefermentsOf derives each household's deferment decision from a
-// completed allocation, in report order. It is a pure function of
-// (reports, assignments), so it replays identically at any worker
-// count.
-func DefermentsOf(reports []core.Report, assignments []core.Assignment) []Deferment {
-	out := make([]Deferment, len(reports))
-	for i, r := range reports {
-		slots := int(assignments[i].Interval.Begin - r.Pref.Window.Begin)
-		if slots < 0 {
-			slots = 0
-		}
-		out[i] = Deferment{ID: r.ID, Slots: slots}
-	}
-	return out
-}
-
 // observeAllocation records one completed allocation in the default
 // metrics registry: a per-scheduler call counter, latency histogram,
 // and the deferment counters (slots deferred past each report's window
@@ -93,8 +67,8 @@ func DefermentsOf(reports []core.Report, assignments []core.Assignment) []Deferm
 // counters are pure functions of the allocation, so they obey the
 // engine's bit-identical-at-any-worker-count contract; only the
 // latency histogram is timing. The handles come from the generation-
-// keyed cache and the deferments are folded inline (not materialized
-// via DefermentsOf), so the call is allocation-free on the hot path.
+// keyed cache and the deferments are folded inline, so the call is
+// allocation-free on the hot path.
 func observeAllocation(scheduler string, reports []core.Report, assignments []core.Assignment, elapsed time.Duration) {
 	m := metricsFor(scheduler)
 	m.total.Inc()

@@ -83,7 +83,8 @@ func New(cfg Config, day int, traceID string, s *Scratch) Machine {
 }
 
 // Allocate is the preference phase. reports must be sorted by strictly
-// increasing household ID, each preference valid; absent lists the
+// increasing household ID, each preference valid (the zero preference,
+// which a driver passes for a missing one, is not); absent lists the
 // members that never reported, sorted and disjoint from the reports.
 // The machine keeps both slices. It returns the scheduler's
 // assignments, aligned with reports.
@@ -176,8 +177,10 @@ func (o *Outcome) ledgerEntry(rows []mechanism.LedgerHousehold) mechanism.Ledger
 // marks the reporters that went dark before confirming. A dark
 // household's consumption is imputed as mechanism.DarkConsumption of
 // its report, whatever its slot holds, and it forfeits its flexibility
-// reward. Every other consumption must name its household, lie inside
-// the day and last the reported duration.
+// reward. Every other consumption must name its household and pass its
+// report's core.Preference.CheckConsumption: inside the day, the
+// reported duration. The zero interval, which a driver passes for a
+// missing one, fails that rule.
 func (m *Machine) Settle(consumptions []core.Consumption, dark []bool) (Outcome, error) {
 	if m.phase != awaitingConsumptions {
 		return Outcome{}, errors.New("consumptions before allocation")
@@ -238,11 +241,8 @@ func checkConsumption(r core.Report, c core.Consumption) error {
 	if c.ID != r.ID {
 		return fmt.Errorf("consumption of household %d in the slot of household %d", c.ID, r.ID)
 	}
-	if err := c.Interval.Validate(); err != nil {
-		return fmt.Errorf("household %d consumed %v: %w", r.ID, c.Interval, err)
-	}
-	if c.Interval.Len() != r.Pref.Duration {
-		return fmt.Errorf("household %d consumed %d slots, declared %d", r.ID, c.Interval.Len(), r.Pref.Duration)
+	if err := r.Pref.CheckConsumption(c.Interval); err != nil {
+		return fmt.Errorf("household %d consumption %v: %w", r.ID, c.Interval, err)
 	}
 	return nil
 }
