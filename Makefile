@@ -113,9 +113,12 @@ chaos:
 # center, all under the race detector; then the
 # allocation-engine acceptance suite: the rewritten greedy and
 # branch-and-bound engines against the retained seed implementations
-# over the seeded instance corpus, the solver property tests (bound
-# validity, incumbent monotonicity, worker bit-identity) under the race
-# detector, and short fuzz passes over the fuzz-derived greedy corpus;
+# over the seeded instance corpus, up to 2,000 households and on both
+# sides of the order's radix-sort cutoff, the radix and comparison sorts
+# against each other, the prefix-sum Eq. 4 against the per-hour sum bit
+# for bit, the solver property tests (bound validity, incumbent
+# monotonicity, worker bit-identity) under the race detector, and short
+# fuzz passes over the fuzz-derived greedy corpus;
 # then the extensions on the one settlement core: the appliance
 # allocator (sched.Greedy.PlaceAll) against its retained pre-merge
 # implementation over 3,000 seeded neighbourhoods, and every settlement
@@ -124,7 +127,8 @@ chaos:
 differential:
 	$(GO) test ./internal/netproto -count=1 -race -run 'TestDifferential|GoldenDigests|TestClusterMatchesSim'
 	$(GO) test ./internal/sim -count=1 -race -run TestSimMatchesNetworkCenter
-	$(GO) test ./internal/sched -count=1 -run 'Differential'
+	$(GO) test ./internal/sched -count=1 -run 'Differential|TestRadixSortMatchesComparisonSort'
+	$(GO) test ./internal/mechanism -count=1 -run 'TestFlexibilityScoresIntoMatchesPerHourSum'
 	$(GO) test ./internal/solver -count=1 -race \
 		-run 'Differential|WorkersBitIdentical|NeverWorseThanIncumbent|LowerBoundBelowOptimum|SymCorrect'
 	$(GO) test ./internal/sched -run '^$$' -fuzz 'FuzzGreedyAllocate$$' -fuzztime 10s

@@ -161,6 +161,11 @@ func BenchmarkGreedyAllocate30(b *testing.B) { benchGreedy(b, 30) }
 // BenchmarkGreedyAllocate50 is the Enki series' largest point.
 func BenchmarkGreedyAllocate50(b *testing.B) { benchGreedy(b, 50) }
 
+// BenchmarkGreedyAllocate1000 is a city-sized neighbourhood (enkibench
+// city settles ~781 households per shard), past the size from which the
+// Sec. IV-C order switches to its radix sort.
+func BenchmarkGreedyAllocate1000(b *testing.B) { benchGreedy(b, 1000) }
+
 // BenchmarkOptimalAllocate10 solves a 10-household day exactly.
 func BenchmarkOptimalAllocate10(b *testing.B) { benchOptimal(b, 10, solver.Options{}) }
 

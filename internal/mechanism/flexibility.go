@@ -30,13 +30,32 @@ func FlexibilityScores(prefs []core.Preference) []float64 {
 }
 
 // FlexibilityScoresInto computes Eq. 4 into dst, which must have
-// len(prefs) entries, and returns it. It performs no allocations: the
-// greedy scheduler's zero-alloc hot path calls it with a scratch
-// buffer. The arithmetic is identical to FlexibilityScores.
+// len(prefs) entries, and returns it, in O(n + 24) and without
+// allocating: the occupancy N comes from a difference array over the
+// clamped windows, and each window's Σ_h N_h from prefix sums of it.
+// The sums are integers, so every score is bit-identical to
+// FlexibilityScore's per-hour sum. The greedy scheduler's zero-alloc
+// hot path and the settlement chain call it with scratch buffers.
 func FlexibilityScoresInto(dst []float64, prefs []core.Preference) []float64 {
-	n := core.Occupancy(prefs)
+	var diff [core.HoursPerDay + 1]int
+	for _, p := range prefs {
+		if lo, hi := dayPart(p.Window); lo < hi {
+			diff[lo]++
+			diff[hi]--
+		}
+	}
+	var prefix [core.HoursPerDay + 1]int // prefix[h] = N_0 + … + N_{h-1}
+	n := 0
+	for h := 0; h < core.HoursPerDay; h++ {
+		n += diff[h]
+		prefix[h+1] = prefix[h] + n
+	}
 	for i, p := range prefs {
-		dst[i] = flexibilityOf(p, n)
+		sum := 0
+		if lo, hi := dayPart(p.Window); lo < hi {
+			sum = prefix[hi] - prefix[lo]
+		}
+		dst[i] = flexibility(p, sum)
 	}
 	return dst
 }
@@ -44,17 +63,25 @@ func FlexibilityScoresInto(dst []float64, prefs []core.Preference) []float64 {
 // FlexibilityScore computes Eq. 4 for one preference against a
 // population of windows that must include the preference itself.
 func FlexibilityScore(p core.Preference, population []core.Preference) float64 {
-	return flexibilityOf(p, core.Occupancy(population))
+	n := core.Occupancy(population)
+	lo, hi := dayPart(p.Window)
+	var sum int
+	for h := lo; h < hi; h++ {
+		sum += n[h]
+	}
+	return flexibility(p, sum)
 }
 
-func flexibilityOf(p core.Preference, n [core.HoursPerDay]int) float64 {
+// dayPart clamps a window to the day's hours, as core.Occupancy does.
+func dayPart(w core.Interval) (lo, hi int) {
+	return max(w.Begin, 0), min(w.End, core.HoursPerDay)
+}
+
+// flexibility is Eq. 4 for p given sum = Σ_h N_h over p's window.
+func flexibility(p core.Preference, sum int) float64 {
 	width := p.Width()
 	if width == 0 || p.Duration == 0 {
 		return 0
-	}
-	var sum int
-	for h := max(p.Window.Begin, 0); h < min(p.Window.End, core.HoursPerDay); h++ {
-		sum += n[h]
 	}
 	avg := float64(sum) / float64(width) // N_i
 	if avg == 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"enki/internal/core"
+	"enki/internal/dist"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -112,8 +113,49 @@ func TestFlexibilityScoreSingle(t *testing.T) {
 }
 
 func TestFlexibilityDegenerate(t *testing.T) {
-	if got := flexibilityOf(core.Preference{}, [core.HoursPerDay]int{}); got != 0 {
+	if got := flexibility(core.Preference{}, 0); got != 0 {
 		t.Errorf("zero-width preference flexibility = %g, want 0", got)
+	}
+}
+
+// TestFlexibilityScoresIntoMatchesPerHourSum: the prefix-sum Eq. 4
+// scores every household bit for bit as FlexibilityScore does from the
+// per-hour occupancy, over random populations mixing one-hour,
+// whole-day and arbitrary windows (some reaching outside the day, as
+// unvalidated preferences may), at sizes from one household to a
+// city-sized shard.
+func TestFlexibilityScoresIntoMatchesPerHourSum(t *testing.T) {
+	rng := dist.New(2017)
+	for k := 0; k < 300; k++ {
+		n := 1 + rng.Intn(40)
+		if k%30 == 0 {
+			n = 1 + rng.Intn(2000)
+		}
+		prefs := make([]core.Preference, n)
+		for i := range prefs {
+			var w core.Interval
+			switch rng.Intn(4) {
+			case 0: // one hour
+				h := rng.Intn(core.HoursPerDay)
+				w = core.Interval{Begin: h, End: h + 1}
+			case 1: // the whole day
+				w = core.Interval{Begin: 0, End: core.HoursPerDay}
+			case 2: // anywhere, possibly past either end of the day
+				b := rng.Intn(core.HoursPerDay+8) - 4
+				w = core.Interval{Begin: b, End: b + rng.Intn(core.HoursPerDay)}
+			default:
+				b := rng.Intn(core.HoursPerDay)
+				w = core.Interval{Begin: b, End: b + 1 + rng.Intn(core.HoursPerDay-b)}
+			}
+			prefs[i] = core.Preference{Window: w, Duration: 1 + rng.Intn(max(w.Len(), 1))}
+		}
+		got := FlexibilityScoresInto(make([]float64, n), prefs)
+		for i, p := range prefs {
+			if want := FlexibilityScore(p, prefs); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("population %d (n=%d): household %d %v scores %v, per-hour sum gives %v",
+					k, n, i, p, got[i], want)
+			}
+		}
 	}
 }
 

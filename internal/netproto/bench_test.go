@@ -15,24 +15,28 @@ import (
 
 // benchBatch builds a representative shard-phase batch: the message mix
 // one batch frame actually carries during a day (requests, preferences,
-// allocations, consumptions, payments).
+// allocations, consumptions, payments), with city-scale household IDs
+// (three-byte varints) on a day past the second month (two bytes), as a
+// 100,000-household cluster's links carry them. Like a shard link's
+// messages, they carry no trace context.
 func benchBatch(n int) []*Message {
+	const day = 200
 	pref := core.MustPreference(16, 22, 3)
 	iv := core.Interval{Begin: 17, End: 20}
 	msgs := make([]*Message, 0, n)
 	for i := 0; i < n; i++ {
-		id := core.HouseholdID(i)
+		id := core.HouseholdID(60_000 + 613*i)
 		switch i % 5 {
 		case 0:
-			msgs = append(msgs, &Message{Kind: KindRequest, ID: id, Day: 3})
+			msgs = append(msgs, &Message{Kind: KindRequest, ID: id, Day: day})
 		case 1:
-			msgs = append(msgs, &Message{Kind: KindPreference, ID: id, Day: 3, Pref: &pref})
+			msgs = append(msgs, &Message{Kind: KindPreference, ID: id, Day: day, Pref: &pref})
 		case 2:
-			msgs = append(msgs, &Message{Kind: KindAllocation, ID: id, Day: 3, Interval: &iv})
+			msgs = append(msgs, &Message{Kind: KindAllocation, ID: id, Day: day, Interval: &iv})
 		case 3:
-			msgs = append(msgs, &Message{Kind: KindConsumption, ID: id, Day: 3, Interval: &iv})
+			msgs = append(msgs, &Message{Kind: KindConsumption, ID: id, Day: day, Interval: &iv})
 		default:
-			msgs = append(msgs, &Message{Kind: KindPayment, ID: id, Day: 3,
+			msgs = append(msgs, &Message{Kind: KindPayment, ID: id, Day: day,
 				Payment: &PaymentDetail{Amount: 12.5, Flexibility: 0.4, TotalCost: 980.25}})
 		}
 	}
@@ -40,7 +44,8 @@ func benchBatch(n int) []*Message {
 }
 
 // BenchmarkBatchEncode measures AppendBatch per codec over a
-// DefaultBatchSize batch; wireB/op is the encoded frame size.
+// DefaultBatchSize batch into a reused buffer, as a shard link encodes;
+// wireB/op is the encoded frame size.
 func BenchmarkBatchEncode(b *testing.B) {
 	msgs := benchBatch(DefaultBatchSize)
 	for _, name := range CodecNames() {
@@ -60,7 +65,10 @@ func BenchmarkBatchEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchDecode measures DecodeBatch per codec.
+// BenchmarkBatchDecode measures the batch-frame decode per codec two
+// ways: DecodeBatch, which gives every message a fresh slot (the TCP
+// path), and /pooled, decodeFrame into reused slots, as a shard link's
+// transfer decodes each frame.
 func BenchmarkBatchDecode(b *testing.B) {
 	msgs := benchBatch(DefaultBatchSize)
 	for _, name := range CodecNames() {
@@ -74,6 +82,16 @@ func BenchmarkBatchDecode(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := DecodeBatch(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("codec="+name+"/pooled", func(b *testing.B) {
+			slots := make([]slot, len(msgs))
+			slotAt := func(i int) *slot { return &slots[i] }
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := decodeFrame(payload, slotAt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,6 +3,7 @@ package netproto
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -209,13 +210,27 @@ const (
 	binMetrics
 )
 
+// appendUvarint appends v as binary.AppendUvarint does; values of up
+// to three bytes, every day-cycle field of a million-household day, are
+// written by one append.
 func appendUvarint(dst []byte, v uint64) []byte {
+	switch {
+	case v < 1<<7:
+		return append(dst, byte(v))
+	case v < 1<<14:
+		return append(dst, byte(v)|0x80, byte(v>>7))
+	case v < 1<<21:
+		return append(dst, byte(v)|0x80, byte(v>>7)|0x80, byte(v>>14))
+	}
 	return binary.AppendUvarint(dst, v)
 }
 
-func appendVarint(dst []byte, v int64) []byte {
-	return binary.AppendVarint(dst, v)
-}
+// zigzag maps x to the uvarint binary.AppendVarint writes for it;
+// appendUvarint(dst, zigzag(x)) is binary.AppendVarint(dst, x).
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
+// unzigzag inverts zigzag, as binary.Varint does.
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
 
 func appendString(dst []byte, s string) []byte {
 	dst = appendUvarint(dst, uint64(len(s)))
@@ -223,14 +238,6 @@ func appendString(dst []byte, s string) []byte {
 }
 
 func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
-	code := kindCode(m.Kind)
-	dst = append(dst, code)
-	if code == 0 {
-		dst = appendString(dst, string(m.Kind))
-	}
-	dst = appendVarint(dst, int64(m.ID))
-	dst = appendVarint(dst, int64(m.Day))
-
 	var mask uint64
 	if m.Trace != nil {
 		mask |= binTrace
@@ -259,33 +266,38 @@ func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
 	if m.Metrics != nil {
 		mask |= binMetrics
 	}
-	dst = appendUvarint(dst, mask)
 
-	if m.Trace != nil {
+	code := kindCode(m.Kind)
+	dst = append(dst, code)
+	if code == 0 {
+		dst = appendString(dst, string(m.Kind))
+	}
+	dst = appendUvarint(dst, zigzag(int64(m.ID)))
+	dst = appendUvarint(dst, zigzag(int64(m.Day)))
+	dst = appendUvarint(dst, mask)
+	if mask&binTrace != 0 {
 		dst = appendString(dst, m.Trace.TraceID)
 		dst = appendString(dst, m.Trace.SpanID)
 	}
-	if m.Token != "" {
+	if mask&binToken != 0 {
 		dst = appendString(dst, m.Token)
 	}
-	if m.Pref != nil {
-		dst = appendVarint(dst, int64(m.Pref.Window.Begin))
-		dst = appendVarint(dst, int64(m.Pref.Window.End))
-		dst = appendVarint(dst, int64(m.Pref.Duration))
+	if mask&binPref != 0 {
+		dst = appendUvarint(dst, zigzag(int64(m.Pref.Window.Begin)))
+		dst = appendUvarint(dst, zigzag(int64(m.Pref.Window.End)))
+		dst = appendUvarint(dst, zigzag(int64(m.Pref.Duration)))
 	}
-	if m.Interval != nil {
-		dst = appendVarint(dst, int64(m.Interval.Begin))
-		dst = appendVarint(dst, int64(m.Interval.End))
+	if mask&binInterval != 0 {
+		dst = appendUvarint(dst, zigzag(int64(m.Interval.Begin)))
+		dst = appendUvarint(dst, zigzag(int64(m.Interval.End)))
 	}
-	if m.Payment != nil {
-		for _, f := range [...]float64{
-			m.Payment.Amount, m.Payment.Flexibility, m.Payment.Defection,
-			m.Payment.SocialCost, m.Payment.TotalCost, m.Payment.PeakLoad,
-		} {
+	if mask&binPayment != 0 {
+		p := m.Payment
+		for _, f := range [...]float64{p.Amount, p.Flexibility, p.Defection, p.SocialCost, p.TotalCost, p.PeakLoad} {
 			dst = appendFloat64(dst, f)
 		}
 	}
-	if m.Err != "" {
+	if mask&binErr != 0 {
 		dst = appendString(dst, m.Err)
 	}
 	if mask&binCodecs != 0 {
@@ -294,10 +306,10 @@ func (binaryCodec) Append(dst []byte, m *Message) ([]byte, error) {
 			dst = appendString(dst, name)
 		}
 	}
-	if m.Codec != "" {
+	if mask&binCodec != 0 {
 		dst = appendString(dst, m.Codec)
 	}
-	if m.Metrics != nil {
+	if mask&binMetrics != 0 {
 		dst = appendMetrics(dst, m.Metrics)
 	}
 	return dst, nil
@@ -330,7 +342,7 @@ func appendMetrics(dst []byte, rep *obs.MetricsReport) []byte {
 		dst = appendFloat64(appendUvarint(dst, h.Count), h.Sum)
 		dst = appendUvarint(dst, uint64(len(h.Exemplars)))
 		for _, e := range h.Exemplars {
-			dst = appendString(appendFloat64(appendVarint(dst, int64(e.Bucket)), e.Value), e.TraceID)
+			dst = appendString(appendFloat64(appendUvarint(dst, zigzag(int64(e.Bucket))), e.Value), e.TraceID)
 		}
 	}
 	return dst
@@ -358,7 +370,56 @@ func appendFloat64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-// binReader walks a binary-codec payload with saturating error state.
+// errTruncated is the binary codec's error for a message that ends
+// inside a field.
+var errTruncated = errors.New("netproto: decode frame: truncated binary message")
+
+// uvarintAt reads the uvarint at data[at:] and returns it with the
+// position after it, or a negative position when at is already
+// negative or the bytes there hold no uvarint, so a failed read carries
+// through every later one. Values of up to three bytes, every
+// day-cycle field of a million-household day, are read by straight-line
+// code, longer ones by binary.Uvarint; all decode as binary.Uvarint
+// decodes them, non-canonical (overlong) encodings included.
+func uvarintAt(data []byte, at int) (uint64, int) {
+	if uint(at) < uint(len(data)) {
+		b := data[at:]
+		if b[0] < 0x80 {
+			return uint64(b[0]), at + 1
+		}
+		if len(b) > 1 && b[1] < 0x80 {
+			return uint64(b[0]&0x7f) | uint64(b[1])<<7, at + 2
+		}
+		if len(b) > 2 && b[2] < 0x80 {
+			return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14, at + 3
+		}
+	}
+	return uvarintTail(data, at)
+}
+
+// uvarintTail is uvarintAt's path for a long or truncated uvarint, and
+// for a negative position.
+func uvarintTail(data []byte, at int) (uint64, int) {
+	if at < 0 || at > len(data) {
+		return 0, -1
+	}
+	v, n := binary.Uvarint(data[at:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, at + n
+}
+
+// varintAt reads the zigzag varint at data[at:] as uvarintAt reads a
+// uvarint.
+func varintAt(data []byte, at int) (int64, int) {
+	ux, at := uvarintAt(data, at)
+	return unzigzag(ux), at
+}
+
+// binReader walks the binary codec's rare fields (kind strings, trace,
+// token, err, codec offers, codec, metrics) with saturating error
+// state.
 type binReader struct {
 	data []byte
 	err  error
@@ -366,64 +427,24 @@ type binReader struct {
 
 func (r *binReader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("netproto: decode frame: truncated binary message")
+		r.err = errTruncated
 	}
 }
 
-func (r *binReader) byte() byte {
-	if r.err != nil || len(r.data) == 0 {
-		r.fail()
-		return 0
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b
-}
-
-// uvarint reads a uvarint; a one-byte one, such as a day-cycle
-// message's presence mask, is read inline.
 func (r *binReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	if len(r.data) > 0 && r.data[0] < 0x80 {
-		v := uint64(r.data[0])
-		r.data = r.data[1:]
-		return v
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
+	v, at := uvarintAt(r.data, 0)
+	if at < 0 {
 		r.fail()
 		return 0
 	}
-	r.data = r.data[n:]
+	r.data = r.data[at:]
 	return v
 }
 
-// varint reads a zigzag varint; a one-byte one (every hour and
-// duration, and IDs and days below 64) is read inline and unzigzagged
-// as binary.Varint does.
-func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) > 0 && r.data[0] < 0x80 {
-		ux := uint64(r.data[0])
-		r.data = r.data[1:]
-		x := int64(ux >> 1)
-		if ux&1 != 0 {
-			x = ^x
-		}
-		return x
-	}
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
+func (r *binReader) varint() int64 { return unzigzag(r.uvarint()) }
 
 func (r *binReader) string() string {
 	n := r.uvarint()
@@ -465,78 +486,127 @@ func (r *binReader) float64() float64 {
 		r.fail()
 		return 0
 	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.data))
+	f := float64At(r.data, 0)
 	r.data = r.data[8:]
 	return f
 }
 
+// rareBefore and rareAfter are the rare fields on either side of the
+// day-cycle payloads (pref, interval, payment) in the layout's field
+// order; a set bit past binMetrics names no field and is ignored.
+const (
+	rareBefore = binTrace | binToken
+	rareAfter  = ^uint64(rareBefore | binPref | binInterval | binPayment)
+)
+
 // Decode resets only s's message: the inline payloads are reachable only
-// through the pointers it sets, so stale ones are never read.
+// through the pointers it sets, so stale ones are never read. It threads
+// one position through the header and the day-cycle payloads, and hands
+// the rare fields to binReader.
 func (binaryCodec) Decode(data []byte, s *slot) (*Message, error) {
 	s.msg = Message{}
 	m := &s.msg
-	r := &binReader{data: data}
-	code := r.byte()
-	switch {
+	if len(data) == 0 {
+		return nil, errTruncated
+	}
+	at := 1
+	switch code := data[0]; {
 	case code == 0:
+		r := binReader{data: data[1:]}
 		m.Kind = Kind(r.string())
+		if r.err != nil {
+			return nil, r.err
+		}
+		at = len(data) - len(r.data)
 	case int(code) <= len(wireKinds):
 		m.Kind = wireKinds[code-1]
 	default:
 		return nil, fmt.Errorf("netproto: decode frame: unknown kind code %d", code)
 	}
-	m.ID = core.HouseholdID(r.varint())
-	m.Day = int(r.varint())
-	mask := r.uvarint()
-	if mask&binTrace != 0 {
-		m.Trace = &obs.TraceContext{TraceID: r.string(), SpanID: r.string()}
+	id, at := varintAt(data, at)
+	day, at := varintAt(data, at)
+	mask, at := uvarintAt(data, at)
+	m.ID, m.Day = core.HouseholdID(id), int(day)
+	if at < 0 {
+		return nil, errTruncated
 	}
-	if mask&binToken != 0 {
-		m.Token = r.string()
+	if mask&rareBefore != 0 {
+		r := binReader{data: data[at:]}
+		if mask&binTrace != 0 {
+			m.Trace = &obs.TraceContext{TraceID: r.string(), SpanID: r.string()}
+		}
+		if mask&binToken != 0 {
+			m.Token = r.string()
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		at = len(data) - len(r.data)
 	}
 	if mask&binPref != 0 {
-		s.setPref(core.Preference{
-			Window:   core.Interval{Begin: int(r.varint()), End: int(r.varint())},
-			Duration: int(r.varint()),
-		})
+		var begin, end, duration int64
+		begin, at = varintAt(data, at)
+		end, at = varintAt(data, at)
+		duration, at = varintAt(data, at)
+		s.setPref(core.Preference{Window: core.Interval{Begin: int(begin), End: int(end)}, Duration: int(duration)})
 	}
 	if mask&binInterval != 0 {
-		s.setInterval(core.Interval{Begin: int(r.varint()), End: int(r.varint())})
+		var begin, end int64
+		begin, at = varintAt(data, at)
+		end, at = varintAt(data, at)
+		s.setInterval(core.Interval{Begin: int(begin), End: int(end)})
+	}
+	if at < 0 {
+		return nil, errTruncated
 	}
 	if mask&binPayment != 0 {
+		if len(data)-at < 6*8 {
+			return nil, errTruncated
+		}
+		p := data[at : at+6*8]
 		s.setPayment(PaymentDetail{
-			Amount:      r.float64(),
-			Flexibility: r.float64(),
-			Defection:   r.float64(),
-			SocialCost:  r.float64(),
-			TotalCost:   r.float64(),
-			PeakLoad:    r.float64(),
+			Amount:      float64At(p, 0),
+			Flexibility: float64At(p, 8),
+			Defection:   float64At(p, 16),
+			SocialCost:  float64At(p, 24),
+			TotalCost:   float64At(p, 32),
+			PeakLoad:    float64At(p, 40),
 		})
+		at += 6 * 8
 	}
-	if mask&binErr != 0 {
-		m.Err = r.string()
-	}
-	if mask&binCodecs != 0 {
-		if n := r.items(1, false); n >= 0 { // each offer needs at least its length byte
-			m.Codecs = make([]string, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				m.Codecs = append(m.Codecs, r.string())
+	if mask&rareAfter != 0 {
+		r := binReader{data: data[at:]}
+		if mask&binErr != 0 {
+			m.Err = r.string()
+		}
+		if mask&binCodecs != 0 {
+			if n := r.items(1, false); n >= 0 { // each offer needs at least its length byte
+				m.Codecs = make([]string, 0, n)
+				for i := 0; i < n && r.err == nil; i++ {
+					m.Codecs = append(m.Codecs, r.string())
+				}
 			}
 		}
+		if mask&binCodec != 0 {
+			m.Codec = r.string()
+		}
+		if mask&binMetrics != 0 {
+			m.Metrics = r.metrics()
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		at = len(data) - len(r.data)
 	}
-	if mask&binCodec != 0 {
-		m.Codec = r.string()
-	}
-	if mask&binMetrics != 0 {
-		m.Metrics = r.metrics()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.data) != 0 {
-		return nil, fmt.Errorf("netproto: decode frame: %d trailing bytes", len(r.data))
+	if at != len(data) {
+		return nil, fmt.Errorf("netproto: decode frame: %d trailing bytes", len(data)-at)
 	}
 	return m, nil
+}
+
+// float64At reads the little-endian float64 at b[at:].
+func float64At(b []byte, at int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[at:]))
 }
 
 // metrics reads a metrics report appendMetrics wrote. The minimum entry

@@ -33,9 +33,8 @@ const frameOverhead = 4 + 1
 // the in-process cluster links.
 func AppendBatch(dst []byte, c Codec, msgs []*Message) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length backpatched below
-	dst = append(dst, c.ID())
-	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
+	dst = append(dst, 0, 0, 0, 0, c.ID()) // length backpatched below
+	dst = appendUvarint(dst, uint64(len(msgs)))
 	for _, m := range msgs {
 		var err error
 		if dst, err = appendSized(dst, c, m); err != nil {
@@ -51,22 +50,31 @@ func AppendBatch(dst []byte, c Codec, msgs []*Message) ([]byte, error) {
 }
 
 // appendSized appends m's encoding to dst behind its uvarint length. The
-// message is encoded in place after a one-byte length — enough for any
-// message under 128 bytes, which covers every binary day-cycle message
-// — and shifted right only when its length needs a wider varint.
+// message is encoded in place after a one-byte length, written in place
+// when it fits — any message under 128 bytes, which covers every binary
+// day-cycle message — and shifted right only when its length needs a
+// wider varint. The binary codec is called directly, not through the
+// Codec interface: the codec set is closed.
 func appendSized(dst []byte, c Codec, m *Message) ([]byte, error) {
 	at := len(dst)
-	dst, err := c.Append(append(dst, 0), m)
+	var err error
+	if bin, ok := c.(binaryCodec); ok {
+		dst, err = bin.Append(append(dst, 0), m)
+	} else {
+		dst, err = c.Append(append(dst, 0), m)
+	}
 	if err != nil {
 		return nil, err
 	}
 	size := len(dst) - at - 1
+	if size < 0x80 {
+		dst[at] = byte(size)
+		return dst, nil
+	}
 	var length [binary.MaxVarintLen64]byte
 	w := binary.PutUvarint(length[:], uint64(size))
-	if w > 1 {
-		dst = append(dst, length[1:w]...) // room for the wider length
-		copy(dst[at+w:], dst[at+1:at+1+size])
-	}
+	dst = append(dst, length[1:w]...) // room for the wider length
+	copy(dst[at+w:], dst[at+1:at+1+size])
 	copy(dst[at:], length[:w])
 	return dst, nil
 }
@@ -123,28 +131,32 @@ func decodeFrame(payload []byte, slotAt func(i int) *slot) (Codec, int, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("netproto: unknown codec id %d", payload[0])
 	}
-	rest := payload[1:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
+	_, bin := c.(binaryCodec) // called directly below: the codec set is closed
+	count, at := uvarintAt(payload, 1)
+	if at < 0 {
 		return nil, 0, fmt.Errorf("netproto: batch frame missing message count")
 	}
-	rest = rest[n:]
-	if count > uint64(len(rest)) {
-		return nil, 0, fmt.Errorf("netproto: batch frame claims %d messages in %d bytes", count, len(rest))
+	if count > uint64(len(payload)-at) {
+		return nil, 0, fmt.Errorf("netproto: batch frame claims %d messages in %d bytes", count, len(payload)-at)
 	}
 	for i := 0; i < int(count); i++ {
-		size, n := binary.Uvarint(rest)
-		if n <= 0 || size > uint64(len(rest)-n) {
+		size, next := uvarintAt(payload, at)
+		if next < 0 || size > uint64(len(payload)-next) {
 			return nil, 0, fmt.Errorf("netproto: batch frame message %d truncated", i)
 		}
-		rest = rest[n:]
-		if _, err := c.Decode(rest[:size], slotAt(i)); err != nil {
+		at = next + int(size)
+		var err error
+		if bin {
+			_, err = binaryCodec{}.Decode(payload[next:at], slotAt(i))
+		} else {
+			_, err = c.Decode(payload[next:at], slotAt(i))
+		}
+		if err != nil {
 			return nil, 0, err
 		}
-		rest = rest[size:]
 	}
-	if len(rest) != 0 {
-		return nil, 0, fmt.Errorf("netproto: batch frame has %d trailing bytes", len(rest))
+	if at != len(payload) {
+		return nil, 0, fmt.Errorf("netproto: batch frame has %d trailing bytes", len(payload)-at)
 	}
 	return c, int(count), nil
 }

@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 	"unicode/utf8"
@@ -43,6 +44,9 @@ func FuzzReadBatch(f *testing.F) {
 func FuzzRoundTrip(f *testing.F) {
 	f.Add("hello", int64(3), 7, "some error")
 	f.Add("payment", int64(0), 0, "")
+	for _, v := range varintBoundaries { // every varint width, both signs, the int64 extremes
+		f.Add("request", v, int(v), "")
+	}
 	f.Fuzz(func(t *testing.T, kind string, id int64, day int, errStr string) {
 		if !utf8.ValidString(kind) || !utf8.ValidString(errStr) {
 			t.Skip() // JSON normalizes invalid UTF-8 to U+FFFD, so it cannot round-trip
@@ -168,6 +172,35 @@ func (d *fuzzNumbers) next() uint64 {
 	return v
 }
 
+// fillerInt is the number messageFiller turns into v: it negates an
+// odd number it draws.
+func fillerInt(v int64) uint64 {
+	if v&1 != 0 {
+		return uint64(-v)
+	}
+	return uint64(v)
+}
+
+// boundaryFields is FuzzCodecDifferential input for a message whose ID,
+// day, preference and interval fields hold ±v, and whose payment holds
+// −0, subnormals and ±MaxFloat64: messageFiller's draws in Message
+// field order, zero (nil or empty) for every other field.
+func boundaryFields(v int64) []byte {
+	var b []byte
+	for _, u := range []uint64{
+		0,                          // kind, replaced by the fuzz argument
+		fillerInt(v), fillerInt(v), // id, day
+		0, 0, 0, 0, // trace, token, codecs, codec
+		1, fillerInt(v), fillerInt(-v), fillerInt(v), // pref
+		1, fillerInt(-v), fillerInt(v), // interval
+		1, math.Float64bits(math.Copysign(0, -1)), 1, math.Float64bits(0x1p-1030),
+		math.Float64bits(math.MaxFloat64), math.Float64bits(-math.MaxFloat64), math.Float64bits(0.5), // payment
+	} {
+		b = binary.AppendUvarint(b, u)
+	}
+	return b
+}
+
 // FuzzCodecDifferential is the cross-codec oracle: the same message
 // encoded by the JSON codec and by the binary codec must decode to the
 // same value — any divergence is a bug in one of them. Every field of
@@ -183,6 +216,9 @@ func FuzzCodecDifferential(f *testing.F) {
 	f.Add("hello", []byte{})                 // every field nil or zero
 	f.Add("hello", []byte{0, 0, 0, 0, 0, 1}) // an empty codec offer: the sixth field
 	f.Add("metricsReport", bytes.Repeat([]byte{1, 3, 2}, 40))
+	for _, v := range varintBoundaries {
+		f.Add("preference", boundaryFields(v))
+	}
 	f.Fuzz(func(t *testing.T, kind string, fields []byte) {
 		if !utf8.ValidString(kind) {
 			t.Skip() // JSON cannot round-trip invalid UTF-8; binary can, so skip the comparison

@@ -16,7 +16,7 @@ import (
 	"enki/internal/obs"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/cluster_golden.json from this build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files of the tests run from this build")
 
 const goldenPath = "testdata/cluster_golden.json"
 

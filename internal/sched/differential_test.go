@@ -80,6 +80,48 @@ func TestDifferentialGreedy(t *testing.T) {
 	}
 }
 
+// TestDifferentialGreedyLargeNeighbourhoods carries the differential
+// past TestDifferentialGreedy's 60 households, to where the order
+// switches sorts: neighbourhoods exactly at radixCutoff and one either
+// side, a city-sized shard, and random sizes up to 2,000, under both
+// pricers, with RNG tie-breaking and with the nil-RNG position jitter.
+func TestDifferentialGreedyLargeNeighbourhoods(t *testing.T) {
+	piecewise, err := pricing.NewPiecewise([]pricing.Step{{Threshold: 0, Rate: 0.5}, {Threshold: 8, Rate: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 781, 2000}
+	rng := dist.New(26)
+	for len(sizes) < 16 {
+		sizes = append(sizes, 61+rng.Intn(2000-60))
+	}
+	for k, n := range sizes {
+		for _, p := range []pricing.Pricer{quad, piecewise} {
+			for _, useRNG := range []bool{false, true} {
+				seed := uint64(1000 + k)
+				reports := corpusReports(dist.New(seed), n)
+				var fastRNG, refRNG *dist.RNG
+				if useRNG {
+					fastRNG, refRNG = dist.New(seed*7919), dist.New(seed*7919)
+				}
+				got, err := (&Greedy{Pricer: p, Rating: 2, RNG: fastRNG}).Allocate(reports)
+				if err != nil {
+					t.Fatalf("n=%d: fast: %v", n, err)
+				}
+				want, err := (&refGreedy{Pricer: p, Rating: 2, RNG: refRNG}).Allocate(reports)
+				if err != nil {
+					t.Fatalf("n=%d: reference: %v", n, err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d (%T, rng=%v): household %d: fast %v != seed %v", n, p, useRNG, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDifferentialGreedyRejectsSameInputs checks the validators agree
 // on what is invalid: empty input, duplicate IDs, and malformed
 // preferences are rejected by both implementations.

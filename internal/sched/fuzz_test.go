@@ -87,15 +87,18 @@ func FuzzGreedyAllocate(f *testing.F) {
 
 // FuzzGreedyAllocateRNG exercises the random tie-breaking path with a
 // fuzzed seed: the fast and seed allocators must consume the RNG stream
-// identically, so equal seeds must yield bit-identical schedules.
+// identically, so equal seeds must yield bit-identical schedules. The
+// neighbourhood holds n%2000+1 households, so the fuzzer reaches both
+// sides of radixCutoff; the seeds sit at the cutoff, one either side,
+// at a city-sized shard and at 2,000.
 func FuzzGreedyAllocateRNG(f *testing.F) {
-	f.Add(uint64(1), uint8(10))
-	f.Add(uint64(42), uint8(50))
-	f.Fuzz(func(t *testing.T, seed uint64, n uint8) {
-		if n == 0 {
-			n = 1
-		}
-		reports := corpusReports(dist.New(seed), int(n)%60+1)
+	f.Add(uint64(1), uint16(10))
+	f.Add(uint64(42), uint16(50))
+	for _, n := range []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 781, 2000} {
+		f.Add(uint64(n), uint16(n-1))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16) {
+		reports := corpusReports(dist.New(seed), int(n)%2000+1)
 		fast := &Greedy{Pricer: quad, Rating: 2, RNG: dist.New(seed)}
 		ref := &refGreedy{Pricer: quad, Rating: 2, RNG: dist.New(seed)}
 		got, err := fast.Allocate(reports)

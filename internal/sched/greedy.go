@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -125,37 +127,130 @@ func (g *Greedy) PlaceAll(prefs []core.Preference, ratings []float64, load *core
 // Random jitter implements the paper's "breaking ties randomly"; it is
 // drawn in input order so the RNG stream matches the seed
 // implementation draw for draw.
+//
+// The (flex, jitter) key is a strict total order (jitter entries are
+// distinct), so any sort yields the permutation the seed's sort.Slice
+// did; the position is a last key that makes the order total even
+// then. A neighbourhood of radixCutoff households or more is sorted by
+// radixSort, a smaller one by a comparison sort, which is the faster
+// of the two there.
 func (g *Greedy) order(s *Scratch) {
 	mechanism.FlexibilityScoresInto(s.flex, s.prefs)
-	for i := range s.order {
+	for i, f := range s.flex {
 		j := float64(i) // deterministic fallback: input order
 		if g.RNG != nil {
 			j = g.RNG.Float64()
 		}
-		s.jitter[i] = j
-		s.order[i] = i
+		s.keys[i] = orderKey{flex: orderBits(f), jitter: orderBits(j), pos: i}
 	}
-	// The (flex, jitter) key is a strict total order (jitter entries are
-	// distinct), so any comparison sort yields the same permutation the
-	// seed's sort.Slice did.
-	flex, jitter := s.flex, s.jitter
-	slices.SortFunc(s.order, func(a, b int) int {
-		fa, fb := flex[a], flex[b]
-		if fa != fb {
-			if fa < fb {
-				return -1
+	keys := s.keys
+	if len(keys) >= radixCutoff {
+		keys = radixSort(keys, s.keyBuf)
+	} else {
+		slices.SortFunc(keys, compareKeys)
+	}
+	for i, k := range keys {
+		s.order[i] = k.pos
+	}
+}
+
+// radixCutoff is the neighbourhood size from which the order uses
+// radixSort. On city-shaped keys (BenchmarkOrderSort, 2-vCPU host) the
+// comparison sort is the faster one up to 256 households, radixSort
+// from 512, and between them the two are within run-to-run noise of
+// each other; 384 sits in that band (see DESIGN.md, "The allocator hot
+// path").
+const radixCutoff = 384
+
+// orderKey is one household's sort key: its Eq. 4 flexibility and its
+// tie-break jitter as order-preserving bit patterns, and its input
+// position.
+type orderKey struct {
+	flex, jitter uint64
+	pos          int
+}
+
+// orderBits maps f to a uint64 whose unsigned order is f's order: the
+// IEEE-754 bits with the sign bit set for a non-negative f, every bit
+// flipped for a negative one. It is exact for every f but NaN (and −0
+// sorts below +0); Eq. 4 and the jitter take neither.
+func orderBits(f float64) uint64 {
+	b := math.Float64bits(f)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// compareKeys orders keys by flexibility, then jitter, then position.
+func compareKeys(a, b orderKey) int {
+	if c := cmp.Compare(a.flex, b.flex); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.jitter, b.jitter); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// radixSort sorts keys as compareKeys orders them, in linear time: a
+// stable LSD radix sort over the sixteen bytes of (flex, jitter), least
+// significant first, that skips a byte every key shares. keys must be
+// in position order, which stability keeps among equal (flex, jitter).
+// buf, as long as keys, is the second buffer; the sorted keys end in
+// one of the two, which radixSort returns.
+func radixSort(keys, buf []orderKey) []orderKey {
+	if len(keys) < 2 {
+		return keys
+	}
+	var counts [16][256]int32 // digit d: byte d of jitter, then byte d-8 of flex
+	for _, k := range keys {
+		j, f := k.jitter, k.flex
+		counts[0][byte(j)]++
+		counts[1][byte(j>>8)]++
+		counts[2][byte(j>>16)]++
+		counts[3][byte(j>>24)]++
+		counts[4][byte(j>>32)]++
+		counts[5][byte(j>>40)]++
+		counts[6][byte(j>>48)]++
+		counts[7][byte(j>>56)]++
+		counts[8][byte(f)]++
+		counts[9][byte(f>>8)]++
+		counts[10][byte(f>>16)]++
+		counts[11][byte(f>>24)]++
+		counts[12][byte(f>>32)]++
+		counts[13][byte(f>>40)]++
+		counts[14][byte(f>>48)]++
+		counts[15][byte(f>>56)]++
+	}
+	src, dst := keys, buf[:len(keys)]
+	for d := range counts {
+		shift := 8 * (d % 8)
+		c := &counts[d]
+		first := src[0].jitter
+		if d >= 8 {
+			first = src[0].flex
+		}
+		if int(c[byte(first>>shift)]) == len(src) {
+			continue // every key shares this byte
+		}
+		var next int32 // exclusive prefix sums: each byte's first slot
+		for i, n := range c {
+			c[i], next = next, next+n
+		}
+		if d < 8 {
+			for _, k := range src {
+				slot := &c[byte(k.jitter>>shift)]
+				dst[*slot] = k
+				*slot++
 			}
-			return 1
+		} else {
+			for _, k := range src {
+				slot := &c[byte(k.flex>>shift)]
+				dst[*slot] = k
+				*slot++
+			}
 		}
-		ja, jb := jitter[a], jitter[b]
-		switch {
-		case ja < jb:
-			return -1
-		case ja > jb:
-			return 1
-		}
-		return 0
-	})
+		src, dst = dst, src
+	}
+	return src
 }
 
 // validateReportsScratch mirrors validateReports without its per-call

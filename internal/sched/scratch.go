@@ -8,9 +8,10 @@ import (
 )
 
 // Scratch holds the reusable working buffers of one Greedy allocation:
-// the preference mirror, flexibility scores, tie-break jitter, the
-// processing order, the chosen intervals, and the sliding-window deque
-// of the incremental peak tracker.
+// the preference mirror, flexibility scores, the sort keys and the
+// radix sort's second key buffer, the processing order, the chosen
+// intervals, and the sliding-window deque of the incremental peak
+// tracker.
 //
 // Ownership contract: a Scratch belongs to exactly one Allocate call at
 // a time. Greedy.AllocateInto callers that pass their own Scratch must
@@ -24,7 +25,8 @@ import (
 type Scratch struct {
 	prefs     []core.Preference
 	flex      []float64
-	jitter    []float64
+	keys      []orderKey
+	keyBuf    []orderKey // radixSort's second buffer
 	order     []int
 	intervals []core.Interval
 	ids       []core.HouseholdID
@@ -36,14 +38,16 @@ func (s *Scratch) grow(n int) {
 	if cap(s.prefs) < n {
 		s.prefs = make([]core.Preference, n)
 		s.flex = make([]float64, n)
-		s.jitter = make([]float64, n)
+		s.keys = make([]orderKey, n)
+		s.keyBuf = make([]orderKey, n)
 		s.order = make([]int, n)
 		s.intervals = make([]core.Interval, n)
 		s.ids = make([]core.HouseholdID, n)
 	}
 	s.prefs = s.prefs[:n]
 	s.flex = s.flex[:n]
-	s.jitter = s.jitter[:n]
+	s.keys = s.keys[:n]
+	s.keyBuf = s.keyBuf[:n]
 	s.order = s.order[:n]
 	s.intervals = s.intervals[:n]
 	s.ids = s.ids[:n]
