@@ -75,11 +75,16 @@ bench-net-check:
 # the leader in every settlement phase including between ledger append
 # and commit) plus a short fuzz pass over the wire codec, which is the
 # surface every injected fault ultimately exercises, over the audit
-# ledger's encoder against json.Marshal (FuzzLedgerEntryAppendJSON), and
-# over the day machine's phase inputs (FuzzDayMachine). The race pass runs
+# ledger's encoder against json.Marshal (FuzzLedgerEntryAppendJSON), over
+# the day machine's phase inputs (FuzzDayMachine), and over the debug-bundle
+# reader enkidebug runs on bundles from outside (FuzzReadBundle; its
+# kilobyte seeds would spend the run in the minimizer, so its minimizer
+# takes one step). The race pass runs
 # the cluster suite repeatedly because every worker borrows the shard
 # links' pooled message slots, so a slot shared between two running
-# shard days would show up there; it runs the replica kill matrix
+# shard days would show up there, as would a Join during a running day
+# that wrote into a shard's block of the membership
+# (TestClusterJoinDuringDay); it runs the replica kill matrix
 # repeatedly because a takeover replays a day on peer-connection and
 # agent goroutines that a dead leader may still be closing. It runs the
 # trace and ledger determinism tests repeatedly because they read an
@@ -105,6 +110,7 @@ chaos:
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 10s
 	$(GO) test ./internal/mechanism -run '^$$' -fuzz FuzzLedgerEntryAppendJSON -fuzztime 10s
 	$(GO) test ./internal/settle -run '^$$' -fuzz FuzzDayMachine -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadBundle -fuzztime 10s -fuzzminimizetime 1x
 
 # The differential suites: the day machine settling bit-identically in
 # every topology that drives it (sim, cluster shard, TCP center, replica

@@ -1,10 +1,11 @@
 package netproto
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -70,8 +71,8 @@ const clusterSeedSalt = 0x636c7573 // "clus"
 type shardState struct {
 	link      *shardLink
 	scheduler sched.Scheduler
-	ids       []core.HouseholdID // the members, sorted
-	policies  []Policy           // the members' policies, aligned with ids
+	ids       []core.HouseholdID // its block of the sorted membership
+	policies  []Policy           // the block's policies, aligned with ids
 
 	// src and reg carry the shard's federated metrics dimension when
 	// reporting is on: reg accumulates the shard's own series across
@@ -101,16 +102,23 @@ type shardState struct {
 // ledger streams in shard-index order: each worker encodes its shard's
 // line, and the worker that completes the in-order prefix appends it.
 type Cluster struct {
-	center  centerConfig  // settlement parameters shared with the center
-	cfg     ClusterConfig // cluster-specific knobs
-	codec   Codec
-	engine  parallel.Engine
-	custom  bool // scheduler came from WithScheduler (shared across shards)
-	mu      sync.Mutex
-	members map[core.HouseholdID]Policy
-	shards  []*shardState
-	dirty   bool // membership changed since shards were built
-	closed  bool
+	center centerConfig  // settlement parameters shared with the center
+	cfg    ClusterConfig // cluster-specific knobs
+	codec  Codec
+	engine parallel.Engine
+	custom bool // scheduler came from WithScheduler (shared across shards)
+	mu     sync.Mutex
+
+	// The membership: IDs and policies aligned, in join order until a
+	// repartition sorts them by ID. The shards view it in place (see
+	// rebuildShards).
+	ids      []core.HouseholdID
+	policies []Policy
+	sorted   bool                          // ids ascend: the partition order
+	joined   map[core.HouseholdID]struct{} // every member, once a Join did not ascend
+	shards   []*shardState
+	dirty    bool // membership changed since shards were built
+	closed   bool
 
 	scratchMu sync.Mutex
 	scratch   []*linkScratch // free link scratches (see linkScratch)
@@ -156,16 +164,22 @@ func StartCluster(ctx context.Context, opts ...Option) (*Cluster, error) {
 		codec:         center.codec(),
 		engine:        parallel.Engine{Workers: cfg.Workers},
 		custom:        custom,
-		members:       make(map[core.HouseholdID]Policy),
+		sorted:        true,
 		dirty:         true,
 		operatorPlane: plane,
 	}, nil
 }
 
-// Join enrolls a household. Households may join between days; the next
-// ClusterDay repartitions the membership (sorted by household ID, in
-// contiguous near-equal blocks) so the partition is a pure function of
-// the member set, never of join order.
+// Join enrolls a household. Households may join between days, or while
+// a day runs; the next ClusterDay repartitions the membership (sorted
+// by household ID, in contiguous near-equal blocks) so the partition is
+// a pure function of the member set, never of join order.
+//
+// Joins in ascending ID order, as enrolling households 0…n−1 makes
+// them, cost an append each: an ID above the last member's is new, and
+// the members stay in partition order. The first Join below the last
+// member's ID builds a set of every member, which rejects duplicates
+// from then on.
 func (c *Cluster) Join(id core.HouseholdID, policy Policy) error {
 	if policy == nil {
 		return errors.New("netproto: nil policy")
@@ -175,10 +189,24 @@ func (c *Cluster) Join(id core.HouseholdID, policy Policy) error {
 	if c.closed {
 		return errors.New("netproto: cluster closed")
 	}
-	if _, ok := c.members[id]; ok {
-		return fmt.Errorf("netproto: duplicate household id %d", id)
+	ascends := len(c.ids) == 0 || id > c.ids[len(c.ids)-1]
+	if !ascends && c.joined == nil {
+		c.joined = make(map[core.HouseholdID]struct{}, len(c.ids)+1)
+		for _, m := range c.ids {
+			c.joined[m] = struct{}{}
+		}
 	}
-	c.members[id] = policy
+	if c.joined != nil {
+		if _, ok := c.joined[id]; ok {
+			return fmt.Errorf("netproto: duplicate household id %d", id)
+		}
+		c.joined[id] = struct{}{}
+	}
+	// A running day's shards view ids[:len(ids)] at most, so appending
+	// writes past every one of them.
+	c.ids = append(c.ids, id)
+	c.policies = append(c.policies, policy)
+	c.sorted = c.sorted && ascends
 	c.dirty = true
 	return nil
 }
@@ -187,7 +215,7 @@ func (c *Cluster) Join(id core.HouseholdID, policy Policy) error {
 func (c *Cluster) Members() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.members)
+	return len(c.ids)
 }
 
 // Shards returns the configured shard count.
@@ -207,16 +235,17 @@ func (c *Cluster) Close() error {
 // resets its link's fault-plan message index, which is why mid-sequence
 // joins change subsequent days (they change the neighborhoods
 // themselves) but never the days already settled.
+//
+// Each shard views its block of the membership in place, capped at its
+// end, so after ascending joins a repartition costs per-shard work
+// only. A membership a Join left out of order is sorted here first.
+// That rewrites the arrays the shards view, which is safe because it
+// runs at the start of a ClusterDay, when no shard day runs.
 func (c *Cluster) rebuildShards() {
-	ids := make([]core.HouseholdID, 0, len(c.members))
-	for id := range c.members {
-		ids = append(ids, id)
+	if !c.sorted {
+		c.sortMembers()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	policies := make([]Policy, len(ids))
-	for i, id := range ids {
-		policies[i] = c.members[id]
-	}
+	ids, policies := c.ids, c.policies
 
 	root := dist.New(c.center.TraceSeed)
 	n := len(ids)
@@ -241,8 +270,8 @@ func (c *Cluster) rebuildShards() {
 				plan:  c.cfg.ShardFaults[s],
 			},
 			scheduler: scheduler,
-			ids:       ids[lo:hi],
-			policies:  policies[lo:hi],
+			ids:       ids[lo:hi:hi],
+			policies:  policies[lo:hi:hi],
 		}
 		if c.fed != nil {
 			c.shards[s].src = fmt.Sprintf("shard/%04d", s)
@@ -250,6 +279,24 @@ func (c *Cluster) rebuildShards() {
 		}
 	}
 	c.dirty = false
+}
+
+// sortMembers sorts the membership by household ID, each policy moving
+// with its ID. Callers hold c.mu.
+func (c *Cluster) sortMembers() {
+	type member struct {
+		id     core.HouseholdID
+		policy Policy
+	}
+	members := make([]member, len(c.ids))
+	for i, id := range c.ids {
+		members[i] = member{id, c.policies[i]}
+	}
+	slices.SortFunc(members, func(a, b member) int { return cmp.Compare(a.id, b.id) })
+	for i, m := range members {
+		c.ids[i], c.policies[i] = m.id, m.policy
+	}
+	c.sorted = true
 }
 
 // ShardDay is one neighborhood's outcome within a cluster day. A shard
@@ -320,7 +367,7 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 		c.mu.Unlock()
 		return nil, errors.New("netproto: cluster closed")
 	}
-	if len(c.members) == 0 {
+	if len(c.ids) == 0 {
 		c.mu.Unlock()
 		return nil, errors.New("netproto: no enrolled households")
 	}
@@ -328,7 +375,7 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 		c.rebuildShards()
 	}
 	shards := c.shards
-	memberCount := len(c.members)
+	memberCount := len(c.ids)
 	c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err

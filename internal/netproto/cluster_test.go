@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,9 +49,16 @@ func buildCluster(t *testing.T, n int, opts ...Option) *Cluster {
 // comparisons.
 func marshalDays(t *testing.T, cluster *Cluster, days int) []byte {
 	t.Helper()
+	return marshalDayRange(t, cluster, 1, days)
+}
+
+// marshalDayRange settles days first…last and renders their records to
+// bytes.
+func marshalDayRange(t *testing.T, cluster *Cluster, first, last int) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for day := 1; day <= days; day++ {
+	for day := first; day <= last; day++ {
 		rec, err := cluster.ClusterDay(context.Background(), day)
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
@@ -124,6 +134,206 @@ func TestClusterJoinOrderIrrelevant(t *testing.T) {
 	}
 	if !bytes.Equal(run(forward), run(reverse)) {
 		t.Error("join order changed the settled bytes")
+	}
+}
+
+// TestClusterJoinWindowsOrderIrrelevant extends the join-order contract
+// to households that join between days. Three join windows are each
+// followed by two days, and each later window's IDs interleave below
+// the earlier ones, so its repartition re-sorts a membership already
+// partitioned. Joining every window in ascending or in shuffled order
+// settles byte-identical records and ledgers.
+func TestClusterJoinWindowsOrderIrrelevant(t *testing.T) {
+	gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+	if err != nil {
+		t.Fatalf("generator: %v", err)
+	}
+	const windows, perWindow = 3, 40
+	profiles := gen.DrawN(windows * perWindow)
+	run := func(shuffle *rand.Rand) (records, ledger []byte) {
+		var journal bytes.Buffer
+		cluster, err := StartCluster(context.Background(), WithShards(8), WithTraceSeed(7), WithLedger(NewJournal(&journal)))
+		if err != nil {
+			t.Fatalf("StartCluster: %v", err)
+		}
+		defer cluster.Close()
+		var out []byte
+		for w := range windows {
+			// Window w joins the IDs ≡ windows−1−w (mod windows): 2, 5, 8, …
+			// first, then 1, 4, 7, …, then 0, 3, 6, …
+			var ids []int
+			for id := windows - 1 - w; id < len(profiles); id += windows {
+				ids = append(ids, id)
+			}
+			if shuffle != nil {
+				shuffle.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			}
+			for _, id := range ids {
+				if err := cluster.Join(core.HouseholdID(id), &Truthful{Type: profiles[id].TypeWide()}); err != nil {
+					t.Fatalf("window %d: join %d: %v", w, id, err)
+				}
+			}
+			out = append(out, marshalDayRange(t, cluster, 2*w+1, 2*w+2)...)
+		}
+		return out, journal.Bytes()
+	}
+	records, ledger := run(nil)
+	for seed := range int64(3) {
+		gotRecords, gotLedger := run(rand.New(rand.NewSource(seed)))
+		if !bytes.Equal(gotRecords, records) {
+			t.Errorf("shuffle %d: join order changed the settled records", seed)
+		}
+		if !bytes.Equal(gotLedger, ledger) {
+			t.Errorf("shuffle %d: join order changed the ledger", seed)
+		}
+	}
+}
+
+// TestClusterJoinRejectsDuplicates: Join refuses a member's ID on every
+// path the membership can be on — while IDs ascend (the last ID, or an
+// earlier one), after an out-of-order Join built the member set, and
+// after a repartition re-sorted the members — and a refused Join
+// leaves the membership as it was.
+func TestClusterJoinRejectsDuplicates(t *testing.T) {
+	ctx := context.Background()
+	gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+	if err != nil {
+		t.Fatalf("generator: %v", err)
+	}
+	for _, tc := range []struct {
+		name      string
+		joins     []core.HouseholdID
+		partition bool // settle a day between the joins and the duplicates
+		dups      []core.HouseholdID
+	}{
+		{"last ID while IDs ascend", []core.HouseholdID{10, 20, 30}, false, []core.HouseholdID{30}},
+		{"earlier ID while IDs ascend", []core.HouseholdID{10, 20, 30}, false, []core.HouseholdID{10}},
+		{"after an out-of-order join", []core.HouseholdID{10, 30, 20}, false, []core.HouseholdID{10, 20, 30}},
+		{"after a repartition sorted the members", []core.HouseholdID{30, 10, 20}, true, []core.HouseholdID{10, 20, 30}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster := buildCluster(t, 0, WithShards(2))
+			join := func(id core.HouseholdID) error {
+				return cluster.Join(id, &Truthful{Type: gen.Draw().TypeWide()})
+			}
+			for _, id := range tc.joins {
+				if err := join(id); err != nil {
+					t.Fatalf("join %d: %v", id, err)
+				}
+			}
+			if tc.partition {
+				if _, err := cluster.ClusterDay(ctx, 1); err != nil {
+					t.Fatalf("ClusterDay: %v", err)
+				}
+			}
+			for _, id := range tc.dups {
+				want := fmt.Sprintf("netproto: duplicate household id %d", id)
+				if err := join(id); err == nil || err.Error() != want {
+					t.Errorf("joining member %d again: error %v, want %q", id, err, want)
+				}
+			}
+			if got := cluster.Members(); got != len(tc.joins) {
+				t.Errorf("%d members after the refused joins, want %d", got, len(tc.joins))
+			}
+			// The membership still takes new households on either side of
+			// its members and settles every one of them once.
+			for _, id := range []core.HouseholdID{40, 5, 25} {
+				if err := join(id); err != nil {
+					t.Fatalf("join %d: %v", id, err)
+				}
+			}
+			rec, err := cluster.ClusterDay(ctx, 2)
+			if err != nil {
+				t.Fatalf("ClusterDay: %v", err)
+			}
+			if want := len(tc.joins) + 3; rec.Households != want || rec.Settled != want {
+				t.Errorf("day settled %d of %d households, want %d of %d", rec.Settled, rec.Households, want, want)
+			}
+		})
+	}
+}
+
+// joinOnReport is a truthful household whose first report runs join:
+// the joins then happen while its cluster day runs.
+type joinOnReport struct {
+	Truthful
+	once sync.Once
+	join func()
+}
+
+func (p *joinOnReport) Report(day int) core.Preference {
+	p.once.Do(p.join)
+	return p.Truthful.Report(day)
+}
+
+// TestClusterJoinDuringDay: households may join while a day runs. A
+// second goroutine joins IDs above every member's and IDs between
+// them while the shards settle the day, which settles its dawn
+// membership; the joins take effect from the next day, which settles
+// the bytes it settles when the same households join between the days.
+// make chaos runs it under the race detector, where a Join that wrote
+// into a running shard's block would show.
+func TestClusterJoinDuringDay(t *testing.T) {
+	gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+	if err != nil {
+		t.Fatalf("generator: %v", err)
+	}
+	const n = 400
+	profiles := gen.DrawN(2*n + 20)
+	// At dawn the members are the even IDs below 2n. The late joiners
+	// ascend past them, then fall between them, then ascend again.
+	var late []int
+	for id := 2 * n; id < 2*n+10; id++ {
+		late = append(late, id)
+	}
+	for id := 1; id < 2*n; id += 2 * n / 10 {
+		late = append(late, id)
+	}
+	for id := 2*n + 10; id < 2*n+20; id++ {
+		late = append(late, id)
+	}
+	joinLate := func(t *testing.T, cluster *Cluster) {
+		for _, id := range late {
+			if err := cluster.Join(core.HouseholdID(id), &Truthful{Type: profiles[id].TypeWide()}); err != nil {
+				t.Errorf("late join %d: %v", id, err)
+			}
+		}
+	}
+	run := func(duringDay bool) (records, ledger []byte) {
+		var journal bytes.Buffer
+		cluster := buildCluster(t, 0, WithShards(16), WithWorkers(4), WithTraceSeed(7), WithLedger(NewJournal(&journal)))
+		for id := 0; id < 2*n; id += 2 {
+			var p Policy = &Truthful{Type: profiles[id].TypeWide()}
+			if duringDay && id == n { // a member of a middle shard
+				p = &joinOnReport{Truthful: Truthful{Type: profiles[id].TypeWide()}, join: func() {
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						joinLate(t, cluster)
+					}()
+					<-done
+				}}
+			}
+			if err := cluster.Join(core.HouseholdID(id), p); err != nil {
+				t.Fatalf("join %d: %v", id, err)
+			}
+		}
+		day1 := marshalDayRange(t, cluster, 1, 1)
+		if !duringDay {
+			joinLate(t, cluster)
+		}
+		if got, want := cluster.Members(), n+len(late); got != want {
+			t.Fatalf("%d members after the late joins, want %d", got, want)
+		}
+		return append(day1, marshalDayRange(t, cluster, 2, 3)...), journal.Bytes()
+	}
+	records, ledger := run(true)
+	wantRecords, wantLedger := run(false)
+	if !bytes.Equal(records, wantRecords) {
+		t.Error("joins during day 1 settled other records than the same joins after it")
+	}
+	if !bytes.Equal(ledger, wantLedger) {
+		t.Error("joins during day 1 wrote another ledger than the same joins after it")
 	}
 }
 

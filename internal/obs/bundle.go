@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -294,8 +295,93 @@ func ReadBundle(path string) (*Bundle, error) {
 	return ReadBundleFrom(f)
 }
 
-// ReadBundleFrom parses a debug-bundle tar.gz stream.
+// maxBundleEntry caps each archive entry ReadBundleFrom parses: 128 MiB.
+// The largest entry writeBundle writes is the ledger tail, MaxLedgerTail
+// lines of one neighbourhood day each at about 325 B per household: 81 MB
+// for the 977-household neighbourhoods of a million households in 1,024
+// shards, 65 MB for 100,000 households in 128. The cap admits
+// neighbourhoods of up to about 1,600 households; the recorder's and the
+// tracer's default rings (events.jsonl, spans.jsonl) and the other JSON
+// entries write less.
+const maxBundleEntry = 128 << 20
+
+// ErrBundleEntryTooLarge is the error ReadBundleFrom returns, wrapped
+// with the entry's name, for a parsed entry over its size cap.
+var ErrBundleEntryTooLarge = errors.New("obs: bundle entry over the size cap")
+
+// bundleEntries parses each archive entry ReadBundleFrom reads whole
+// into the bundle. Other entries are skipped unread.
+var bundleEntries = map[string]func(b *Bundle, data []byte) error{
+	"manifest.json": func(b *Bundle, data []byte) error {
+		if err := json.Unmarshal(data, &b.Manifest); err != nil {
+			return fmt.Errorf("obs: bundle manifest: %w", err)
+		}
+		return nil
+	},
+	"events.jsonl": func(b *Bundle, data []byte) (err error) {
+		b.Events, err = ReadEvents(bytes.NewReader(data))
+		return err
+	},
+	"metrics.json": func(b *Bundle, data []byte) error {
+		var snap Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return fmt.Errorf("obs: bundle metrics: %w", err)
+		}
+		b.Metrics = &snap
+		return nil
+	},
+	"status.json": func(b *Bundle, data []byte) error {
+		var st bundleStatus
+		if err := json.Unmarshal(data, &st); err != nil {
+			return fmt.Errorf("obs: bundle status: %w", err)
+		}
+		b.Day = &st.Day
+		b.Shards = st.Shards
+		return nil
+	},
+	"slo.json": func(b *Bundle, data []byte) error {
+		var rep SLOReport
+		if err := json.Unmarshal(data, &rep); err != nil {
+			return fmt.Errorf("obs: bundle slo: %w", err)
+		}
+		b.SLO = &rep
+		return nil
+	},
+	"federation.json": func(b *Bundle, data []byte) error {
+		var fed FederatedSnapshot
+		if err := json.Unmarshal(data, &fed); err != nil {
+			return fmt.Errorf("obs: bundle federation: %w", err)
+		}
+		b.Federation = &fed
+		return nil
+	},
+	"ledger.jsonl": func(b *Bundle, data []byte) error {
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			if len(bytes.TrimSpace(line)) == 0 {
+				continue
+			}
+			b.Ledger = append(b.Ledger, json.RawMessage(line))
+		}
+		return nil
+	},
+	"spans.jsonl": func(b *Bundle, data []byte) (err error) {
+		b.Spans, err = ReadSpans(bytes.NewReader(data))
+		return err
+	},
+}
+
+// ReadBundleFrom parses a debug-bundle tar.gz stream. It reads the
+// entries it parses (bundleEntries) whole, each through a size cap
+// (maxBundleEntry; over it, ErrBundleEntryTooLarge) and at most once, so
+// it reads at most len(bundleEntries) caps in all; takes each pprof/*
+// entry's size from its header without reading it; and skips every
+// other entry unread.
 func ReadBundleFrom(r io.Reader) (*Bundle, error) {
+	return readBundle(r, maxBundleEntry)
+}
+
+// readBundle is ReadBundleFrom with the per-entry cap as a parameter.
+func readBundle(r io.Reader, maxEntry int64) (*Bundle, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("obs: bundle gzip: %w", err)
@@ -303,7 +389,7 @@ func ReadBundleFrom(r io.Reader) (*Bundle, error) {
 	defer gz.Close()
 	tr := tar.NewReader(gz)
 	b := &Bundle{Profiles: map[string]int{}}
-	sawManifest := false
+	parsed := make(map[string]bool, len(bundleEntries))
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -312,66 +398,30 @@ func ReadBundleFrom(r io.Reader) (*Bundle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("obs: bundle tar: %w", err)
 		}
-		data, err := io.ReadAll(tr)
+		if name, ok := strings.CutPrefix(hdr.Name, "pprof/"); ok {
+			b.Profiles[name] = int(hdr.Size)
+			continue
+		}
+		parse, ok := bundleEntries[hdr.Name]
+		if !ok {
+			continue
+		}
+		if parsed[hdr.Name] {
+			return nil, fmt.Errorf("obs: bundle repeats %s", hdr.Name)
+		}
+		parsed[hdr.Name] = true
+		if hdr.Size > maxEntry {
+			return nil, fmt.Errorf("obs: bundle read %s (%d bytes, cap %d): %w", hdr.Name, hdr.Size, maxEntry, ErrBundleEntryTooLarge)
+		}
+		data, err := io.ReadAll(tr) // the tar reader yields hdr.Size bytes at most
 		if err != nil {
 			return nil, fmt.Errorf("obs: bundle read %s: %w", hdr.Name, err)
 		}
-		switch {
-		case hdr.Name == "manifest.json":
-			if err := json.Unmarshal(data, &b.Manifest); err != nil {
-				return nil, fmt.Errorf("obs: bundle manifest: %w", err)
-			}
-			sawManifest = true
-		case hdr.Name == "events.jsonl":
-			events, err := ReadEvents(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			b.Events = events
-		case hdr.Name == "metrics.json":
-			var snap Snapshot
-			if err := json.Unmarshal(data, &snap); err != nil {
-				return nil, fmt.Errorf("obs: bundle metrics: %w", err)
-			}
-			b.Metrics = &snap
-		case hdr.Name == "status.json":
-			var st bundleStatus
-			if err := json.Unmarshal(data, &st); err != nil {
-				return nil, fmt.Errorf("obs: bundle status: %w", err)
-			}
-			day := st.Day
-			b.Day = &day
-			b.Shards = st.Shards
-		case hdr.Name == "slo.json":
-			var rep SLOReport
-			if err := json.Unmarshal(data, &rep); err != nil {
-				return nil, fmt.Errorf("obs: bundle slo: %w", err)
-			}
-			b.SLO = &rep
-		case hdr.Name == "federation.json":
-			var fed FederatedSnapshot
-			if err := json.Unmarshal(data, &fed); err != nil {
-				return nil, fmt.Errorf("obs: bundle federation: %w", err)
-			}
-			b.Federation = &fed
-		case hdr.Name == "ledger.jsonl":
-			for _, line := range bytes.Split(data, []byte{'\n'}) {
-				if len(bytes.TrimSpace(line)) == 0 {
-					continue
-				}
-				b.Ledger = append(b.Ledger, json.RawMessage(append([]byte(nil), line...)))
-			}
-		case hdr.Name == "spans.jsonl":
-			spans, err := ReadSpans(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			b.Spans = spans
-		case strings.HasPrefix(hdr.Name, "pprof/"):
-			b.Profiles[strings.TrimPrefix(hdr.Name, "pprof/")] = len(data)
+		if err := parse(b, data); err != nil {
+			return nil, err
 		}
 	}
-	if !sawManifest {
+	if !parsed["manifest.json"] {
 		return nil, fmt.Errorf("obs: bundle has no manifest.json")
 	}
 	if b.Manifest.Schema != BundleSchema {

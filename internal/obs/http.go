@@ -310,12 +310,23 @@ func ServeOperator(addr string, op *Operator) (*DebugServer, error) {
 	return serveHandler(addr, op.Handler())
 }
 
+// The operator server's bounds on a request's header: a client that
+// has not sent its whole header within operatorReadHeaderTimeout is cut
+// off, so idle connections cannot pile up, and one larger than
+// operatorMaxHeaderBytes is refused with 431. The plane's requests are
+// short GETs; the timeout bounds the header only, so a long pprof
+// profile still streams.
+const (
+	operatorReadHeaderTimeout = 10 * time.Second
+	operatorMaxHeaderBytes    = 64 << 10
+)
+
 func serveHandler(addr string, h http.Handler) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listen: %w", err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: operatorReadHeaderTimeout, MaxHeaderBytes: operatorMaxHeaderBytes}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			Logger().Error("debug server failed", "err", err)

@@ -66,3 +66,33 @@ func TestServeOperatorBindsEphemeralPort(t *testing.T) {
 		t.Errorf("healthz over ServeOperator = %d", resp.StatusCode)
 	}
 }
+
+// TestServeOperatorBoundsRequestHeaders: the served operator plane
+// carries its header timeout and size bound, and refuses a header over
+// the bound with 431.
+func TestServeOperatorBoundsRequestHeaders(t *testing.T) {
+	srv, err := ServeOperator("127.0.0.1:0", bareOperator(NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got := srv.srv.ReadHeaderTimeout; got != operatorReadHeaderTimeout || got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, operatorReadHeaderTimeout)
+	}
+	if got := srv.srv.MaxHeaderBytes; got != operatorMaxHeaderBytes || got <= 0 {
+		t.Errorf("MaxHeaderBytes = %d, want %d", got, operatorMaxHeaderBytes)
+	}
+	req, err := http.NewRequest(http.MethodGet, "http://"+srv.Addr()+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("x", 2*operatorMaxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Errorf("a %d-byte header → %d, want 431", 2*operatorMaxHeaderBytes, resp.StatusCode)
+	}
+}
